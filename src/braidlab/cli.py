@@ -9,8 +9,9 @@ Exit codes: 0 on success (including a found witness), 1 when a verified
 property fails or a domain error occurs (budget exhausted, no witness
 found), 2 on usage or word-parse errors.  With ``--json`` standard output is
 a single JSON document on every path, errors included.  The environment
-variable ``BRAIDLAB_BUDGET`` overrides the handle-reduction step budget
-(an absolute step count).
+variable ``BRAIDLAB_BUDGET`` overrides the step budget of ``reduce`` (an
+absolute step count); signs and comparisons come from Dynnikov coordinates
+and need no budget.
 
 Single-word commands accept ``--stdin`` to process one word per input line.
 """

@@ -3,11 +3,15 @@
 A word is *i-positive* when the lowest generator index occurring in it is i
 and σ_i appears with positive exponents only; the positive cone of the
 Dehornoy ordering consists of the braids admitting an i-positive
-representative for some i.  A *handle* is a subword σ_i^e v σ_i^{-e} (e =
-+/-1) whose interior v uses only generator indices > i.  Handle reduction
-removes handles while preserving the braid; a handle-free word is either
-empty or i-positive/i-negative in its lowest occurring index, which is how
-signs are decided here.
+representative for some i.  Signs are decided here from Dynnikov coordinates
+(:mod:`braidlab.dynnikov`), in time linear in the letter length and for
+every strand count.
+
+A *handle* is a subword σ_i^e v σ_i^{-e} (e = +/-1) whose interior v uses
+only generator indices > i.  Handle reduction removes handles while
+preserving the braid; a handle-free word is either empty or
+i-positive/i-negative in its lowest occurring index.  It gives the traced
+reduction of ``reduce`` and an independent check of the signs.
 
 A σ_i-handle may be reduced once its interior contains no σ_{i+1}-handle.
 The handle whose closing letter comes first in the word always satisfies
@@ -30,6 +34,7 @@ import os
 from . import _words
 from .braid import BraidWord, half_twist
 from .burau import braid_equal
+from .dynnikov import dynnikov_coordinates
 
 __all__ = [
     "POSITIVE",
@@ -110,9 +115,10 @@ class Handle:
 class OrderVerdict:
     """Sign of a braid in the Dehornoy ordering.
 
-    ``kind`` is trivial exactly when the reduced representative is empty;
-    otherwise ``main_index`` is the lowest generator index of the handle-free
-    representative and ``kind`` is the common sign of its exponents there.
+    ``kind`` is trivial exactly when the braid is the identity; otherwise
+    ``main_index`` is the i of an i-positive or i-negative representative
+    (the lowest generator index of the handle-free one) and ``kind`` is the
+    common sign of its σ_i exponents.
     """
 
     kind: str
@@ -244,34 +250,41 @@ def handle_reduce_trace(
     return reduced, trace
 
 
-def dehornoy_sign(word: BraidWord, budget: int | None = None) -> OrderVerdict:
-    """Dehornoy sign of a braid word.
+def dehornoy_sign(word: BraidWord) -> OrderVerdict:
+    """Dehornoy sign of a braid word on any number of strands.
 
-    Guaranteed for three strands; words on more strands are reduced
-    best-effort under the same budget.
+    A word whose lowest generator index occurs with one sign only is
+    σ-definite as written, and its sign is read straight off the word.
+    Otherwise the sign is that of the first nonzero entry of
+    (x_1, y_1 - 1, x_2, y_2 - 1, ...) of the Dynnikov coordinates, which
+    costs one update per letter.
     """
-    reduced = handle_reduce(word, budget)
-    if reduced.is_identity():
+    if word.is_identity():
         return OrderVerdict(TRIVIAL)
-    main = min(index for index, _ in reduced.letters)
-    signs = {e > 0 for i, e in reduced.letters if i == main}
-    if len(signs) != 1:  # impossible on a handle-free word
-        raise AssertionError(f"handle-free word is not σ-definite: {reduced}")
-    return OrderVerdict(POSITIVE if signs.pop() else NEGATIVE, main)
+    main = min(index for index, _ in word.letters)
+    signs = {e > 0 for i, e in word.letters if i == main}
+    if len(signs) == 1:
+        return OrderVerdict(POSITIVE if signs.pop() else NEGATIVE, main)
+    coords = dynnikov_coordinates(word)
+    for k in range(word.strands):
+        entry = coords[2 * k] or coords[2 * k + 1] - 1
+        if entry:
+            return OrderVerdict(POSITIVE if entry > 0 else NEGATIVE, k + 1)
+    return OrderVerdict(TRIVIAL)
 
 
-def braid_compare(u: BraidWord, v: BraidWord, budget: int | None = None) -> str:
+def braid_compare(u: BraidWord, v: BraidWord) -> str:
     """Compare two braids in the Dehornoy ordering: u < v iff u^{-1} v is
     Dehornoy-positive."""
     if u.strands != v.strands:
         raise ValueError(f"strand count mismatch: {u.strands} != {v.strands}")
-    verdict = dehornoy_sign(u.inverse() * v, budget)
+    verdict = dehornoy_sign(u.inverse() * v)
     if verdict.is_trivial:
         return EQUAL
     return LESS if verdict.is_positive else GREATER
 
 
-def cofinal_bound(word: BraidWord, cap: int = 64, budget: int | None = None) -> int:
+def cofinal_bound(word: BraidWord, cap: int = 64) -> int:
     """Least k >= 1 with ``word`` below Δ^(2k) in the Dehornoy ordering.
 
     Searches k = 1, 2, ... up to ``cap``; raises :class:`CofinalCapError`
@@ -280,7 +293,7 @@ def cofinal_bound(word: BraidWord, cap: int = 64, budget: int | None = None) -> 
     if word.strands != 3:
         raise ValueError("cofinal bounds are specific to 3 strands")
     for k in range(1, cap + 1):
-        if braid_compare(word, half_twist(2 * k), budget) == LESS:
+        if braid_compare(word, half_twist(2 * k)) == LESS:
             return k
     raise CofinalCapError(word, cap)
 

@@ -18,10 +18,11 @@ the contract is the round trip through the Burau oracle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from . import dehornoy
 from .braid import BraidWord, exponent_sum
-from .freegroup import FreeWord, conj_by_sigma1, kn_basis, substitute
+from .freegroup import FreeWord, GroupAutomorphism, conj_by_sigma1, kn_basis, substitute
 
 __all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
 
@@ -80,6 +81,13 @@ def embed(word: FreeWord) -> BraidWord:
     return BraidWord(3, tuple(runs))
 
 
+@functools.cache
+def _conj_by_sigma1_pair() -> tuple[GroupAutomorphism, GroupAutomorphism]:
+    """conj_by_sigma1 and its inverse, composed and verified once per process."""
+    psi = conj_by_sigma1()
+    return psi, psi.inverted()
+
+
 def commutator_rewrite(braid: BraidWord) -> FreeWord:
     """Rewrite a zero-exponent-sum three-strand braid over {x, y}.
 
@@ -91,8 +99,7 @@ def commutator_rewrite(braid: BraidWord) -> FreeWord:
     if exponent_sum(braid) != 0:
         raise ValueError("word has nonzero exponent sum, so it lies outside [B3, B3]")
 
-    psi = conj_by_sigma1()
-    psi_inv = psi.inverted()
+    psi, psi_inv = _conj_by_sigma1_pair()
     x = FreeWord(2, ((1, 1),))
     # conj[t] = image of σ1^t x σ1^-t over {x, y}, filled on demand from a
     # neighboring power so repeated nearby t values stay cheap.
@@ -124,12 +131,7 @@ def commutator_rewrite(braid: BraidWord) -> FreeWord:
     return FreeWord(2, tuple(runs))
 
 
-def exotic_compare(
-    u: FreeWord,
-    v: FreeWord,
-    ctx: ExoticContext | None = None,
-    budget: int | None = None,
-) -> str:
+def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -> str:
     """Compare words in the restricted Dehornoy order of the context.
 
     K_n words are substituted down to F_2 first; the difference u^-1 v is
@@ -137,7 +139,7 @@ def exotic_compare(
     """
     ctx = ctx or ExoticContext.f2()
     difference = ctx.to_f2(u.inverse() * v)
-    verdict = dehornoy.dehornoy_sign(embed(difference), budget)
+    verdict = dehornoy.dehornoy_sign(embed(difference))
     if verdict.is_trivial:
         return dehornoy.EQUAL
     return dehornoy.LESS if verdict.is_positive else dehornoy.GREATER

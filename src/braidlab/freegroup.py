@@ -23,6 +23,7 @@ whitespace separated; rank-2 words also admit the compact alphabet
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Sequence
 
 from . import _words
@@ -368,14 +369,20 @@ def kn_basis(n: int) -> list[FreeWord]:
 
     Obtained from the Schreier generators by dropping inverses and
     right-multiplying each conjugate x^i y x^-i (i >= 1) by x^{n-1}.
+    Each call returns a fresh list over a basis built once per n.
     """
+    return list(_kn_basis(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _kn_basis(n: int) -> tuple[FreeWord, ...]:
     _check_n(n)
     table = schreier_table(n)
     x_power = table[(n - 2, 1)][0]
     basis = [table[(0, 3)][0], x_power]
     for i in range(1, n - 1):
         basis.append(table[(i, 3)][0] * x_power)
-    return basis
+    return tuple(basis)
 
 
 # Basis coordinates of the Schreier generator for (coset i, generator j);

@@ -60,6 +60,11 @@ class TestReduce:
         assert code == 1
         assert "exceeded" in err
 
+    def test_budget_env_does_not_bound_sign(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDLAB_BUDGET", "0")
+        code, out, _ = invoke(capsys, "sign", "s1 s2 s1^-1")
+        assert code == 0 and out == "positive(1)\n"
+
 
 class TestBurau:
     def test_identity_matrix(self, capsys):

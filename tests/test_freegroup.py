@@ -218,6 +218,11 @@ class TestKnBasis:
         assert [w.to_text() for w in kn_basis(3)] == ["y", "x^2", "x y x"]
         assert [w.to_text() for w in kn_basis(4)] == ["y", "x^3", "x y x^2", "x^2 y x"]
 
+    def test_returned_list_is_not_shared(self):
+        basis = kn_basis(3)
+        basis.clear()
+        assert [w.to_text() for w in kn_basis(3)] == ["y", "x^2", "x y x"]
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_formula(self, n):
         basis = kn_basis(n)
