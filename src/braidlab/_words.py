@@ -4,13 +4,16 @@ A word over a signed alphabet is stored as a sequence of runs
 ``(index, exponent)`` with every exponent nonzero and no two adjacent runs
 sharing an index.  Free reduction is exactly run normalization: merge
 adjacent runs with equal index, drop runs whose exponent becomes zero, and
-cascade.
+cascade.  :func:`normalize` is the one place where it happens: :func:`invert`
+maps reduced runs to reduced runs, and :func:`concat` and :func:`power` end in
+a single call to it.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Run = tuple[int, int]
 
@@ -47,20 +50,22 @@ def normalize(pairs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple(out)
 
 
-def invert(pairs: Iterable[Run]) -> tuple[Run, ...]:
-    return tuple((i, -e) for i, e in reversed(list(pairs)))
+def invert(pairs: Sequence[Run]) -> tuple[Run, ...]:
+    """Reverse the runs and negate every exponent; reduced in, reduced out."""
+    out: list[Run] = []
+    for index, exponent in reversed(pairs):
+        run = (index, -exponent)
+        out.append(_SHARED_RUNS.get(run, run))
+    return tuple(out)
 
 
 def concat(left: Iterable[Run], right: Iterable[Run]) -> tuple[Run, ...]:
-    return normalize(list(left) + list(right))
+    return normalize(itertools.chain(left, right))
 
 
-def power(pairs: Iterable[Run], k: int) -> tuple[Run, ...]:
-    base = list(pairs)
-    if k < 0:
-        base = list(invert(base))
-        k = -k
-    return normalize(base * k)
+def power(pairs: Sequence[Run], k: int) -> tuple[Run, ...]:
+    base = invert(pairs) if k < 0 else tuple(pairs)
+    return normalize(base * abs(k))
 
 
 def expand(pairs: Iterable[Run]) -> Iterator[Run]:

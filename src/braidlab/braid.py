@@ -2,9 +2,10 @@
 
 Words in the Artin braid group B_n live over the generators σ1 .. σ_{n-1}.
 A :class:`BraidWord` is stored run-length encoded as ``(generator_index,
-exponent)`` pairs and is always freely reduced (construction normalizes
-eagerly, so all downstream algorithms may assume reduced input).  Values are
-immutable and safe to share across threads.
+exponent)`` pairs and is always freely reduced, so all downstream algorithms
+may assume reduced input: the public constructor normalizes and validates,
+and library operations on reduced words build their results already reduced.
+Values are immutable and safe to share across threads.
 
 Text grammar (whitespace separated)::
 
@@ -43,8 +44,11 @@ class BraidWord:
 
     ``letters`` holds ``(generator_index, exponent)`` runs with every index in
     ``[1, strands - 1]``, every exponent nonzero, and adjacent runs never
-    sharing an index.  Arbitrary run sequences may be passed in; they are
-    normalized on construction.
+    sharing an index.  Arbitrary run sequences may be passed in; the public
+    constructor normalizes and validates them.  Library operations on reduced
+    words (inverse, powers, products, the half twist, handle reduction) build
+    their results already reduced, through :meth:`_reduced`, and so normalize
+    each produced word exactly once.
     """
 
     strands: int = 3
@@ -60,6 +64,14 @@ class BraidWord:
                     f"generator index {index} out of range for {self.strands} strands"
                 )
         object.__setattr__(self, "letters", normalized)
+
+    @classmethod
+    def _reduced(cls, strands: int, letters: tuple[tuple[int, int], ...]) -> "BraidWord":
+        """Wrap runs that are already reduced and in range, skipping validation."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "strands", strands)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     @property
     def length(self) -> int:
@@ -77,10 +89,10 @@ class BraidWord:
         return braid_product(self, other)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, _words.invert(self.letters))
+        return BraidWord._reduced(self.strands, _words.invert(self.letters))
 
     def __pow__(self, k: int) -> "BraidWord":
-        return BraidWord(self.strands, _words.power(self.letters, k))
+        return BraidWord._reduced(self.strands, _words.power(self.letters, k))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -146,18 +158,17 @@ def parse_braid(text: str, strands: int = 3) -> BraidWord:
 def free_reduce_braid(word: BraidWord) -> BraidWord:
     """Return the freely reduced form of ``word``.
 
-    Construction already normalizes, so this is the identity on
-    :class:`BraidWord` values; it exists as the named reduction operation and
-    for symmetry with the raw-run constructors.
+    Every :class:`BraidWord` is already reduced and values are immutable, so
+    this returns its argument; it exists as the named reduction operation.
     """
-    return BraidWord(word.strands, word.letters)
+    return word
 
 
 def braid_product(u: BraidWord, v: BraidWord) -> BraidWord:
     """Concatenate and freely reduce; strand counts must agree."""
     if u.strands != v.strands:
         raise ValueError(f"strand count mismatch: {u.strands} != {v.strands}")
-    return BraidWord(u.strands, _words.concat(u.letters, v.letters))
+    return BraidWord._reduced(u.strands, _words.concat(u.letters, v.letters))
 
 
 def braid_inverse(u: BraidWord) -> BraidWord:
@@ -178,4 +189,4 @@ def half_twist(power: int = 1) -> BraidWord:
     Δ^2 generates the center of B_3 and is cofinal in the Dehornoy ordering;
     its exponent sum is 3 * power.
     """
-    return BraidWord(3, _words.power(((1, 1), (2, 1), (1, 1)), power))
+    return BraidWord._reduced(3, _words.power(((1, 1), (2, 1), (1, 1)), power))

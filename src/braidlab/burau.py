@@ -124,9 +124,6 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-_IDENTITY_ROWS = None
-
-
 @dataclasses.dataclass(frozen=True)
 class LaurentMatrix:
     """A 2x2 matrix of Laurent polynomials.

@@ -166,7 +166,7 @@ def _resolve_budget(length: int, budget: int | None) -> int:
     return _STEPS_PER_LETTER * max(1, length)
 
 
-def _leftmost_handle(runs: list[tuple[int, int]]) -> tuple[int, int] | None:
+def _leftmost_handle(runs: tuple[tuple[int, int], ...]) -> tuple[int, int] | None:
     """Positions (p, q) of the handle with the earliest closing run, if any.
 
     A handle closes at run q when the nearest earlier run with index <= the
@@ -184,7 +184,7 @@ def _leftmost_handle(runs: list[tuple[int, int]]) -> tuple[int, int] | None:
     return None
 
 
-def _expanded_span(runs: list[tuple[int, int]], p: int, q: int) -> tuple[int, int]:
+def _expanded_span(runs: tuple[tuple[int, int], ...], p: int, q: int) -> tuple[int, int]:
     prefix = 0
     for k in range(p):
         prefix += abs(runs[k][1])
@@ -195,7 +195,9 @@ def _expanded_span(runs: list[tuple[int, int]], p: int, q: int) -> tuple[int, in
     return start, end
 
 
-def _apply_handle(runs: list[tuple[int, int]], p: int, q: int) -> list[tuple[int, int]]:
+def _apply_handle(
+    runs: tuple[tuple[int, int], ...], p: int, q: int
+) -> tuple[tuple[int, int], ...]:
     index = runs[p][0]
     e = 1 if runs[p][1] > 0 else -1
     out: list[tuple[int, int]] = list(runs[:p])
@@ -207,17 +209,17 @@ def _apply_handle(runs: list[tuple[int, int]], p: int, q: int) -> list[tuple[int
             out.append((j, d))
     out.append((index, runs[q][1] + e))
     out.extend(runs[q + 1 :])
-    return list(_words.normalize(out))
+    return _words.normalize(out)
 
 
 def _reduce(word: BraidWord, budget: int | None, trace: list[TraceStep] | None) -> BraidWord:
-    runs = list(word.letters)
+    runs = word.letters
     limit = _resolve_budget(word.length, budget)
     steps = 0
     while True:
         found = _leftmost_handle(runs)
         if found is None:
-            return BraidWord(word.strands, tuple(runs))
+            return BraidWord._reduced(word.strands, runs)
         if steps >= limit:
             raise BudgetExceededError(word, steps)
         p, q = found
@@ -228,7 +230,7 @@ def _reduce(word: BraidWord, budget: int | None, trace: list[TraceStep] | None) 
         runs = _apply_handle(runs, p, q)
         steps += 1
         if trace is not None:
-            trace.append(TraceStep(steps, handle, BraidWord(word.strands, tuple(runs))))
+            trace.append(TraceStep(steps, handle, BraidWord._reduced(word.strands, runs)))
 
 
 def handle_reduce(word: BraidWord, budget: int | None = None) -> BraidWord:

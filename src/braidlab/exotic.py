@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from . import dehornoy
+from . import _words, dehornoy
 from .braid import BraidWord, exponent_sum
 from .freegroup import FreeWord, GroupAutomorphism, conj_by_sigma1, kn_basis, substitute
 
@@ -28,6 +28,12 @@ __all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
 
 X_IMAGE = BraidWord(3, ((1, 1), (2, -1)))
 Y_IMAGE = BraidWord(3, ((1, 2), (2, -2)))
+
+# _EMBED_RUNS[letter][exponent > 0]: the runs of the image of x^-1, x, y^-1, y.
+_EMBED_RUNS = {
+    1: (X_IMAGE.inverse().letters, X_IMAGE.letters),
+    2: (Y_IMAGE.inverse().letters, Y_IMAGE.letters),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,9 +82,8 @@ def embed(word: FreeWord) -> BraidWord:
         raise ValueError("the commutator embedding is defined on rank-2 words")
     runs: list[tuple[int, int]] = []
     for index, exponent in word.letters:
-        image = X_IMAGE if index == 1 else Y_IMAGE
-        runs.extend((image**exponent).letters)
-    return BraidWord(3, tuple(runs))
+        runs.extend(_EMBED_RUNS[index][exponent > 0] * abs(exponent))
+    return BraidWord._reduced(3, _words.normalize(runs))
 
 
 @functools.cache

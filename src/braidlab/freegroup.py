@@ -65,7 +65,9 @@ class FreeWord:
     """A freely reduced word in the free group of the given rank.
 
     ``letters`` holds ``(letter_index, exponent)`` runs with indices in
-    ``[1, rank]``; construction normalizes eagerly.
+    ``[1, rank]``.  The public constructor normalizes and validates; library
+    operations on reduced words (inverse, powers, products, substitution)
+    build their results already reduced, through :meth:`_reduced`.
     """
 
     rank: int = 2
@@ -79,6 +81,14 @@ class FreeWord:
             if not 1 <= index <= self.rank:
                 raise ValueError(f"letter {index} out of range for rank {self.rank}")
         object.__setattr__(self, "letters", normalized)
+
+    @classmethod
+    def _reduced(cls, rank: int, letters: tuple[tuple[int, int], ...]) -> "FreeWord":
+        """Wrap runs that are already reduced and in range, skipping validation."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     @property
     def length(self) -> int:
@@ -94,10 +104,10 @@ class FreeWord:
         return free_product(self, other)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, _words.invert(self.letters))
+        return FreeWord._reduced(self.rank, _words.invert(self.letters))
 
     def __pow__(self, k: int) -> "FreeWord":
-        return FreeWord(self.rank, _words.power(self.letters, k))
+        return FreeWord._reduced(self.rank, _words.power(self.letters, k))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -142,14 +152,18 @@ def parse_free(text: str, rank: int = 2) -> FreeWord:
 
 
 def free_reduce(word: FreeWord) -> FreeWord:
-    """Identity on :class:`FreeWord` values (construction already reduces)."""
-    return FreeWord(word.rank, word.letters)
+    """Return the freely reduced form of ``word``.
+
+    Every :class:`FreeWord` is already reduced and values are immutable, so
+    this returns its argument.
+    """
+    return word
 
 
 def free_product(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.rank != v.rank:
         raise ValueError(f"rank mismatch: {u.rank} != {v.rank}")
-    return FreeWord(u.rank, _words.concat(u.letters, v.letters))
+    return FreeWord._reduced(u.rank, _words.concat(u.letters, v.letters))
 
 
 def free_inverse(u: FreeWord) -> FreeWord:
@@ -165,14 +179,21 @@ def abelianize(word: FreeWord) -> tuple[int, ...]:
 
 
 def substitute(word: FreeWord, images: Sequence[FreeWord]) -> FreeWord:
-    """Apply the homomorphism sending letter i to ``images[i-1]``."""
+    """Apply the homomorphism sending letter i to ``images[i-1]``.
+
+    All images must share one rank, the rank of the result.
+    """
     if len(images) < word.rank:
         raise ValueError(f"need {word.rank} images, got {len(images)}")
-    target_rank = images[0].rank if images else word.rank
+    target_rank = images[0].rank
+    for image in images:
+        if image.rank != target_rank:
+            raise ValueError(f"images must share one rank, got {target_rank} and {image.rank}")
     runs: list[tuple[int, int]] = []
     for index, exponent in word.letters:
-        runs.extend(_words.power(images[index - 1].letters, exponent))
-    return FreeWord(target_rank, tuple(runs))
+        letters = images[index - 1].letters
+        runs.extend((letters if exponent > 0 else _words.invert(letters)) * abs(exponent))
+    return FreeWord._reduced(target_rank, _words.normalize(runs))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -188,9 +188,12 @@ def convexity_probe(
             continue
         c_low = c_high = None
         for member in members:
-            if c_low is None and exotic_compare(member, g, ctx) == LESS:
+            # One verdict per member: the order is total, so g < member
+            # exactly when member > g.
+            verdict = exotic_compare(member, g, ctx)
+            if verdict == LESS and c_low is None:
                 c_low = member
-            if c_high is None and exotic_compare(g, member, ctx) == LESS:
+            elif verdict == GREATER and c_high is None:
                 c_high = member
             if c_low is not None and c_high is not None:
                 return ConvexityWitness(c_low, c_high, g, ctx)

@@ -118,6 +118,49 @@ class TestConvexityProbe:
             )
 
 
+    def test_one_comparison_per_member(self, monkeypatch):
+        import braidlab.exotic
+
+        calls = []
+        original = braidlab.exotic.exotic_compare
+
+        def counting(u, v, ctx=None):
+            calls.append((u, v))
+            return original(u, v, ctx)
+
+        monkeypatch.setattr(braidlab.exotic, "exotic_compare", counting)
+        generators = [parse_free("x^2"), parse_free("y")]
+        witness = convexity_probe(generators, F2, 6)
+        assert witness is not None
+        graph = stallings_graph(generators)
+        # Every call compares a member against a candidate outside the
+        # subgroup, and no (member, candidate) pair is compared twice.
+        assert all(subgroup_contains(graph, u) for u, _ in calls)
+        assert not any(subgroup_contains(graph, v) for _, v in calls)
+        pairs = {(u, v) for u, v in calls}
+        assert len(pairs) == len(calls)
+        # The members scanned per candidate are a prefix of the enumeration.
+        members = list(subgroup_elements(graph, 12))
+        for g in {v for _, v in calls}:
+            scanned = [u for u, v in calls if v == g]
+            assert scanned == members[: len(scanned)]
+
+    @pytest.mark.parametrize(
+        "gens, expected",
+        [
+            (["x"], ("x^-1", "y^-1", "")),
+            (["y"], ("", "x", "y")),
+            (["x^2", "y"], ("", "x", "y")),
+            (None, ("", "x", "y")),
+        ],
+    )
+    def test_criterion_9_witnesses(self, gens, expected):
+        generators = kn_basis(3) if gens is None else [parse_free(g) for g in gens]
+        witness = convexity_probe(generators, F2, 10)
+        texts = (witness.c_low.to_text(), witness.g.to_text(), witness.c_high.to_text())
+        assert texts == expected
+
+
 class TestConradianSearch:
     def test_radius_zero(self):
         assert conradian_violation_search(F2, 0) is None

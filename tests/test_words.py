@@ -1,0 +1,163 @@
+"""Library operations build reduced words without re-normalizing them.
+
+Each result must be a valid reduced word (normalization leaves its runs
+unchanged, every index is in range) and must equal, field for field, the
+word that the public constructor builds from the unreduced concatenation.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from braidlab import (
+    BraidWord,
+    FreeWord,
+    commutator_rewrite,
+    conj_by_sigma2,
+    embed,
+    exponent_sum,
+    free_reduce,
+    free_reduce_braid,
+    half_twist,
+    handle_reduce,
+    handle_reduce_trace,
+    kn_basis,
+    kn_substitute,
+    substitute,
+)
+from braidlab import _words
+
+
+def runs(max_index, max_runs=10):
+    run = st.tuples(
+        st.integers(1, max_index), st.integers(-4, 4).filter(lambda e: e != 0)
+    )
+    return st.lists(run, max_size=max_runs).map(tuple)
+
+
+strand_counts = st.integers(3, 5)
+braid_words = strand_counts.flatmap(lambda n: runs(n - 1).map(lambda r: BraidWord(n, r)))
+free_words = st.integers(2, 4).flatmap(lambda r: runs(r).map(lambda x: FreeWord(r, x)))
+rank2_words = runs(2).map(lambda r: FreeWord(2, r))
+three_strand_words = runs(2, max_runs=8).map(lambda r: BraidWord(3, r))
+
+
+def inverted(letters):
+    return tuple((i, -e) for i, e in reversed(letters))
+
+
+def check_braid(result, expected_runs, strands):
+    """``result`` is reduced, in range, and equals the constructed word."""
+    assert type(result) is BraidWord
+    assert result.letters == _words.normalize(result.letters)
+    assert all(1 <= i <= strands - 1 for i, _ in result.letters)
+    expected = BraidWord(strands, tuple(expected_runs))
+    assert (result.strands, result.letters) == (expected.strands, expected.letters)
+    assert result == expected and hash(result) == hash(expected)
+
+
+def check_free(result, expected_runs, rank):
+    assert type(result) is FreeWord
+    assert result.letters == _words.normalize(result.letters)
+    assert all(1 <= i <= rank for i, _ in result.letters)
+    expected = FreeWord(rank, tuple(expected_runs))
+    assert (result.rank, result.letters) == (expected.rank, expected.letters)
+    assert result == expected and hash(result) == hash(expected)
+
+
+def image_runs(word, images):
+    """Unreduced concatenation of the letter images of ``word``."""
+    out = []
+    for index, sign in word.single_letters():
+        image = images[index - 1].letters
+        out.extend(image if sign > 0 else inverted(image))
+    return out
+
+
+class TestBraidOperations:
+    @given(braid_words)
+    def test_inverse(self, word):
+        result = word.inverse()
+        check_braid(result, inverted(word.letters), word.strands)
+        assert all(run is _words._SHARED_RUNS.get(run, run) for run in result.letters)
+
+    @given(braid_words, st.integers(-3, 3))
+    def test_power(self, word, k):
+        base = word.letters if k >= 0 else inverted(word.letters)
+        check_braid(word**k, base * abs(k), word.strands)
+
+    @given(strand_counts.flatmap(lambda n: st.tuples(runs(n - 1), runs(n - 1), st.just(n))))
+    def test_product(self, data):
+        left, right, strands = data
+        u, v = BraidWord(strands, left), BraidWord(strands, right)
+        check_braid(u * v, u.letters + v.letters, strands)
+
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_half_twist(self, k):
+        delta = ((1, 1), (2, 1), (1, 1))
+        check_braid(half_twist(k), (delta if k >= 0 else inverted(delta)) * abs(k), 3)
+
+    @given(three_strand_words)
+    def test_handle_reduce(self, word):
+        result = handle_reduce(word)
+        check_braid(result, result.letters, 3)
+        reduced, trace = handle_reduce_trace(word)
+        assert reduced == result
+        for step in trace:
+            check_braid(step.word, step.word.letters, 3)
+
+    @given(braid_words)
+    def test_free_reduce_braid_returns_its_argument(self, word):
+        assert free_reduce_braid(word) is word
+
+
+class TestFreeOperations:
+    @given(free_words)
+    def test_inverse(self, word):
+        result = word.inverse()
+        check_free(result, inverted(word.letters), word.rank)
+        assert all(run is _words._SHARED_RUNS.get(run, run) for run in result.letters)
+
+    @given(free_words, st.integers(-3, 3))
+    def test_power(self, word, k):
+        base = word.letters if k >= 0 else inverted(word.letters)
+        check_free(word**k, base * abs(k), word.rank)
+
+    @given(st.integers(2, 4).flatmap(lambda r: st.tuples(runs(r), runs(r), st.just(r))))
+    def test_product(self, data):
+        left, right, rank = data
+        u, v = FreeWord(rank, left), FreeWord(rank, right)
+        check_free(u * v, u.letters + v.letters, rank)
+
+    @given(rank2_words)
+    def test_substitute(self, word):
+        images = conj_by_sigma2().images
+        check_free(substitute(word, images), image_runs(word, images), 2)
+
+    @given(st.integers(2, 4).flatmap(lambda n: runs(n).map(lambda r: FreeWord(n, r))))
+    def test_kn_substitute(self, word):
+        basis = kn_basis(word.rank)
+        check_free(kn_substitute(word, word.rank), image_runs(word, basis), 2)
+
+    @given(free_words)
+    def test_free_reduce_returns_its_argument(self, word):
+        assert free_reduce(word) is word
+
+    def test_substitute_rejects_images_of_another_rank(self):
+        word = FreeWord(2, ((2, 1),))
+        with pytest.raises(ValueError):
+            substitute(word, [FreeWord(2, ((1, 1),)), FreeWord(3, ((3, 1),))])
+
+
+class TestCommutatorEmbedding:
+    @given(rank2_words)
+    def test_embed(self, word):
+        images = (BraidWord(3, ((1, 1), (2, -1))), BraidWord(3, ((1, 2), (2, -2))))
+        check_braid(embed(word), image_runs(word, images), 3)
+
+    @given(three_strand_words)
+    def test_commutator_rewrite(self, word):
+        braid = word * BraidWord(3, ((1, -exponent_sum(word)),))
+        result = commutator_rewrite(braid)
+        check_free(result, result.letters, 2)
