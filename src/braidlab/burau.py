@@ -10,6 +10,11 @@ for three strands, so matrix equality decides braid equality.  All
 arithmetic is exact: coefficients are unbounded Python integers and no
 rounding occurs anywhere.  Entries of long words grow without bound, which
 is why fixed-width coefficients would silently corrupt the oracle.
+
+This is the independent n = 3 oracle: the tests and the ``verify`` checks
+of braid identities and trichotomy cross-check other methods against it,
+and the ``burau`` command prints it.  Signs, comparisons and commutation
+are decided by Dynnikov coordinates (:mod:`braidlab.dynnikov`) instead.
 """
 
 from __future__ import annotations

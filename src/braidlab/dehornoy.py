@@ -3,9 +3,9 @@
 A word is *i-positive* when the lowest generator index occurring in it is i
 and σ_i appears with positive exponents only; the positive cone of the
 Dehornoy ordering consists of the braids admitting an i-positive
-representative for some i.  Signs are decided here from Dynnikov coordinates
-(:mod:`braidlab.dynnikov`), in time linear in the letter length and for
-every strand count.
+representative for some i.  Signs and commutation are decided here from
+Dynnikov coordinates (:mod:`braidlab.dynnikov`), in time linear in the
+letter length and for every strand count.
 
 A *handle* is a subword σ_i^e v σ_i^{-e} (e = +/-1) whose interior v uses
 only generator indices > i.  Handle reduction removes handles while
@@ -33,7 +33,6 @@ import os
 
 from . import _words
 from .braid import BraidWord, half_twist
-from .burau import braid_equal
 from .dynnikov import dynnikov_coordinates
 
 __all__ = [
@@ -263,10 +262,18 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
     """
     if word.is_identity():
         return OrderVerdict(TRIVIAL)
-    main = min(index for index, _ in word.letters)
-    signs = {e > 0 for i, e in word.letters if i == main}
-    if len(signs) == 1:
-        return OrderVerdict(POSITIVE if signs.pop() else NEGATIVE, main)
+    main = min(word.letters)[0]
+    positive = negative = False
+    for index, exponent in word.letters:
+        if index == main:
+            if exponent > 0:
+                positive = True
+            else:
+                negative = True
+            if positive and negative:
+                break
+    else:  # σ_main occurs with one sign only
+        return OrderVerdict(POSITIVE if positive else NEGATIVE, main)
     coords = dynnikov_coordinates(word)
     for k in range(word.strands):
         entry = coords[2 * k] or coords[2 * k + 1] - 1
@@ -301,5 +308,10 @@ def cofinal_bound(word: BraidWord, cap: int = 64) -> int:
 
 
 def commutes(u: BraidWord, v: BraidWord) -> bool:
-    """Whether two three-strand braids commute, decided by the Burau oracle."""
-    return braid_equal(u * v, v * u)
+    """Whether two braids on the same number of strands commute.
+
+    Decided by comparing the Dynnikov coordinates of u v and v u: the action
+    is faithful, so they agree exactly when the braids do.  Works for every
+    strand count, in time linear in the letters.
+    """
+    return dynnikov_coordinates(u * v) == dynnikov_coordinates(v * u)

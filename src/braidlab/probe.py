@@ -24,6 +24,7 @@ import dataclasses
 import random
 from typing import Callable, Iterator, Sequence
 
+from . import _words
 from .braid import BraidWord, half_twist
 from .dehornoy import (
     EQUAL,
@@ -61,6 +62,17 @@ __all__ = [
 
 _SIGMA2 = BraidWord(3, ((2, 1),))
 
+_Runs = tuple[_words.Run, ...]
+
+
+def _append_letter(runs: _Runs, letter: int, sign: int) -> _Runs:
+    """Reduced runs followed by one letter that does not cancel their last run."""
+    if runs and runs[-1][0] == letter:
+        run = (letter, runs[-1][1] + sign)
+        return runs[:-1] + (_words._SHARED_RUNS.get(run, run),)
+    run = (letter, sign)
+    return runs + (_words._SHARED_RUNS.get(run, run),)
+
 
 def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     """All freely reduced words of length <= radius, in length-lex order.
@@ -76,20 +88,17 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     alphabet = [(i, s) for i in range(1, rank + 1) for s in (1, -1)]
     yield FreeWord(rank)
 
-    def extend(prefix: list[tuple[int, int]], remaining: int) -> Iterator[FreeWord]:
+    def extend(prefix: _Runs, remaining: int) -> Iterator[FreeWord]:
         if remaining == 0:
-            yield FreeWord(rank, tuple(prefix))
+            yield FreeWord._reduced(rank, prefix)
             return
-        last = prefix[-1] if prefix else None
-        for letter in alphabet:
-            if last is not None and last[0] == letter[0] and last[1] == -letter[1]:
+        for letter, sign in alphabet:
+            if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
                 continue
-            prefix.append(letter)
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
+            yield from extend(_append_letter(prefix, letter, sign), remaining - 1)
 
     for length in range(1, radius + 1):
-        yield from extend([], length)
+        yield from extend((), length)
 
 
 def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWord]:
@@ -107,24 +116,19 @@ def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWor
         options.sort(key=lambda m: (m[0], 0 if m[1] > 0 else 1))
         moves.append(options)
 
-    def walk(
-        vertex: int, prefix: list[tuple[int, int]], remaining: int
-    ) -> Iterator[FreeWord]:
+    def walk(vertex: int, prefix: _Runs, remaining: int) -> Iterator[FreeWord]:
         if remaining == 0:
             if vertex == graph.base:
-                yield FreeWord(graph.rank, tuple(prefix))
+                yield FreeWord._reduced(graph.rank, prefix)
             return
-        last = prefix[-1] if prefix else None
         for letter, sign in moves[vertex]:
-            if last is not None and last[0] == letter and last[1] == -sign:
+            if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
                 continue
             target = graph.fwd[vertex][letter] if sign > 0 else graph.bwd[vertex][letter]
-            prefix.append((letter, sign))
-            yield from walk(target, prefix, remaining - 1)
-            prefix.pop()
+            yield from walk(target, _append_letter(prefix, letter, sign), remaining - 1)
 
     for length in range(1, max_length + 1):
-        yield from walk(graph.base, [], length)
+        yield from walk(graph.base, (), length)
 
 
 class _CachedSeq:

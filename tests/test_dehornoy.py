@@ -21,6 +21,7 @@ from braidlab import (
     cofinal_bound,
     commutes,
     dehornoy_sign,
+    dynnikov_coordinates,
     half_twist,
     handle_reduce,
     handle_reduce_trace,
@@ -144,6 +145,43 @@ class TestSign:
         verdict = dehornoy_sign(parse_braid("s2^-3"))
         assert verdict.kind == NEGATIVE and verdict.main_index == 2
 
+    @pytest.mark.parametrize(
+        "text, kind, main_index, coordinate_passes",
+        [
+            # σ2 with one sign only: read off the word.
+            ("s2^-1 s3 s2^-2 s3^-4", NEGATIVE, 2, 0),
+            ("s3^-1 s2 s3^2 s2", POSITIVE, 2, 0),
+            # σ2 with both signs: decided by Dynnikov coordinates.
+            ("s2 s3 s2^-1", POSITIVE, 2, 1),
+            ("s2^-1 s3 s2", POSITIVE, 2, 1),
+            ("s2 s3^-1 s2^-1 s3^2", NEGATIVE, 2, 1),
+            ("s2 s3 s2^-1 s3^-1 s2^-1", NEGATIVE, 3, 1),
+            ("s2 s3 s2 s3^-1 s2^-1 s3^-1", TRIVIAL, None, 1),
+        ],
+    )
+    def test_main_index_two_on_four_strands(
+        self, monkeypatch, text, kind, main_index, coordinate_passes
+    ):
+        from braidlab import dehornoy
+
+        word = parse_braid(text, strands=4)
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return dynnikov_coordinates(w)
+
+        monkeypatch.setattr(dehornoy, "dynnikov_coordinates", counted)
+        verdict = dehornoy_sign(word)
+        assert (verdict.kind, verdict.main_index) == (kind, main_index)
+        assert len(calls) == coordinate_passes
+        reduced = handle_reduce(word)
+        if kind == TRIVIAL:
+            assert reduced.is_identity()
+        else:
+            assert min(i for i, _ in reduced.letters) == main_index
+            assert lowest_index_signs(reduced) == {kind == POSITIVE}
+
     def test_antisymmetry(self):
         rng = random.Random(105)
         for _ in range(100):
@@ -251,3 +289,44 @@ class TestCommutes:
 
     def test_powers_of_one_generator(self):
         assert commutes(parse_braid("s2^3"), parse_braid("s2^-5"))
+
+    def test_agrees_with_burau_on_random_pairs(self):
+        rng = random.Random(111)
+        for _ in range(300):
+            u = random_braid_word(rng, rng.choice((2, 6, 20)))
+            v = random_braid_word(rng, rng.choice((2, 6, 20)))
+            assert commutes(u, v) == braid_equal(u * v, v * u)
+
+    def test_planted_commuting_pairs(self):
+        rng = random.Random(112)
+        sigma2 = parse_braid("s2")
+        for _ in range(60):
+            beta = random_braid_word(rng, 20)
+            k = rng.choice((-3, -2, 2, 3))
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            conjugate = beta * sigma2 * beta.inverse()
+            pairs = [
+                (beta, beta**k),
+                (beta, half_twist(2 * rng.choice((-2, -1, 1, 2)))),
+                (sigma2**a, sigma2**b),
+                (conjugate, beta * sigma2**k * beta.inverse()),
+            ]
+            for u, v in pairs:
+                assert commutes(u, v) and commutes(v, u)
+                assert braid_equal(u * v, v * u)
+
+    @pytest.mark.parametrize("strands", [4, 5])
+    def test_more_strands(self, strands):
+        s1, s2, s3 = (BraidWord(strands, ((i, 1),)) for i in (1, 2, 3))
+        assert commutes(s1, s3)
+        assert not commutes(s1, s2)
+        delta2 = BraidWord(strands, tuple((i, 1) for i in range(1, strands))) ** strands
+        rng = random.Random(113 + strands)
+        for _ in range(30):
+            word = random_braid_word(rng, 30, strands)
+            assert commutes(delta2, word)
+            assert not commutes(word * s1 * word.inverse(), word * s2 * word.inverse())
+
+    def test_strand_mismatch(self):
+        with pytest.raises(ValueError):
+            commutes(BraidWord(3, ((1, 1),)), BraidWord(4, ((1, 1),)))
