@@ -5,13 +5,13 @@ A word over a signed alphabet is stored as a sequence of runs
 sharing an index.  Free reduction is exactly run normalization: merge
 adjacent runs with equal index, drop runs whose exponent becomes zero, and
 cascade.  :func:`normalize` is the one place where it happens: :func:`invert`
-maps reduced runs to reduced runs, and :func:`concat` and :func:`power` end in
-a single call to it.
+maps reduced runs to reduced runs, :func:`concat` of two reduced sequences
+only has to cancel at the seam, and :func:`power` ends in a single call to
+:func:`normalize`.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Iterator, Sequence
 
@@ -59,8 +59,17 @@ def invert(pairs: Sequence[Run]) -> tuple[Run, ...]:
     return tuple(out)
 
 
-def concat(left: Iterable[Run], right: Iterable[Run]) -> tuple[Run, ...]:
-    return normalize(itertools.chain(left, right))
+def concat(left: tuple[Run, ...], right: tuple[Run, ...]) -> tuple[Run, ...]:
+    """Product of two reduced run sequences: cancel and merge at the seam only."""
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        exponent = left[i - 1][1] + right[j][1]
+        if exponent:
+            run = (right[j][0], exponent)
+            return left[: i - 1] + (_SHARED_RUNS.get(run, run),) + right[j + 1 :]
+        i -= 1
+        j += 1
+    return left[:i] + right[j:]
 
 
 def power(pairs: Sequence[Run], k: int) -> tuple[Run, ...]:

@@ -115,19 +115,6 @@ class LaurentPoly:
             total += c * value**e
         return total
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{e}")
-        return " + ".join(parts)
-
 
 @dataclasses.dataclass(frozen=True)
 class LaurentMatrix:

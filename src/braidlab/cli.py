@@ -19,6 +19,7 @@ Single-word commands accept ``--stdin`` to process one word per input line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -28,7 +29,6 @@ from .braid import parse_braid
 from .burau import burau_matrix
 from .dehornoy import (
     BudgetExceededError,
-    CofinalCapError,
     braid_compare,
     dehornoy_sign,
     handle_reduce,
@@ -62,7 +62,9 @@ class _QuietParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _QuietParser(prog="braidlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -333,7 +335,7 @@ def run(argv: Sequence[str]) -> int:
             print(json.dumps(_error_payload("usage", exc), sort_keys=True))
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (BudgetExceededError, CofinalCapError, ValueError) as exc:
+    except (BudgetExceededError, ValueError) as exc:
         if args.json:
             print(json.dumps(_error_payload("domain", exc), sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ A word is *i-positive* when the lowest generator index occurring in it is i
 and σ_i appears with positive exponents only; the positive cone of the
 Dehornoy ordering consists of the braids admitting an i-positive
 representative for some i.  Signs and commutation are decided here from
-Dynnikov coordinates (:mod:`braidlab.dynnikov`), in time linear in the
-letter length and for every strand count.
+Dynnikov coordinates (:mod:`braidlab.dynnikov`), for every strand count,
+with a number of coordinate updates linear in the runs of the word.
 
 A *handle* is a subword σ_i^e v σ_i^{-e} (e = +/-1) whose interior v uses
 only generator indices > i.  Handle reduction removes handles while
@@ -258,7 +258,7 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
     σ-definite as written, and its sign is read straight off the word.
     Otherwise the sign is that of the first nonzero entry of
     (x_1, y_1 - 1, x_2, y_2 - 1, ...) of the Dynnikov coordinates, which
-    costs one update per letter.
+    cost a few updates per run (see :mod:`braidlab.dynnikov`).
     """
     if word.is_identity():
         return OrderVerdict(TRIVIAL)
@@ -312,6 +312,6 @@ def commutes(u: BraidWord, v: BraidWord) -> bool:
 
     Decided by comparing the Dynnikov coordinates of u v and v u: the action
     is faithful, so they agree exactly when the braids do.  Works for every
-    strand count, in time linear in the letters.
+    strand count, with a few coordinate updates per run.
     """
     return dynnikov_coordinates(u * v) == dynnikov_coordinates(v * u)

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import braidlab
 from braidlab.cli import run
+
+SRC = Path(braidlab.__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -27,6 +34,10 @@ class TestSign:
         code, out, _ = invoke(capsys, "sign", "--json", "s2^-3")
         assert code == 0
         assert json.loads(out) == {"kind": "negative", "main_index": 2}
+
+    def test_exponents_of_a_billion(self, capsys):
+        code, out, _ = invoke(capsys, "sign", "s1^1000000000 s2 s1^-1000000000")
+        assert code == 0 and out == "positive(1)\n"
 
 
 class TestCompare:
@@ -206,3 +217,26 @@ class TestErrors:
     def test_missing_word(self, capsys):
         code, _, err = invoke(capsys, "sign")
         assert code == 2
+
+
+def fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "braidlab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+class TestParserReuse:
+    """One parser serves every call of ``run`` in a process; a failed parse
+    must leave nothing behind for the next call."""
+
+    def test_same_outputs_as_fresh_processes(self, capsys):
+        commands = [
+            ["sign", "--strands", "x", "s1"],
+            ["compare", "--strands", "4", "s3", "s1 s2"],
+            ["exotic-compare", "--json", "x", "y", "--bogus"],
+        ]
+        in_process = [invoke(capsys, *argv) for argv in commands]
+        assert [r[0] for r in in_process] == [2, 0, 2]
+        assert in_process == [fresh_process(argv) for argv in commands]

@@ -79,6 +79,34 @@ def image_runs(word, images):
     return out
 
 
+class TestConcat:
+    """``concat`` of reduced runs cancels only at the seam; it must agree with
+    reducing the whole concatenation, through cascades and full cancellation."""
+
+    @given(runs(3, max_runs=12), runs(3, max_runs=6), st.integers(0, 12))
+    def test_cascade_through_an_inverted_suffix(self, left, tail, cut):
+        left = _words.normalize(left)
+        suffix = left[len(left) - min(cut, len(left)) :]
+        right = _words.normalize(inverted(suffix) + tail)
+        result = _words.concat(left, right)
+        assert result == _words.normalize(left + right)
+        assert all(run is _words._SHARED_RUNS.get(run, run) for run in result)
+
+    @pytest.mark.parametrize(
+        "left, right, expected",
+        [
+            (((1, 2), (2, 3), (1, -1)), ((1, 1), (2, -3), (1, 5)), ((1, 7),)),
+            (((2, 1), (1, 2), (2, 3)), ((2, -3), (1, -2), (2, -1)), ()),
+            (((1, 1), (2, -1)), ((2, 1), (1, -1), (2, 4)), ((2, 4),)),
+            (((1, 9),), ((1, -1),), ((1, 8),)),
+            ((), ((1, 1),), ((1, 1),)),
+            (((1, 1),), (), ((1, 1),)),
+        ],
+    )
+    def test_known_seams(self, left, right, expected):
+        assert _words.concat(left, right) == expected
+
+
 class TestBraidOperations:
     @given(braid_words)
     def test_inverse(self, word):
