@@ -135,6 +135,12 @@ class OrderVerdict:
     def is_trivial(self) -> bool:
         return self.kind == TRIVIAL
 
+    def comparison(self) -> str:
+        """LESS, EQUAL or GREATER for u against v, when this is the sign of u^-1 v."""
+        if self.kind == TRIVIAL:
+            return EQUAL
+        return LESS if self.kind == POSITIVE else GREATER
+
     def negated(self) -> "OrderVerdict":
         if self.kind == TRIVIAL:
             return self
@@ -284,13 +290,8 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
 
 def braid_compare(u: BraidWord, v: BraidWord) -> str:
     """Compare two braids in the Dehornoy ordering: u < v iff u^{-1} v is
-    Dehornoy-positive."""
-    if u.strands != v.strands:
-        raise ValueError(f"strand count mismatch: {u.strands} != {v.strands}")
-    verdict = dehornoy_sign(u.inverse() * v)
-    if verdict.is_trivial:
-        return EQUAL
-    return LESS if verdict.is_positive else GREATER
+    Dehornoy-positive; words on different strand counts raise ValueError."""
+    return dehornoy_sign(u.inverse() * v).comparison()
 
 
 def cofinal_bound(word: BraidWord, cap: int = 64) -> int:

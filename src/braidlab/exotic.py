@@ -22,18 +22,14 @@ import functools
 
 from . import _words, dehornoy
 from .braid import BraidWord, exponent_sum
-from .freegroup import FreeWord, GroupAutomorphism, conj_by_sigma1, kn_basis, substitute
+from .freegroup import FreeWord, GroupAutomorphism, conj_by_sigma1, kn_basis, kn_substitute
 
 __all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
 
 X_IMAGE = BraidWord(3, ((1, 1), (2, -1)))
 Y_IMAGE = BraidWord(3, ((1, 2), (2, -2)))
 
-# _EMBED_RUNS[letter][exponent > 0]: the runs of the image of x^-1, x, y^-1, y.
-_EMBED_RUNS = {
-    1: (X_IMAGE.inverse().letters, X_IMAGE.letters),
-    2: (Y_IMAGE.inverse().letters, Y_IMAGE.letters),
-}
+_EMBED_RUNS = _words.substitution_table((X_IMAGE.letters, Y_IMAGE.letters))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +63,7 @@ class ExoticContext:
             )
         if self.kind == "F2":
             return word
-        return substitute(word, self.basis())
+        return kn_substitute(word, self.n)  # type: ignore[arg-type]
 
     def __str__(self) -> str:
         return "f2" if self.kind == "F2" else f"kn:{self.n}"
@@ -80,10 +76,7 @@ def embed(word: FreeWord) -> BraidWord:
     """
     if word.rank != 2:
         raise ValueError("the commutator embedding is defined on rank-2 words")
-    runs: list[tuple[int, int]] = []
-    for index, exponent in word.letters:
-        runs.extend(_EMBED_RUNS[index][exponent > 0] * abs(exponent))
-    return BraidWord._reduced(3, _words.normalize(runs))
+    return BraidWord._reduced(3, _words.substitute(word.letters, _EMBED_RUNS))
 
 
 @functools.cache
@@ -144,7 +137,4 @@ def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -
     """
     ctx = ctx or ExoticContext.f2()
     difference = ctx.to_f2(u.inverse() * v)
-    verdict = dehornoy.dehornoy_sign(embed(difference))
-    if verdict.is_trivial:
-        return dehornoy.EQUAL
-    return dehornoy.LESS if verdict.is_positive else dehornoy.GREATER
+    return dehornoy.dehornoy_sign(embed(difference)).comparison()

@@ -1,17 +1,19 @@
 """Free-group words, automorphisms, the kernels K_n, and subgroup membership.
 
 Words of the free group F_r live over letters g1 .. gr (aliases x = g1 and
-y = g2); like braid words they are run-length encoded and always freely
-reduced.  On top of the word machinery this module provides:
+y = g2).  A :class:`FreeWord` is a :class:`~braidlab._words.RunWord`, like a
+braid word: run-length encoded, always freely reduced, with products,
+inverses and powers from the run-word core.  On top of the words this module
+provides:
 
 * substitution endomorphisms/automorphisms with verified inverses, among
   them the conjugation actions that the three-strand braid group induces on
   its commutator subgroup (see :mod:`braidlab.exotic`),
 * abelianization and 2x2 integer matrices for the induced maps on Z^2,
 * the subgroups K_n = ker(F_2 -> Z_{n-1}, y -> 0, x -> 1): membership, the
-  Reidemeister-Schreier generator table, the rank-n basis
-  [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], and rewriting of members
-  over that basis,
+  rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], the
+  Reidemeister-Schreier generator table and rewriting of members over that
+  basis (both from one encoding of the Schreier generators in the basis),
 * Stallings subgroup graphs (folded automata) for membership in arbitrary
   finitely generated subgroups.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import _words
 from ._words import WordParseError
@@ -32,9 +34,6 @@ from ._words import WordParseError
 __all__ = [
     "FreeWord",
     "parse_free",
-    "free_reduce",
-    "free_product",
-    "free_inverse",
     "abelianize",
     "substitute",
     "GroupAutomorphism",
@@ -58,17 +57,22 @@ __all__ = [
 
 _ALIAS = {"x": 1, "y": 2}
 _COMPACT = {"x": (1, 1), "X": (1, -1), "y": (2, 1), "Y": (2, -1)}
+_OUT_OF_RANGE = "letter {} out of range for rank {rank}"
 
 
 @dataclasses.dataclass(frozen=True)
-class FreeWord:
+class FreeWord(_words.RunWord):
     """A freely reduced word in the free group of the given rank.
 
     ``letters`` holds ``(letter_index, exponent)`` runs with indices in
     ``[1, rank]``.  The public constructor normalizes and validates; library
     operations on reduced words (inverse, powers, products, substitution)
-    build their results already reduced, through :meth:`_reduced`.
+    build their results already reduced, through :meth:`_reduced`.  A
+    product of words of different ranks raises ``ValueError``.
     """
+
+    _BOUND = "rank"
+    _MISMATCH = "rank mismatch"
 
     rank: int = 2
     letters: tuple[tuple[int, int], ...] = ()
@@ -79,95 +83,26 @@ class FreeWord:
         normalized = _words.normalize(self.letters)
         for index, _ in normalized:
             if not 1 <= index <= self.rank:
-                raise ValueError(f"letter {index} out of range for rank {self.rank}")
+                raise ValueError(_OUT_OF_RANGE.format(index, rank=self.rank))
         object.__setattr__(self, "letters", normalized)
 
-    @classmethod
-    def _reduced(cls, rank: int, letters: tuple[tuple[int, int], ...]) -> "FreeWord":
-        """Wrap runs that are already reduced and in range, skipping validation."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "rank", rank)
-        object.__setattr__(word, "letters", letters)
-        return word
-
-    @property
-    def length(self) -> int:
-        return _words.letter_length(self.letters)
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def single_letters(self) -> Iterator[tuple[int, int]]:
-        return _words.expand(self.letters)
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return free_product(self, other)
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord._reduced(self.rank, _words.invert(self.letters))
-
-    def __pow__(self, k: int) -> "FreeWord":
-        return FreeWord._reduced(self.rank, _words.power(self.letters, k))
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        """Canonical text form: ``x y^-1`` for rank <= 2, ``g1 g2^-1`` above."""
-        names = ("x", "y") if self.rank <= 2 else None
-        parts = []
-        for index, exponent in self.letters:
-            name = names[index - 1] if names else f"g{index}"
-            parts.append(name if exponent == 1 else f"{name}^{exponent}")
-        return " ".join(parts)
+    def _letter_name(self, index: int) -> str:
+        """Text forms read ``x y^-1`` for rank <= 2, ``g1 g2^-1`` above."""
+        return ("x", "y")[index - 1] if self.rank <= 2 else f"g{index}"
 
 
 def parse_free(text: str, rank: int = 2) -> FreeWord:
     """Parse a free-group word (verbose grammar or rank-2 compact form)."""
-    squeezed = "".join(text.split())
-    if squeezed and set(squeezed) <= set(_COMPACT):
-        letters = []
-        for offset, char in enumerate(text):
-            if char.isspace():
-                continue
-            index, sign = _COMPACT[char]
-            if index > rank:
-                raise WordParseError(f"letter {char!r} out of range for rank {rank}", offset)
-            letters.append((index, sign))
-        return FreeWord(rank, tuple(letters))
-
-    letters = []
-    for term, offset in _words.split_terms(text):
-        head, exponent = _words.parse_exponent(term, offset)
-        if head in _ALIAS:
-            index = _ALIAS[head]
-        elif head.startswith("g"):
-            index = _words.parse_positive_int(head[1:], offset, "letter index")
-        else:
-            raise WordParseError(f"malformed letter token {term!r}", offset)
-        if not 1 <= index <= rank:
-            raise WordParseError(f"letter {index} out of range for rank {rank}", offset)
-        letters.append((index, exponent))
-    return FreeWord(rank, tuple(letters))
+    out_of_range = functools.partial(_OUT_OF_RANGE.format, rank=rank)
+    return FreeWord(rank, _words.parse(text, _COMPACT, _letter_index, rank, out_of_range))
 
 
-def free_reduce(word: FreeWord) -> FreeWord:
-    """Return the freely reduced form of ``word``.
-
-    Every :class:`FreeWord` is already reduced and values are immutable, so
-    this returns its argument.
-    """
-    return word
-
-
-def free_product(u: FreeWord, v: FreeWord) -> FreeWord:
-    if u.rank != v.rank:
-        raise ValueError(f"rank mismatch: {u.rank} != {v.rank}")
-    return FreeWord._reduced(u.rank, _words.concat(u.letters, v.letters))
-
-
-def free_inverse(u: FreeWord) -> FreeWord:
-    return u.inverse()
+def _letter_index(head: str, term: str, offset: int) -> int:
+    if head in _ALIAS:
+        return _ALIAS[head]
+    if not head.startswith("g"):
+        raise WordParseError(f"malformed letter token {term!r}", offset)
+    return _words.parse_positive_int(head[1:], offset, "letter index")
 
 
 def abelianize(word: FreeWord) -> tuple[int, ...]:
@@ -189,11 +124,8 @@ def substitute(word: FreeWord, images: Sequence[FreeWord]) -> FreeWord:
     for image in images:
         if image.rank != target_rank:
             raise ValueError(f"images must share one rank, got {target_rank} and {image.rank}")
-    runs: list[tuple[int, int]] = []
-    for index, exponent in word.letters:
-        letters = images[index - 1].letters
-        runs.extend((letters if exponent > 0 else _words.invert(letters)) * abs(exponent))
-    return FreeWord._reduced(target_rank, _words.normalize(runs))
+    table = _words.substitution_table(image.letters for image in images)
+    return FreeWord._reduced(target_rank, _words.substitute(word.letters, table))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -356,41 +288,12 @@ def kn_member(word: FreeWord, n: int) -> bool:
     return abelianize(word)[0] % (n - 1) == 0
 
 
-def _x_power(k: int) -> FreeWord:
-    return FreeWord(2, ((1, k),)) if k else FreeWord(2)
-
-
-def schreier_table(n: int) -> dict[tuple[int, int], tuple[FreeWord, int]]:
-    """Reidemeister-Schreier table for K_n with transversal 1, x, ..., x^{n-2}.
-
-    Maps ``(i, j)`` with coset index i in 0..n-2 and generator j in 1..4
-    (for x, x^-1, y, y^-1) to ``(h, k)`` where x^i g_j = h x^k with h in K_n.
-    """
-    _check_n(n)
-    table: dict[tuple[int, int], tuple[FreeWord, int]] = {}
-    y = FreeWord(2, ((2, 1),))
-    for i in range(n - 1):
-        xi = _x_power(i)
-        if i < n - 2:
-            table[(i, 1)] = (FreeWord(2), i + 1)
-        else:
-            table[(i, 1)] = (_x_power(n - 1), 0)
-        if i >= 1:
-            table[(i, 2)] = (FreeWord(2), i - 1)
-        else:
-            table[(i, 2)] = (_x_power(-(n - 1)), n - 2)
-        conj = xi * y * xi.inverse()
-        table[(i, 3)] = (conj, i)
-        table[(i, 4)] = (conj.inverse(), i)
-    return table
-
-
 def kn_basis(n: int) -> list[FreeWord]:
     """The rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x] of K_n.
 
-    Obtained from the Schreier generators by dropping inverses and
-    right-multiplying each conjugate x^i y x^-i (i >= 1) by x^{n-1}.
-    Each call returns a fresh list over a basis built once per n.
+    For 1 <= i <= n-2, x^i y x^{n-1-i} is the Schreier generator x^i y x^-i
+    right-multiplied by x^{n-1}.  Each call returns a fresh list over a basis
+    built once per n.
     """
     return list(_kn_basis(n))
 
@@ -398,12 +301,14 @@ def kn_basis(n: int) -> list[FreeWord]:
 @functools.lru_cache(maxsize=64)
 def _kn_basis(n: int) -> tuple[FreeWord, ...]:
     _check_n(n)
-    table = schreier_table(n)
-    x_power = table[(n - 2, 1)][0]
-    basis = [table[(0, 3)][0], x_power]
-    for i in range(1, n - 1):
-        basis.append(table[(i, 3)][0] * x_power)
-    return tuple(basis)
+    conjugates = (FreeWord(2, ((1, i), (2, 1), (1, n - 1 - i))) for i in range(1, n - 1))
+    return (FreeWord(2, ((2, 1),)), FreeWord(2, ((1, n - 1),)), *conjugates)
+
+
+@functools.lru_cache(maxsize=64)
+def _kn_table(n: int) -> dict[int, tuple[_words.Runs, _words.Runs]]:
+    """The :func:`_words.substitute` table of the K_n basis."""
+    return _words.substitution_table(word.letters for word in _kn_basis(n))
 
 
 # Basis coordinates of the Schreier generator for (coset i, generator j);
@@ -418,6 +323,23 @@ def _schreier_in_basis(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
     if i == 0:
         return ((1, -1),)
     return ((2, 1), (i + 2, -1))
+
+
+def schreier_table(n: int) -> dict[tuple[int, int], tuple[FreeWord, int]]:
+    """Reidemeister-Schreier table for K_n with transversal 1, x, ..., x^{n-2}.
+
+    Maps ``(i, j)`` with coset index i in 0..n-2 and generator j in 1..4
+    (for x, x^-1, y, y^-1) to ``(h, k)`` where x^i g_j = h x^k with h in K_n.
+    Each h is the basis encoding that :func:`kn_rewrite` emits, substituted
+    back into F_2.
+    """
+    _check_n(n)
+    table: dict[tuple[int, int], tuple[FreeWord, int]] = {}
+    for i in range(n - 1):
+        for j, step in ((1, 1), (2, -1), (3, 0), (4, 0)):
+            h = _words.substitute(_schreier_in_basis(i, j, n), _kn_table(n))
+            table[(i, j)] = (FreeWord._reduced(2, h), (i + step) % (n - 1))
+    return table
 
 
 def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
@@ -448,7 +370,7 @@ def kn_substitute(word: FreeWord, n: int) -> FreeWord:
     _check_n(n)
     if word.rank != n:
         raise ValueError(f"expected a rank-{n} word, got rank {word.rank}")
-    return substitute(word, kn_basis(n))
+    return FreeWord._reduced(2, _words.substitute(word.letters, _kn_table(n)))
 
 
 class SubgroupGraph:
@@ -474,7 +396,6 @@ class SubgroupGraph:
         self.base = 0
         self.fwd = tuple(dict(m) for m in fwd)
         self.bwd = tuple(dict(m) for m in bwd)
-        self.folded = True
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (source, letter, target), sorted."""

@@ -32,7 +32,6 @@ from .dehornoy import (
     LESS,
     OrderVerdict,
     POSITIVE,
-    TRIVIAL,
     commutes,
     dehornoy_sign,
 )
@@ -62,17 +61,6 @@ __all__ = [
 
 _SIGMA2 = BraidWord(3, ((2, 1),))
 
-_Runs = tuple[_words.Run, ...]
-
-
-def _append_letter(runs: _Runs, letter: int, sign: int) -> _Runs:
-    """Reduced runs followed by one letter that does not cancel their last run."""
-    if runs and runs[-1][0] == letter:
-        run = (letter, runs[-1][1] + sign)
-        return runs[:-1] + (_words._SHARED_RUNS.get(run, run),)
-    run = (letter, sign)
-    return runs + (_words._SHARED_RUNS.get(run, run),)
-
 
 def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     """All freely reduced words of length <= radius, in length-lex order.
@@ -88,14 +76,14 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     alphabet = [(i, s) for i in range(1, rank + 1) for s in (1, -1)]
     yield FreeWord(rank)
 
-    def extend(prefix: _Runs, remaining: int) -> Iterator[FreeWord]:
+    def extend(prefix: _words.Runs, remaining: int) -> Iterator[FreeWord]:
         if remaining == 0:
             yield FreeWord._reduced(rank, prefix)
             return
         for letter, sign in alphabet:
             if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
                 continue
-            yield from extend(_append_letter(prefix, letter, sign), remaining - 1)
+            yield from extend(_words.append_letter(prefix, letter, sign), remaining - 1)
 
     for length in range(1, radius + 1):
         yield from extend((), length)
@@ -116,7 +104,7 @@ def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWor
         options.sort(key=lambda m: (m[0], 0 if m[1] > 0 else 1))
         moves.append(options)
 
-    def walk(vertex: int, prefix: _Runs, remaining: int) -> Iterator[FreeWord]:
+    def walk(vertex: int, prefix: _words.Runs, remaining: int) -> Iterator[FreeWord]:
         if remaining == 0:
             if vertex == graph.base:
                 yield FreeWord._reduced(graph.rank, prefix)
@@ -125,7 +113,7 @@ def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWor
             if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
                 continue
             target = graph.fwd[vertex][letter] if sign > 0 else graph.bwd[vertex][letter]
-            yield from walk(target, _append_letter(prefix, letter, sign), remaining - 1)
+            yield from walk(target, _words.append_letter(prefix, letter, sign), remaining - 1)
 
     for length in range(1, max_length + 1):
         yield from walk(graph.base, (), length)
@@ -357,10 +345,7 @@ def lemma_suite(
         return sign_of(word)
 
     def compare(u: BraidWord, v: BraidWord) -> str:
-        verdict = sign(u.inverse() * v)
-        if verdict.kind == TRIVIAL:
-            return EQUAL
-        return LESS if verdict.kind == POSITIVE else GREATER
+        return sign(u.inverse() * v).comparison()
 
     one = BraidWord(3)
     checks: list[CheckResult] = []

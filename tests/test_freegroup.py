@@ -20,7 +20,6 @@ from braidlab import (
     conj_by_sigma2,
     embed,
     flip_generators,
-    free_product,
     half_twist,
     identity_automorphism,
     kn_basis,
@@ -71,7 +70,9 @@ class TestWords:
             parse_free("y", rank=1)
 
     def test_reduction(self):
-        assert free_product(X, X.inverse()).is_identity()
+        assert (X * X.inverse()).is_identity()
+        with pytest.raises(ValueError, match=r"^rank mismatch: 2 != 3$"):
+            X * FreeWord(3)
 
     @given(free_words(), free_words())
     def test_product_associative_sample(self, u, v):
@@ -184,7 +185,7 @@ class TestKnMembership:
 
 
 class TestSchreierTable:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_x_rows(self, n):
         table = schreier_table(n)
         for i in range(n - 2):
@@ -194,7 +195,7 @@ class TestSchreierTable:
             assert table[(i, 2)] == (FreeWord(2), i - 1)
         assert table[(0, 2)] == (x_power(-(n - 1)), n - 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_y_rows_are_conjugates(self, n):
         table = schreier_table(n)
         for i in range(n - 1):
@@ -202,7 +203,7 @@ class TestSchreierTable:
             assert table[(i, 3)] == (conj, i)
             assert table[(i, 4)] == (conj.inverse(), i)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_defining_equation(self, n):
         # x^i g_j = h x^k for every row (i, j) -> (h, k).
         gens = {1: X, 2: X.inverse(), 3: Y, 4: Y.inverse()}
