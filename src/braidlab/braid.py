@@ -58,8 +58,7 @@ class BraidWord(_words.RunWord):
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
+        _check_strands(self.strands)
         normalized = _words.normalize(self.letters)
         for index, _ in normalized:
             if not 1 <= index <= self.strands - 1:
@@ -85,13 +84,20 @@ class BraidWord(_words.RunWord):
         return cls(data["strands"], tuple((i, e) for i, e in data["letters"]))
 
 
+def _check_strands(strands: int) -> None:
+    if strands < 2:
+        raise ValueError(f"strand count must be at least 2, got {strands}")
+
+
 def parse_braid(text: str, strands: int = 3) -> BraidWord:
     """Parse the s-grammar (or the compact three-strand alphabet).
 
     Whitespace-insensitive.  Raises :class:`WordParseError` with the byte
     offset of the offending token on malformed input or an out-of-range
-    generator index.
+    generator index.  A strand count below 2 raises the constructor's
+    ``ValueError`` before the text is read.
     """
+    _check_strands(strands)
     out_of_range = functools.partial(_OUT_OF_RANGE.format, strands=strands)
     runs = _words.parse(text, _COMPACT, _generator_index, strands - 1, out_of_range)
     return BraidWord(strands, runs)

@@ -8,21 +8,26 @@ This module provides the embedding, its inverse rewriting, and comparison in
 those restricted orders.
 
 The inverse rewriting is a Reidemeister-Schreier scan over the transversal
-{σ1^t}: while reading the braid word it tracks the running exponent sum t,
-and every σ2^{+/-1} letter emits the coset conjugate σ1^t σ2^{+/-1}
-σ1^{-(t +/- 1)}, expressed over {x, y} through powers of the conjugation
-automorphism g -> σ1^-1 g σ1.  Outputs are pinned only up to free equality:
-the contract is the round trip through the Burau oracle.
+{Δ^{2q} σ1^r : 0 <= r < 6} of [B_3, B_3]: the coset of a word with exponent
+sum t = 6q + r is represented by Δ^{2q} σ1^r.  Δ^2 is central with exponent
+sum 6, so the Schreier generator of a letter read at t depends only on r and
+the letter, and the scan is a six-state transducer.  Each σ2^{+/-1} letter
+emits one entry (at most six letters) of a fixed table over {x, y}.  A σ1
+letter emits nothing unless t crosses a multiple of six, where it emits
+W = σ1^6 Δ^-2 = y x^-1 y^-1 x, so a whole σ1 run is one divmod and a power
+of W.
+The rewrite therefore costs time linear in the σ2 letters and σ1 runs of
+the input, plus its output.  x and y generate [B_3, B_3] freely, so the
+output is the one reduced word whose embedding equals the input braid.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from . import _words, dehornoy
 from .braid import BraidWord, exponent_sum
-from .freegroup import FreeWord, GroupAutomorphism, conj_by_sigma1, kn_basis, kn_substitute
+from .freegroup import FreeWord, kn_substitute, parse_free
 
 __all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
 
@@ -53,9 +58,6 @@ class ExoticContext:
     def rank(self) -> int:
         return 2 if self.kind == "F2" else self.n  # type: ignore[return-value]
 
-    def basis(self) -> list[FreeWord] | None:
-        return None if self.kind == "F2" else kn_basis(self.n)  # type: ignore[arg-type]
-
     def to_f2(self, word: FreeWord) -> FreeWord:
         if word.rank != self.rank:
             raise ValueError(
@@ -79,11 +81,18 @@ def embed(word: FreeWord) -> BraidWord:
     return BraidWord._reduced(3, _words.substitute(word.letters, _EMBED_RUNS))
 
 
-@functools.cache
-def _conj_by_sigma1_pair() -> tuple[GroupAutomorphism, GroupAutomorphism]:
-    """conj_by_sigma1 and its inverse, composed and verified once per process."""
-    psi = conj_by_sigma1()
-    return psi, psi.inverted()
+# The Schreier generator σ1^r σ2 σ1^-(r+1) of reading σ2 at state r; for
+# r = 5 the next representative is Δ^2 itself, so the entry is σ1^5 σ2 Δ^-2.
+# Reading σ2^-1 at state r emits the inverse of the entry at r - 1.
+_SIGMA2_STEPS = tuple(
+    parse_free(text).letters
+    for text in ("x^-1", "x y^-1", "x^2 y^-1", "y x y^-1", "y x^-2 y x y^-1", "y x^-2")
+)
+_SIGMA2_INVERSE_STEPS = tuple(_words.invert(step) for step in _SIGMA2_STEPS)
+# W = σ1^6 Δ^-2, the generator of reading σ1 at state 5 (every other σ1
+# step has the trivial generator).
+_TWIST_STEP = parse_free("y x^-1 y^-1 x").letters
+_TWIST_STEPS = (_words.invert(_TWIST_STEP), _TWIST_STEP)
 
 
 def commutator_rewrite(braid: BraidWord) -> FreeWord:
@@ -91,42 +100,30 @@ def commutator_rewrite(braid: BraidWord) -> FreeWord:
 
     The result w satisfies braid_equal(embed(w), braid); on words in the
     image of :func:`embed` the rewrite returns the original word verbatim.
+    It is the unique reduced such word, read off by the six-state scan of
+    the module docstring in time linear in σ2 letters and σ1 runs.
     """
     if braid.strands != 3:
         raise ValueError("commutator rewriting is specific to 3 strands")
     if exponent_sum(braid) != 0:
         raise ValueError("word has nonzero exponent sum, so it lies outside [B3, B3]")
 
-    psi, psi_inv = _conj_by_sigma1_pair()
-    x = FreeWord(2, ((1, 1),))
-    # conj[t] = image of σ1^t x σ1^-t over {x, y}, filled on demand from a
-    # neighboring power so repeated nearby t values stay cheap.
-    conj: dict[int, FreeWord] = {0: x}
-
-    def conjugate(t: int) -> FreeWord:
-        if t not in conj:
-            step = 1 if t > 0 else -1
-            auto = psi_inv if t > 0 else psi
-            s = t
-            while s not in conj:
-                s -= step
-            while s != t:
-                conj[s + step] = auto(conj[s])
-                s += step
-        return conj[t]
-
-    runs: list[tuple[int, int]] = []
-    t = 0
-    for index, sign in braid.single_letters():
+    out: list[tuple[int, int]] = []
+    r = 0
+    for index, exponent in braid.letters:
         if index == 1:
-            t += sign
-        elif sign > 0:
-            runs.extend(conjugate(t).inverse().letters)
-            t += 1
+            crossings, r = divmod(r + exponent, 6)
+            if crossings:
+                out.extend(_TWIST_STEPS[crossings > 0] * abs(crossings))
+        elif exponent > 0:
+            for _ in range(exponent):
+                out.extend(_SIGMA2_STEPS[r])
+                r = (r + 1) % 6
         else:
-            t -= 1
-            runs.extend(conjugate(t).letters)
-    return FreeWord(2, tuple(runs))
+            for _ in range(-exponent):
+                r = (r - 1) % 6
+                out.extend(_SIGMA2_INVERSE_STEPS[r])
+    return FreeWord._reduced(2, _words.normalize(out))
 
 
 def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -> str:

@@ -78,8 +78,7 @@ class FreeWord(_words.RunWord):
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
+        _check_rank(self.rank)
         normalized = _words.normalize(self.letters)
         for index, _ in normalized:
             if not 1 <= index <= self.rank:
@@ -91,8 +90,18 @@ class FreeWord(_words.RunWord):
         return ("x", "y")[index - 1] if self.rank <= 2 else f"g{index}"
 
 
+def _check_rank(rank: int) -> None:
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+
+
 def parse_free(text: str, rank: int = 2) -> FreeWord:
-    """Parse a free-group word (verbose grammar or rank-2 compact form)."""
+    """Parse a free-group word (verbose grammar or rank-2 compact form).
+
+    A rank below 1 raises the constructor's ``ValueError`` before the text
+    is read.
+    """
+    _check_rank(rank)
     out_of_range = functools.partial(_OUT_OF_RANGE.format, rank=rank)
     return FreeWord(rank, _words.parse(text, _COMPACT, _letter_index, rank, out_of_range))
 

@@ -218,18 +218,45 @@ def conradian_violation_search(
 
 
 def random_braid_word(rng: random.Random, max_length: int, strands: int = 3) -> BraidWord:
-    """Uniform letters, length uniform in 0..max_length (before reduction)."""
-    length = rng.randint(0, max_length)
-    letters = tuple(
-        (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(length)
-    )
-    return BraidWord(strands, letters)
+    """Uniform letters, length uniform in 0..max_length (before reduction).
+
+    The same words as drawing each letter with ``rng.randint(1, strands - 1)``
+    and ``rng.choice((1, -1))``: see :func:`_random_runs`.
+    """
+    return BraidWord._reduced(strands, _random_runs(rng, max_length, strands - 1))
 
 
 def random_free_word(rng: random.Random, max_length: int, rank: int = 2) -> FreeWord:
-    length = rng.randint(0, max_length)
-    letters = tuple((rng.randint(1, rank), rng.choice((1, -1))) for _ in range(length))
-    return FreeWord(rank, letters)
+    """Uniform letters of the given rank, length uniform in 0..max_length.
+
+    The same words as drawing each letter with ``rng.randint(1, rank)`` and
+    ``rng.choice((1, -1))``: see :func:`_random_runs`.
+    """
+    return FreeWord._reduced(rank, _random_runs(rng, max_length, rank))
+
+
+def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
+    """Reduced runs of a word of uniform letters with indices in 1..top.
+
+    Each index and each sign is drawn as ``Random._randbelow`` draws behind
+    ``randint`` and ``choice``: ``getrandbits`` of the bit length of the
+    range, drawn again while the value is out of range.  So the stream of
+    random bits, and every word, is that of the ``randint``/``choice`` draw.
+    """
+    if top < 1:
+        raise ValueError(f"no letter index to draw from: the range is 1..{top}")
+    getrandbits = rng.getrandbits
+    bits = top.bit_length()
+    letters = []
+    for _ in range(rng.randint(0, max_length)):
+        index = getrandbits(bits)
+        while index >= top:
+            index = getrandbits(bits)
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        letters.append((index + 1, -1 if sign else 1))
+    return _words.normalize(letters)
 
 
 @dataclasses.dataclass

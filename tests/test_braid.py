@@ -42,6 +42,12 @@ class TestParsing:
         assert err.value.offset == 0
         parse_braid("s3", strands=4)  # fine with more strands
 
+    @pytest.mark.parametrize("text", ["", "a", "s1", "s1^x"])
+    def test_invalid_strand_count_before_text(self, text):
+        # One error for an invalid bound, whatever the text.
+        with pytest.raises(ValueError, match=r"^strand count must be at least 2, got 1$"):
+            parse_braid(text, 1)
+
     def test_offsets_on_malformed_tokens(self):
         with pytest.raises(WordParseError) as err:
             parse_braid("s1 s2^x")

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import braidlab
 from braidlab.cli import run
 
@@ -213,6 +215,15 @@ class TestErrors:
         ):
             _, out, _ = invoke(capsys, *argv)
             json.loads(out)  # must not raise
+
+    @pytest.mark.parametrize("word", ["a", ""])
+    def test_invalid_strand_count_is_domain_error(self, capsys, word):
+        code, out, err = invoke(capsys, "sign", "--json", "--strands", "1", word)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "domain",
+            "message": "strand count must be at least 2, got 1",
+        }
 
     def test_missing_word(self, capsys):
         code, _, err = invoke(capsys, "sign")

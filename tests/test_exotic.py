@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,20 +16,62 @@ from braidlab import (
     FreeWord,
     braid_equal,
     commutator_rewrite,
+    conj_by_sigma1,
     conj_by_sigma2,
     dehornoy_sign,
+    dynnikov_coordinates,
     embed,
     exotic_compare,
     exponent_sum,
     half_twist,
+    kn_basis,
+    kn_member,
+    kn_substitute,
     parse_braid,
     parse_free,
     random_braid_word,
     random_free_word,
 )
+from braidlab import exotic
 
 X = parse_free("x")
 Y = parse_free("y")
+
+# The rewrite over the transversal {σ1^t}, kept as the reference for the
+# six-state scan: σ1^t x σ1^-t is built from a neighbouring t by one
+# application of g -> σ1^-1 g σ1 (or its inverse) per step, and shared
+# across calls so that the reference stays affordable on long runs.
+_PSI = conj_by_sigma1()
+_PSI_INV = _PSI.inverted()
+_CONJUGATES = {0: X}
+
+
+def _sigma1_conjugate_of_x(t):
+    if t not in _CONJUGATES:
+        step = 1 if t > 0 else -1
+        auto = _PSI_INV if t > 0 else _PSI
+        s = t
+        while s not in _CONJUGATES:
+            s -= step
+        while s != t:
+            _CONJUGATES[s + step] = auto(_CONJUGATES[s])
+            s += step
+    return _CONJUGATES[t]
+
+
+def reference_rewrite(braid):
+    runs = []
+    t = 0
+    for index, sign in braid.single_letters():
+        if index == 1:
+            t += sign
+        elif sign > 0:
+            runs.extend(_sigma1_conjugate_of_x(t).inverse().letters)
+            t += 1
+        else:
+            t -= 1
+            runs.extend(_sigma1_conjugate_of_x(t).letters)
+    return FreeWord(2, tuple(runs))
 
 
 def random_zero_sum_braid(rng, max_length):
@@ -106,16 +149,74 @@ class TestCommutatorRewrite:
             assert verdict.main_index == 1
             checked += 1
 
+    def test_table_entries(self):
+        # Reading σ_i at state r emits σ1^r σ_i σ1^-r' Δ^-2 when the step
+        # wraps round to r' = 0, and σ1^r σ_i σ1^-r' otherwise.
+        twist = half_twist(2)
+        for r in range(6):
+            after = (r + 1) % 6
+            twist_entry = exotic._TWIST_STEP if r == 5 else ()
+            for i, entry in ((2, exotic._SIGMA2_STEPS[r]), (1, twist_entry)):
+                expected = BraidWord(3, ((1, r), (i, 1), (1, -after)))
+                if r == 5:
+                    expected = expected * twist.inverse()
+                assert braid_equal(embed(FreeWord(2, entry)), expected)
+                assert FreeWord(2, entry).length <= 6
+        for step, inverse in zip(exotic._SIGMA2_STEPS, exotic._SIGMA2_INVERSE_STEPS):
+            assert FreeWord(2, step).inverse() == FreeWord(2, inverse)
+
+    def test_agrees_with_reference_on_long_runs(self):
+        # Run exponents log-uniform in 1..10^3, on both generators; the
+        # closing σ1 run makes the exponent sum zero.
+        rng = random.Random(49)
+        for _ in range(40):
+            runs = tuple(
+                (rng.randint(1, 2), rng.choice((1, -1)) * round(10 ** rng.uniform(0, 3)))
+                for _ in range(rng.randint(0, 4))
+            )
+            braid = BraidWord(3, runs)
+            braid = braid * BraidWord(3, ((1, -exponent_sum(braid)),))
+            assert commutator_rewrite(braid) == reference_rewrite(braid)
+
+    def test_agrees_with_reference_on_short_words(self):
+        rng = random.Random(50)
+        for _ in range(300):
+            braid = random_zero_sum_braid(rng, 60)
+            assert commutator_rewrite(braid) == reference_rewrite(braid)
+
+    def test_agrees_with_reference_on_kn_commutators(self):
+        # The commutators of the K_n sandwich check of verify:
+        # β σ2^{6k} β^-1 σ2^{-6k} with β embedded from K_n.
+        rng = random.Random(51)
+        for trial in range(60):
+            n = (3, 4, 5)[trial % 3]
+            beta = embed(kn_substitute(random_free_word(rng, 6, rank=n), n))
+            conjugator = BraidWord(3, ((2, 6 * rng.randint(1, 2)),))
+            braid = beta * conjugator * beta.inverse() * conjugator.inverse()
+            word = commutator_rewrite(braid)
+            assert word == reference_rewrite(braid)
+            assert kn_member(word, n)
+
+    def test_cost_linear_in_sigma1_runs(self):
+        # The {σ1^t} scan took 48.8 s on k = 9000; this is k = 100000.
+        braid = BraidWord(3, ((1, 100_000), (2, 1), (1, -100_000), (2, -1)))
+        start = time.perf_counter()
+        word = commutator_rewrite(braid)
+        assert time.perf_counter() - start < 1.0
+        assert dynnikov_coordinates(embed(word)) == dynnikov_coordinates(braid)
+
 
 class TestExoticContext:
     def test_f2(self):
         ctx = ExoticContext.f2()
-        assert ctx.rank == 2 and ctx.basis() is None and str(ctx) == "f2"
+        assert ctx.rank == 2 and str(ctx) == "f2"
+        assert ctx.to_f2(X) is X
 
     def test_kn(self):
         ctx = ExoticContext.kn(3)
         assert ctx.rank == 3 and str(ctx) == "kn:3"
-        assert [w.to_text() for w in ctx.basis()] == ["y", "x^2", "x y x"]
+        assert [w.to_text() for w in kn_basis(3)] == ["y", "x^2", "x y x"]
+        assert ctx.to_f2(FreeWord(3, ((3, 1),))) == parse_free("x y x")
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):

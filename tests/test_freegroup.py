@@ -69,6 +69,12 @@ class TestWords:
         with pytest.raises(WordParseError):
             parse_free("y", rank=1)
 
+    @pytest.mark.parametrize("text", ["", "x", "g1", "x^x"])
+    def test_invalid_rank_before_text(self, text):
+        # One error for an invalid bound, whatever the text.
+        with pytest.raises(ValueError, match=r"^rank must be at least 1, got 0$"):
+            parse_free(text, 0)
+
     def test_reduction(self):
         assert (X * X.inverse()).is_identity()
         with pytest.raises(ValueError, match=r"^rank mismatch: 2 != 3$"):

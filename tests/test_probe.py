@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from braidlab import (
     LESS,
+    BraidWord,
     ExoticContext,
     FreeWord,
     ball,
@@ -18,6 +20,8 @@ from braidlab import (
     kn_basis,
     lemma_suite,
     parse_free,
+    random_braid_word,
+    random_free_word,
     stallings_graph,
     subgroup_contains,
     subgroup_elements,
@@ -132,6 +136,7 @@ class TestConvexityProbe:
         generators = [parse_free("x^2"), parse_free("y")]
         witness = convexity_probe(generators, F2, 6)
         assert witness is not None
+        assert calls
         graph = stallings_graph(generators)
         # Every call compares a member against a candidate outside the
         # subgroup, and no (member, candidate) pair is compared twice.
@@ -159,6 +164,47 @@ class TestConvexityProbe:
         witness = convexity_probe(generators, F2, 10)
         texts = (witness.c_low.to_text(), witness.g.to_text(), witness.c_high.to_text())
         assert texts == expected
+
+
+def reference_braid_word(rng, max_length, strands=3):
+    length = rng.randint(0, max_length)
+    letters = tuple(
+        (rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(length)
+    )
+    return BraidWord(strands, letters)
+
+
+def reference_free_word(rng, max_length, rank=2):
+    length = rng.randint(0, max_length)
+    letters = tuple((rng.randint(1, rank), rng.choice((1, -1))) for _ in range(length))
+    return FreeWord(rank, letters)
+
+
+class TestRandomWords:
+    """The getrandbits draw against the randint/choice draw it replaces."""
+
+    @pytest.mark.parametrize(
+        "draw, reference, bounds",
+        [
+            (random_braid_word, reference_braid_word, range(2, 10)),
+            (random_free_word, reference_free_word, range(1, 10)),
+        ],
+    )
+    def test_same_words_and_stream(self, draw, reference, bounds):
+        # Bound 2 strands or rank 1 leaves one index, whose draw still
+        # consumes bits; the streams must end in the same state.
+        for bound in bounds:
+            for seed in range(2000):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(2):
+                    assert draw(rng, 12, bound) == reference(ref, 12, bound)
+                assert rng.getrandbits(32) == ref.getrandbits(32)
+
+    def test_invalid_bound(self):
+        with pytest.raises(ValueError):
+            random_braid_word(random.Random(1), 5, strands=1)
+        with pytest.raises(ValueError):
+            random_free_word(random.Random(1), 5, rank=0)
 
 
 class TestConradianSearch:
