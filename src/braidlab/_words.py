@@ -8,7 +8,9 @@ cascade.  :func:`normalize` is the one place where it happens: :func:`invert`
 maps reduced runs to reduced runs, :func:`concat` of two reduced sequences
 only has to cancel at the seam, :func:`append_letter` only has to merge with
 the last run, and :func:`power` and :func:`substitute` end in a single call
-to :func:`normalize`.
+to :func:`normalize`.  The one merge outside this module is in
+:func:`braidlab.exotic.embed`, whose docstring proves that its images meet
+with at most one merge per seam.
 
 :class:`RunWord` is the one base of :class:`~braidlab.braid.BraidWord` and
 :class:`~braidlab.freegroup.FreeWord`: products, inverses, powers and

@@ -15,6 +15,48 @@ This is the independent n = 3 oracle: the tests and the ``verify`` checks
 of braid identities and trichotomy cross-check other methods against it,
 and the ``burau`` command prints it.  Signs, comparisons and commutation
 are decided by Dynnikov coordinates (:mod:`braidlab.dynnikov`) instead.
+
+Packed layout.  The entries of σ_i are in {0, ±1, ±t} and those of σ_i^-1
+in t^-1 {0, ±1, ±t}, so the image of a word with e inverse letters is
+t^-e [[a, b], [c, d]] with a, b, c, d polynomials in t.  The kernel keeps
+each of them evaluated at t = 2^k, as one Python integer, and multiplies on
+the right by one generator image per letter.  Every step is a shift to the
+left or an add, and nothing is ever shifted right:
+
+    σ1      a, b = -(a << k), a + b
+    σ1^-1   a, b = -a, a + (b << k)            e += 1
+    σ2      a, b = a + (b << k), -(b << k)
+    σ2^-1   a, b = (a + b) << k, -b            e += 1
+
+with c, d updated as a, b.
+
+Width.  Let |p| be the sum of the absolute values of the coefficients of p,
+and the norm of a row (p, q) be |p| + |q|.  Since |pq| <= |p| |q|, a row
+times a matrix has norm at most the row's norm times the largest row norm
+of the matrix.  The rows of σ_i^n and σ_i^-n have norms 1 and |n| + 1: their
+entries are 0, ±t^j, or sums of |n| signed powers of t.  The rows of the
+identity have norm 1, and the factor t^e changes no norm, so after runs
+n_1, ..., n_r every coefficient c of a, b, c, d satisfies
+
+    |c| <= (|n_1| + 1) ... (|n_r| + 1) <= 2^B,   B = Σ bit_length(|n_j|),
+
+because |n| + 1 <= 2^bit_length(|n|); B is at most the letter count.  Any
+k >= B + 2 gives |c| < 2^(k-1).  A polynomial p with such coefficients is
+determined by p(2^k): its constant term is the residue of p(2^k) modulo 2^k
+taken in (-2^(k-1), 2^(k-1)), and the rest follows by induction on
+(p(2^k) - p(0)) / 2^k.  So equal integers mean equal polynomials.  The
+bound is strict for a nonempty word.  In a row with one nonzero entry, that
+entry divides the unit determinant (-t)^(n_1 + ... + n_r), so it is ±t^j;
+in a row with two, each coefficient is below the row norm.  :func:`_width`
+takes k = B + 2 rounded up to whole bytes, which lets :func:`burau_matrix`
+decode through ``int.to_bytes``.
+
+Cost.  A letter costs two to four shifts and adds on integers of at most
+k (L + 1) bits for a word of L letters, so the image costs O(L^2 k) bit
+operations; on the short words of ``verify`` that is a few big-integer
+operations per letter.  :func:`braid_equal` compares four integers and never
+decodes; :func:`burau_matrix` decodes once, in time linear in the packed
+size.
 """
 
 from __future__ import annotations
@@ -37,14 +79,6 @@ def _add(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         else:
             del out[e]
     return out
-
-
-def _shift(x: dict[int, int], k: int) -> dict[int, int]:
-    return {e + k: v for e, v in x.items()}
-
-
-def _neg_shift(x: dict[int, int], k: int) -> dict[int, int]:
-    return {e + k: -v for e, v in x.items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,44 +193,77 @@ class LaurentMatrix:
         ]
 
 
+def _check(word: BraidWord) -> None:
+    if word.strands != 3:
+        raise ValueError("the reduced Burau oracle is specific to 3 strands")
+
+
+def _width(*words: BraidWord) -> int:
+    """B + 2 rounded up to whole bytes, for the largest B of the words."""
+    bound = max(sum(abs(n).bit_length() for _, n in word.letters) for word in words)
+    return (bound + 9) // 8 * 8
+
+
+def _pack(word: BraidWord, k: int) -> tuple[int, int, int, int, int]:
+    """``(e, a, b, c, d)``: the image is t^-e [[a, b], [c, d]] at t = 2^k."""
+    a, b, c, d, e = 1, 0, 0, 1, 0
+    for index, n in word.letters:
+        if index == 1:
+            if n > 0:
+                for _ in range(n):
+                    a, b = -(a << k), a + b
+                    c, d = -(c << k), c + d
+            else:
+                e -= n
+                for _ in range(-n):
+                    a, b = -a, a + (b << k)
+                    c, d = -c, c + (d << k)
+        elif n > 0:
+            for _ in range(n):
+                b, d = b << k, d << k
+                a, b = a + b, -b
+                c, d = c + d, -d
+        else:
+            e -= n
+            for _ in range(-n):
+                a, b = (a + b) << k, -b
+                c, d = (c + d) << k, -d
+    return e, a, b, c, d
+
+
+def _unpack(value: int, k: int, e: int) -> LaurentPoly:
+    """t^-e p, where value = p(2^k) and the coefficients of p are below
+    2^(k-1) in absolute value.
+
+    Adding 2^(k-1) to every digit makes all digits positive without carries,
+    so the digits are whole-byte slices of one ``to_bytes``.
+    """
+    size = k // 8
+    count = value.bit_length() // k + 1
+    half = 1 << (k - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    data = (value + bias).to_bytes(size * count, "little")
+    terms = []
+    for j in range(count):
+        c = int.from_bytes(data[j * size : (j + 1) * size], "little") - half
+        if c:
+            terms.append((j - e, c))
+    return LaurentPoly(tuple(terms))
+
+
 def burau_matrix(word: BraidWord) -> LaurentMatrix:
     """Reduced Burau image of a three-strand braid word.
 
-    The empty word maps to the identity.  Implemented by right-multiplying
-    the accumulated matrix by one generator image per letter; each generator
-    image acts by shift/negate/add on the four entries, so no general
-    polynomial multiplication is needed.
+    The empty word maps to the identity.  The image is packed at the width
+    of :func:`_width` (see the module docstring) and decoded once.
     """
-    if word.strands != 3:
-        raise ValueError("the reduced Burau oracle is specific to 3 strands")
-    a: dict[int, int] = {0: 1}
-    b: dict[int, int] = {}
-    c: dict[int, int] = {}
-    d: dict[int, int] = {0: 1}
-    for index, sign in word.single_letters():
-        if index == 1:
-            if sign > 0:
-                # M * [[-t, 1], [0, 1]]
-                a, b = _neg_shift(a, 1), _add(a, b)
-                c, d = _neg_shift(c, 1), _add(c, d)
-            else:
-                # M * [[-t^-1, t^-1], [0, 1]]
-                sa, sc = _shift(a, -1), _shift(c, -1)
-                a, b = _neg_shift(a, -1), _add(sa, b)
-                c, d = _neg_shift(c, -1), _add(sc, d)
-        else:
-            if sign > 0:
-                # M * [[1, 0], [t, -t]]
-                a, b = _add(a, _shift(b, 1)), _neg_shift(b, 1)
-                c, d = _add(c, _shift(d, 1)), _neg_shift(d, 1)
-            else:
-                # M * [[1, 0], [1, -t^-1]]
-                a, b = _add(a, b), _neg_shift(b, -1)
-                c, d = _add(c, d), _neg_shift(d, -1)
+    _check(word)
+    k = _width(word)
+    e, a, b, c, d = _pack(word, k)
     return LaurentMatrix(
         (
-            (LaurentPoly.from_dict(a), LaurentPoly.from_dict(b)),
-            (LaurentPoly.from_dict(c), LaurentPoly.from_dict(d)),
+            (_unpack(a, k, e), _unpack(b, k, e)),
+            (_unpack(c, k, e), _unpack(d, k, e)),
         )
     )
 
@@ -204,7 +271,18 @@ def burau_matrix(word: BraidWord) -> LaurentMatrix:
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     """Whether two three-strand words represent the same braid.
 
-    Decided by comparing reduced Burau matrices; correctness rests on the
-    faithfulness of the representation for three strands.
+    Both images are packed at one common width.  t^-e P = t^-f Q exactly when
+    t^(f-e) P = Q for e <= f, so the image with fewer inverse letters is
+    shifted left by k (f - e) and the four integers are compared without
+    decoding.  Correctness rests on the faithfulness of the representation
+    for three strands.
     """
-    return burau_matrix(u) == burau_matrix(v)
+    _check(u)
+    _check(v)
+    k = _width(u, v)
+    e, *p = _pack(u, k)
+    f, *q = _pack(v, k)
+    if e > f:
+        e, f, p, q = f, e, q, p
+    shift = k * (f - e)
+    return all(x << shift == y for x, y in zip(p, q))

@@ -74,11 +74,33 @@ class ExoticContext:
 def embed(word: FreeWord) -> BraidWord:
     """Image of a rank-2 word under x -> σ1 σ2^-1, y -> σ1^2 σ2^-2.
 
-    The image is freely reduced and has total exponent sum zero.
+    The image is freely reduced and has total exponent sum zero.  It is the
+    concatenation of the images of the runs, with merges at the seams only:
+
+    - x^k = (σ1 σ2^-1)^k, x^-k = (σ2 σ1^-1)^k, y^k = (σ1^2 σ2^-2)^k and
+      y^-k = (σ2^2 σ1^-2)^k alternate σ1 and σ2 runs, so a power has no
+      internal merge;
+    - adjacent runs of a reduced word are one x-power and one y-power, and
+      the seam between them merges exactly when the last generator of the
+      left image is the first of the right one: x y^-1 gives σ2^-1 σ2^2 = σ2,
+      x^-1 y gives σ1^-1 σ1^2 = σ1, y x^-1 gives σ2^-2 σ2 = σ2^-1 and
+      y^-1 x gives σ1^-2 σ1 = σ1^-1;
+    - no merge is zero, and none cascades: every image has two runs, so the
+      merged run sits between runs of the other generator.
     """
     if word.rank != 2:
         raise ValueError("the commutator embedding is defined on rank-2 words")
-    return BraidWord._reduced(3, _words.substitute(word.letters, _EMBED_RUNS))
+    out: list[tuple[int, int]] = []
+    for index, exponent in word.letters:
+        image = _EMBED_RUNS[index][exponent > 0]
+        head = image[0]
+        if out and out[-1][0] == head[0]:
+            out[-1] = _words._SHARED_RUNS[(head[0], out[-1][1] + head[1])]
+            out.append(image[1])
+            out.extend(image * (abs(exponent) - 1))
+        else:
+            out.extend(image * abs(exponent))
+    return BraidWord._reduced(3, tuple(out))
 
 
 # The Schreier generator σ1^r σ2 σ1^-(r+1) of reading σ2 at state r; for

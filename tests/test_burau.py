@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -15,9 +16,104 @@ from braidlab import (
     conj_by_sigma2,
     dehornoy_sign,
     embed,
+    half_twist,
     parse_braid,
     random_braid_word,
 )
+from braidlab.burau import _width
+
+RELATOR = parse_braid("s1 s2 s1 s2^-1 s1^-1 s2^-1")
+
+
+def _add(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    out = dict(x)
+    for e, v in y.items():
+        s = out.get(e, 0) + v
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _shift(x: dict[int, int], k: int, sign: int = 1) -> dict[int, int]:
+    return {e + k: sign * v for e, v in x.items()}
+
+
+@functools.cache
+def reference_burau(word: BraidWord) -> LaurentMatrix:
+    """The Burau image kept as exponent -> coefficient dicts, one letter at a
+    time: the kernel the packed one replaced.  Cached, because the families
+    below are shared by several tests."""
+    a: dict[int, int] = {0: 1}
+    b: dict[int, int] = {}
+    c: dict[int, int] = {}
+    d: dict[int, int] = {0: 1}
+    for index, sign in word.single_letters():
+        if index == 1:
+            if sign > 0:
+                # M * [[-t, 1], [0, 1]]
+                a, b = _shift(a, 1, -1), _add(a, b)
+                c, d = _shift(c, 1, -1), _add(c, d)
+            else:
+                # M * [[-t^-1, t^-1], [0, 1]]
+                a, b = _shift(a, -1, -1), _add(_shift(a, -1), b)
+                c, d = _shift(c, -1, -1), _add(_shift(c, -1), d)
+        elif sign > 0:
+            # M * [[1, 0], [t, -t]]
+            a, b = _add(a, _shift(b, 1)), _shift(b, 1, -1)
+            c, d = _add(c, _shift(d, 1)), _shift(d, 1, -1)
+        else:
+            # M * [[1, 0], [1, -t^-1]]
+            a, b = _add(a, b), _shift(b, -1, -1)
+            c, d = _add(c, d), _shift(d, -1, -1)
+    return LaurentMatrix(
+        (
+            (LaurentPoly.from_dict(a), LaurentPoly.from_dict(b)),
+            (LaurentPoly.from_dict(c), LaurentPoly.from_dict(d)),
+        )
+    )
+
+
+def _random_runs_word(rng: random.Random, max_runs: int, max_exponent: int) -> BraidWord:
+    runs = tuple(
+        (rng.randint(1, 2), rng.choice((1, -1)) * rng.randint(1, max_exponent))
+        for _ in range(rng.randint(0, max_runs))
+    )
+    return BraidWord(3, runs)
+
+
+@functools.cache
+def _random_family() -> list[BraidWord]:
+    """Words of 0-200 runs; the exponents are mostly small, as in sampled
+    words, and up to ±30."""
+    rng = random.Random(2024)
+    words = [_random_runs_word(rng, 200, 3) for _ in range(40)]
+    words += [_random_runs_word(rng, 200, 30) for _ in range(2)]
+    words += [_random_runs_word(rng, 20, 30) for _ in range(40)]
+    return words
+
+
+def _twist_family() -> list[BraidWord]:
+    words = [half_twist(k) for k in range(-12, 13)]
+    words += [half_twist(4 * p) * BraidWord(3, ((2, -12 * p),)) for p in range(1, 5)]
+    return words
+
+
+# σ1 σ2^-1 is pseudo-Anosov with dilatation (3 + √5)/2, so the coefficients
+# of its powers grow by about 0.69 bits per letter, close to the one bit per
+# letter of the width bound.
+PSEUDO_ANOSOV = [parse_braid("s1 s2^-1") ** k for k in (1, 2, 3, 10, 50, 100, 250, 500)]
+
+FAMILIES = {
+    "random": _random_family,
+    "twists": _twist_family,
+    "pseudo-anosov": lambda: PSEUDO_ANOSOV,
+}
+
+
+def _inverse_letters(word: BraidWord) -> int:
+    return sum(-n for _, n in word.letters if n < 0)
 
 
 class TestLaurentPoly:
@@ -69,6 +165,21 @@ class TestBurauMatrix:
         with pytest.raises(ValueError):
             burau_matrix(BraidWord(4, ((3, 1),)))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_reference_kernel(self, family):
+        for word in FAMILIES[family]():
+            assert burau_matrix(word) == reference_burau(word), word.to_text()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_width_leaves_a_spare_bit(self, family):
+        # Balanced digits need |c| < 2^(k-1), i.e. at most k - 1 bits; the
+        # width bound keeps every coefficient to at most k - 2.
+        for word in FAMILIES[family]():
+            matrix = reference_burau(word)
+            coefficients = [c for row in matrix.entries for p in row for _, c in p.terms]
+            bits = max(abs(c).bit_length() for c in coefficients)
+            assert bits < _width(word) - 1, word.to_text()
+
     def test_unit_determinant(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -99,6 +210,47 @@ class TestBraidEqual:
 
     def test_distinct_generators(self):
         assert not braid_equal(parse_braid("s1"), parse_braid("s2"))
+
+    def test_strand_count_guard(self):
+        three, four = parse_braid("s1"), BraidWord(4, ((3, 1),))
+        with pytest.raises(ValueError) as expected:
+            burau_matrix(four)
+        for u, v in ((four, three), (three, four), (four, four)):
+            with pytest.raises(ValueError) as raised:
+                braid_equal(u, v)
+            assert str(raised.value) == str(expected.value)
+
+    def test_equal_pairs_with_different_offsets(self):
+        rng = random.Random(31)
+        offsets_differ = 0
+        for _ in range(150):
+            u = _random_runs_word(rng, rng.choice((5, 30, 100)), 4)
+            cut = rng.randint(0, len(u.letters))
+            relator = RELATOR ** rng.choice((1, -1, 2))
+            v = BraidWord(3, u.letters[:cut]) * relator * BraidWord(3, u.letters[cut:])
+            offsets_differ += _inverse_letters(u) != _inverse_letters(v)
+            assert reference_burau(u) == reference_burau(v)
+            assert braid_equal(u, v) and braid_equal(v, u)
+        assert offsets_differ > 100
+
+    def test_unequal_pairs_of_different_lengths(self):
+        rng = random.Random(37)
+        for _ in range(150):
+            u = _random_runs_word(rng, rng.choice((5, 30, 100)), 4)
+            v = _random_runs_word(rng, rng.choice((5, 30, 100)), 4)
+            expected = reference_burau(u) == reference_burau(v)
+            assert braid_equal(u, v) == expected == braid_equal(v, u)
+        for word in PSEUDO_ANOSOV[:5]:
+            assert not braid_equal(word, word * parse_braid("s1"))
+            assert not braid_equal(word, word * word)
+
+    def test_families_against_reference(self):
+        words = [w for family in FAMILIES.values() for w in family() if w.length <= 300]
+        matrices = [reference_burau(w) for w in words]
+        rng = random.Random(41)
+        for _ in range(300):
+            i, j = rng.randrange(len(words)), rng.randrange(len(words))
+            assert braid_equal(words[i], words[j]) == (matrices[i] == matrices[j])
 
     def test_conjugation_identity_for_embedded_generator(self):
         # The automorphism x -> x y^-1 x realizes conjugation by σ2.

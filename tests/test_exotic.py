@@ -32,7 +32,7 @@ from braidlab import (
     random_braid_word,
     random_free_word,
 )
-from braidlab import exotic
+from braidlab import _words, exotic
 
 X = parse_free("x")
 Y = parse_free("y")
@@ -275,3 +275,20 @@ class TestExoticCompare:
         for _ in range(200):
             word = random_free_word(rng, 15)
             assert braid_equal(embed(phi(word)), s2.inverse() * embed(word) * s2)
+
+
+def test_embed_merges_only_at_seams():
+    # 100,000 short random words cover every seam between x- and y-powers;
+    # the seam-only image must be the substitution (which normalizes), with
+    # every run the shared run object.
+    rng = random.Random(4242)
+    shared = _words._SHARED_RUNS
+    for _ in range(100_000):
+        pairs = [
+            (rng.randint(1, 2), rng.choice((1, -1)) * rng.randint(1, 3))
+            for _ in range(rng.randint(0, 6))
+        ]
+        word = FreeWord._reduced(2, _words.normalize(pairs))
+        image = embed(word).letters
+        assert image == _words.substitute(word.letters, exotic._EMBED_RUNS)
+        assert all(run is shared[run] for run in image)
