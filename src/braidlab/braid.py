@@ -73,8 +73,8 @@ class BraidWord(_words.RunWord):
         """Compact a/A/b/B form; only defined on three-strand words."""
         if self.strands != 3:
             raise ValueError("compact form is specific to 3 strands")
-        table = {(1, 1): "a", (1, -1): "A", (2, 1): "b", (2, -1): "B"}
-        return "".join(table[(i, s)] for i, s in self.single_letters())
+        table = {run: letter for letter, run in _COMPACT.items()}
+        return "".join(table[run] for run in self.single_letters())
 
     def to_json_dict(self) -> dict:
         return {"strands": self.strands, "letters": [list(run) for run in self.letters]}

@@ -8,12 +8,14 @@ free-group words use ``x y^-1 g3`` (or compact x/X/y/Y at rank two).
 Exit codes: 0 on success (including a found witness), 1 when a verified
 property fails or a domain error occurs (budget exhausted, no witness
 found), 2 on usage or word-parse errors.  With ``--json`` standard output is
-a single JSON document on every path, errors included.  The environment
-variable ``BRAIDLAB_BUDGET`` overrides the step budget of ``reduce`` (an
-absolute step count); signs and comparisons come from Dynnikov coordinates
-and need no budget.
+a single JSON document on every path, errors included (one per input word
+under ``--stdin``, see below).  The environment variable ``BRAIDLAB_BUDGET``
+overrides the step budget of ``reduce`` (an absolute step count); signs and
+comparisons come from Dynnikov coordinates and need no budget.
 
-Single-word commands accept ``--stdin`` to process one word per input line.
+Single-word commands accept ``--stdin`` to process one word per input line;
+with ``--json`` they write JSON Lines, one document per input word, and at
+the first line that fails they write its error document and stop.
 """
 
 from __future__ import annotations
@@ -68,63 +70,68 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _QuietParser(prog="braidlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
+    def add(name, help_text, handler):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON output")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("sign", "Dehornoy sign of a braid word")
+    p = add("sign", "Dehornoy sign of a braid word", _cmd_sign)
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--strands", type=int, default=3)
     p.add_argument("--stdin", action="store_true", help="read one word per line")
 
-    p = add("compare", "compare two braids in the Dehornoy order")
+    p = add("compare", "compare two braids in the Dehornoy order", _cmd_compare)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--strands", type=int, default=3)
 
-    p = add("reduce", "handle-reduce a braid word")
+    p = add("reduce", "handle-reduce a braid word", _cmd_reduce)
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--strands", type=int, default=3)
     p.add_argument("--trace", action="store_true", help="print each step as a JSON line")
     p.add_argument("--stdin", action="store_true")
 
-    p = add("burau", "reduced Burau matrix of a three-strand word (JSON)")
+    p = add("burau", "reduced Burau matrix of a three-strand word (JSON)", _cmd_burau)
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--stdin", action="store_true")
 
-    p = add("embed", "embed a rank-2 free word into [B3, B3]")
+    p = add("embed", "embed a rank-2 free word into [B3, B3]", _cmd_embed)
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--stdin", action="store_true")
 
-    p = add("unembed", "rewrite a zero-exponent-sum braid over {x, y}")
+    p = add("unembed", "rewrite a zero-exponent-sum braid over {x, y}", _cmd_unembed)
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--stdin", action="store_true")
 
-    p = add("aut", "apply a named automorphism of F_2")
+    p = add("aut", "apply a named automorphism of F_2", _cmd_aut)
     p.add_argument("name", choices=sorted(NAMED_AUTOMORPHISMS))
     p.add_argument("word")
     p.add_argument("--power", type=int, default=1)
 
-    p = add("kn-basis", "basis of the kernel K_n")
+    p = add("kn-basis", "basis of the kernel K_n", _cmd_kn_basis)
     p.add_argument("n", type=int)
 
-    p = add("kn-rewrite", "rewrite a K_n member over the basis alphabet")
+    p = add("kn-rewrite", "rewrite a K_n member over the basis alphabet", _cmd_kn_rewrite)
     p.add_argument("n", type=int)
     p.add_argument("word")
 
-    p = add("exotic-compare", "compare free-group words in a restricted order")
+    p = add(
+        "exotic-compare", "compare free-group words in a restricted order", _cmd_exotic_compare
+    )
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--ctx", default="f2", help="f2 or kn:<n>")
 
-    p = add("probe-convexity", "search for a convexity violation of a subgroup")
+    p = add(
+        "probe-convexity", "search for a convexity violation of a subgroup", _cmd_probe_convexity
+    )
     p.add_argument("--ctx", default="f2")
     p.add_argument("--gens", nargs="+", required=True, help="generator words")
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--max-element-length", type=int, default=None)
 
-    p = add("verify", "run the seeded verification suite")
+    p = add("verify", "run the seeded verification suite", _cmd_verify)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=100)
 
@@ -293,22 +300,6 @@ def _cmd_verify(args) -> int:
     return OK if report.passed else FAILURE
 
 
-_HANDLERS = {
-    "sign": _cmd_sign,
-    "compare": _cmd_compare,
-    "reduce": _cmd_reduce,
-    "burau": _cmd_burau,
-    "embed": _cmd_embed,
-    "unembed": _cmd_unembed,
-    "aut": _cmd_aut,
-    "kn-basis": _cmd_kn_basis,
-    "kn-rewrite": _cmd_kn_rewrite,
-    "exotic-compare": _cmd_exotic_compare,
-    "probe-convexity": _cmd_probe_convexity,
-    "verify": _cmd_verify,
-}
-
-
 def _error_payload(kind: str, exc: Exception) -> dict:
     payload = {"error": {"type": kind, "message": str(exc)}}
     if isinstance(exc, WordParseError):
@@ -329,7 +320,7 @@ def run(argv: Sequence[str]) -> int:
         return USAGE_ERROR
 
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (_UsageError, WordParseError) as exc:
         if args.json:
             print(json.dumps(_error_payload("usage", exc), sort_keys=True))

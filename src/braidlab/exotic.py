@@ -27,7 +27,7 @@ import dataclasses
 
 from . import _words, dehornoy
 from .braid import BraidWord, exponent_sum
-from .freegroup import FreeWord, kn_substitute, parse_free
+from .freegroup import FreeWord, _check_n, kn_substitute, parse_free
 
 __all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
 
@@ -50,8 +50,7 @@ class ExoticContext:
 
     @classmethod
     def kn(cls, n: int) -> "ExoticContext":
-        if n < 2:
-            raise ValueError(f"n must be at least 2, got {n}")
+        _check_n(n)
         return cls("Kn", n)
 
     @property

@@ -12,8 +12,8 @@ provides:
 * abelianization and 2x2 integer matrices for the induced maps on Z^2,
 * the subgroups K_n = ker(F_2 -> Z_{n-1}, y -> 0, x -> 1): membership, the
   rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], the
-  Reidemeister-Schreier generator table and rewriting of members over that
-  basis (both from one encoding of the Schreier generators in the basis),
+  Reidemeister-Schreier generator table (from one encoding of the Schreier
+  generators in the basis) and rewriting of members over it, a run a step,
 * Stallings subgroup graphs (folded automata) for membership in arbitrary
   finitely generated subgroups.
 
@@ -354,8 +354,10 @@ def schreier_table(n: int) -> dict[tuple[int, int], tuple[FreeWord, int]]:
 def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
     """Rewrite a member of K_n over the basis alphabet g1 .. gn.
 
-    Scans the word letter by letter, tracking the coset representative and
-    emitting the Schreier generator of each step in basis coordinates.
+    Scans the word run by run, tracking the coset representative x^state
+    and emitting Schreier generators in basis coordinates: an x step emits g2
+    only when it wraps from x^{n-2} to x^0, so an x-run is one divmod, and a
+    y-run repeats the generator of its coset (g1^e at the trivial coset).
     Substituting the basis words back (:func:`kn_substitute`) recovers the
     input.  Rejects words outside K_n.
     """
@@ -366,11 +368,14 @@ def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
         raise ValueError(f"word is not a member of K_{n}")
     runs: list[tuple[int, int]] = []
     state = 0
-    for index, sign in word.single_letters():
-        j = (1 if sign > 0 else 2) if index == 1 else (3 if sign > 0 else 4)
-        runs.extend(_schreier_in_basis(state, j, n))
+    for index, exponent in word.letters:
         if index == 1:
-            state = (state + sign) % (n - 1)
+            wraps, state = divmod(state + exponent, n - 1)
+            runs.append((2, wraps))  # the constructor drops a zero run
+        elif state == 0:
+            runs.append((1, exponent))
+        else:
+            runs.extend(_schreier_in_basis(state, 3 if exponent > 0 else 4, n) * abs(exponent))
     return FreeWord(n, tuple(runs))
 
 
@@ -408,11 +413,9 @@ class SubgroupGraph:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (source, letter, target), sorted."""
-        found = []
-        for u, out in enumerate(self.fwd):
-            for letter, v in sorted(out.items()):
-                found.append((u, letter, v))
-        return sorted(found)
+        return sorted(
+            (u, letter, v) for u, out in enumerate(self.fwd) for letter, v in out.items()
+        )
 
     def cycle_rank(self) -> int:
         """First Betti number: edges - vertices + 1 (graphs here are connected)."""
@@ -428,10 +431,14 @@ class SubgroupGraph:
 def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     """Build the folded core graph of the subgroup the generators produce.
 
-    Starts from one petal per generator wedged at the base vertex, folds
+    Starts from one petal per generator wedged at the base vertex and folds
     (merging endpoints whenever a vertex carries two equally labeled edges in
-    the same direction) until deterministic, and prunes dangling non-base
-    vertices.
+    the same direction) until deterministic.  Nothing dangles: every
+    non-base vertex lies inside the folded path of a freely reduced
+    generator, which enters and leaves it by two different edge ends, or by
+    one loop traversed in one direction (one edge end used both ways would
+    read a letter then its inverse), so its degree is at least 2, a loop
+    counting twice.
     """
     if not generators:
         raise ValueError("at least one generator word is required (it may be trivial)")
@@ -455,74 +462,41 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
                 edges.append((target, letter, prev))
             prev = target
 
+    # The lower vertex of a merged pair stays the root, so parent[w] <= w,
+    # the base stays 0 and one increasing sweep points every vertex at its
+    # root.  A merge whose higher end already merged in this pass waits for
+    # the next pass; the first collision of a pass always merges.
     parent = list(range(next_vertex))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return True
-
     changed = True
     while changed:
         changed = False
-        out_seen: dict[tuple[int, int], int] = {}
-        in_seen: dict[tuple[int, int], int] = {}
+        for w, p in enumerate(parent):
+            parent[w] = parent[p]
+        seen: dict[tuple[int, int, int], int] = {}
         for u, letter, v in edges:
-            ru, rv = find(u), find(v)
-            key = (ru, letter)
-            if key in out_seen:
-                if union(out_seen[key], rv):
+            u, v = parent[u], parent[v]
+            for key, end in (((u, letter, 0), v), ((v, letter, 1), u)):
+                other = seen.setdefault(key, end)
+                if other != end:
                     changed = True
-            else:
-                out_seen[key] = rv
-            key = (rv, letter)
-            if key in in_seen:
-                if union(in_seen[key], ru):
-                    changed = True
-            else:
-                in_seen[key] = ru
-
-    folded = {(find(u), letter, find(v)) for u, letter, v in edges}
-
-    # Prune non-base vertices of degree < 2 (possible when a generator is not
-    # cyclically reduced); they cannot lie on any reduced closed path.
-    while True:
-        degree: dict[int, int] = {}
-        for u, _, v in folded:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        base_root = find(0)
-        dangling = {
-            w for w in degree if w != base_root and degree[w] < 2
-        }
-        if not dangling:
-            break
-        folded = {e for e in folded if e[0] not in dangling and e[2] not in dangling}
+                    low, high = sorted((other, end))
+                    if parent[high] == high:
+                        parent[high] = low
+    folded = {(parent[u], letter, parent[v]) for u, letter, v in edges}
 
     # Canonical renumbering: breadth-first from the base, moves ordered by
     # (letter, direction).
     adjacency: dict[int, list[tuple[int, int, int]]] = {}
-    for u, letter, v in sorted(folded):
+    for u, letter, v in folded:
         adjacency.setdefault(u, []).append((letter, 0, v))
         adjacency.setdefault(v, []).append((letter, 1, u))
-    order: dict[int, int] = {find(0): 0}
-    queue = [find(0)]
-    while queue:
-        current = queue.pop(0)
-        for letter, direction, nbr in sorted(adjacency.get(current, [])):
+    order = {0: 0}
+    visits = [0]
+    for current in visits:
+        for _, _, nbr in sorted(adjacency.get(current, ())):
             if nbr not in order:
-                order[nbr] = len(order)
-                queue.append(nbr)
+                order[nbr] = len(visits)
+                visits.append(nbr)
 
     count = len(order)
     fwd: list[dict[int, int]] = [dict() for _ in range(count)]

@@ -67,26 +67,15 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
 
     The letter order is g1 < g1^-1 < g2 < g2^-1 < ...; the first word is the
     identity.  There are 2r (2r-1)^(L-1) words of each length L >= 1, which
-    totals 2 * 3^radius - 1 words at rank two.
+    totals 2 * 3^radius - 1 words at rank two.  They are the closed walks of
+    the rose (one vertex, one loop per letter), from :func:`subgroup_elements`.
     """
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    alphabet = [(i, s) for i in range(1, rank + 1) for s in (1, -1)]
-    yield FreeWord(rank)
-
-    def extend(prefix: _words.Runs, remaining: int) -> Iterator[FreeWord]:
-        if remaining == 0:
-            yield FreeWord._reduced(rank, prefix)
-            return
-        for letter, sign in alphabet:
-            if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
-                continue
-            yield from extend(_words.append_letter(prefix, letter, sign), remaining - 1)
-
-    for length in range(1, radius + 1):
-        yield from extend((), length)
+    loops = {i: 0 for i in range(1, rank + 1)}
+    yield from subgroup_elements(SubgroupGraph(rank, 1, [loops], [loops]), radius)
 
 
 def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWord]:
@@ -97,22 +86,20 @@ def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWor
     Starts with the identity.
     """
     yield FreeWord(graph.rank)
-    moves: list[list[tuple[int, int]]] = []
-    for v in range(graph.num_vertices):
-        options = [(letter, 1) for letter in graph.fwd[v]]
-        options += [(letter, -1) for letter in graph.bwd[v]]
-        options.sort(key=lambda m: (m[0], 0 if m[1] > 0 else 1))
-        moves.append(options)
+    moves = []
+    for u in range(graph.num_vertices):
+        options = [(letter, 1, v) for letter, v in graph.fwd[u].items()]
+        options += [(letter, -1, v) for letter, v in graph.bwd[u].items()]
+        moves.append(sorted(options, key=lambda move: (move[0], -move[1])))
 
     def walk(vertex: int, prefix: _words.Runs, remaining: int) -> Iterator[FreeWord]:
         if remaining == 0:
             if vertex == graph.base:
                 yield FreeWord._reduced(graph.rank, prefix)
             return
-        for letter, sign in moves[vertex]:
+        for letter, sign, target in moves[vertex]:
             if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
                 continue
-            target = graph.fwd[vertex][letter] if sign > 0 else graph.bwd[vertex][letter]
             yield from walk(target, _words.append_letter(prefix, letter, sign), remaining - 1)
 
     for length in range(1, max_length + 1):

@@ -72,6 +72,7 @@ class TestParsing:
     def test_text_round_trip(self):
         word = parse_braid("s1^3 s2^-2 s1")
         assert parse_braid(word.to_text()) == word
+        assert word.to_compact() == "aaaBBa"
         assert parse_braid(word.to_compact()) == word
 
     def test_json_round_trip(self):

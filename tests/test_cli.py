@@ -110,6 +110,33 @@ class TestEmbedUnembed:
         assert out == "s1 s2^-1\ns1^2 s2^-2\n"
 
 
+class TestStdinJsonLines:
+    """``--stdin --json`` writes JSON Lines: one document per input word, and
+    at the first bad line one error document, then it stops."""
+
+    @pytest.mark.parametrize("bad", [1, 2, 4])
+    def test_bad_line_ends_the_stream(self, capsys, monkeypatch, bad):
+        lines = ["s1", "s2^-1", "", "s1 s2^-1"]
+        lines.insert(bad - 1, "s1 s9")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code, out, _ = invoke(capsys, "sign", "--stdin", "--json")
+        documents = [json.loads(line) for line in out.splitlines()]
+        assert code == 2
+        assert len(documents) == bad
+        assert all("kind" in doc for doc in documents[:-1])
+        assert documents[-1]["error"]["type"] == "usage"
+
+    def test_one_document_per_word(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("x\ny^-1\n\n"))
+        code, out, _ = invoke(capsys, "embed", "--stdin", "--json")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"word": "s1 s2^-1"},
+            {"word": "s2^2 s1^-2"},
+            {"word": ""},
+        ]
+
+
 class TestAut:
     def test_sigma2_images(self, capsys):
         code, out, _ = invoke(capsys, "aut", "sigma2", "x")
@@ -128,6 +155,10 @@ class TestKn:
     def test_rewrite(self, capsys):
         code, out, _ = invoke(capsys, "kn-rewrite", "3", "x y x^-1")
         assert code == 0 and out == "g3 g2^-1\n"
+
+    def test_rewrite_long_runs(self, capsys):
+        code, out, _ = invoke(capsys, "kn-rewrite", "3", "x^1000000000 y x^-1000000000")
+        assert code == 0 and out == "g2^500000000 g1 g2^-500000000\n"
 
     def test_rewrite_rejects_non_member(self, capsys):
         code, _, err = invoke(capsys, "kn-rewrite", "3", "x")

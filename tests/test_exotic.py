@@ -221,7 +221,7 @@ class TestExoticContext:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             ExoticContext.kn(3).to_f2(X)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be at least 2, got 1"):
             ExoticContext.kn(1)
 
 

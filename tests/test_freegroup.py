@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from braidlab import (
     FreeWord,
     GroupAutomorphism,
     IntMatrix2,
+    SubgroupGraph,
     WordParseError,
     abelianize,
     apply_automorphism,
@@ -33,6 +35,7 @@ from braidlab import (
     stallings_graph,
     subgroup_contains,
 )
+from braidlab.freegroup import _schreier_in_basis
 
 
 def free_words(max_runs=10, rank=2):
@@ -50,6 +53,93 @@ Y = FreeWord(2, ((2, 1),))
 
 def random_kn_element(rng, n, max_length=8):
     return kn_substitute(random_free_word(rng, max_length, rank=n), n)
+
+
+def reference_stallings(generators):
+    """The fold-and-prune construction that :func:`stallings_graph` replaced:
+    union-find with separate out/in tables, then a pass that prunes non-base
+    vertices of degree < 2, then the canonical breadth-first renumbering."""
+    rank = generators[0].rank
+    edges = []
+    next_vertex = 1
+    for gen in generators:
+        letters = list(gen.single_letters())
+        prev = 0
+        for pos, (letter, sign) in enumerate(letters):
+            target = 0 if pos == len(letters) - 1 else next_vertex
+            if target != 0:
+                next_vertex += 1
+            edges.append((prev, letter, target) if sign > 0 else (target, letter, prev))
+            prev = target
+
+    parent = list(range(next_vertex))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        out_seen, in_seen = {}, {}
+        for u, letter, v in edges:
+            ru, rv = find(u), find(v)
+            for seen, key, end in ((out_seen, (ru, letter), rv), (in_seen, (rv, letter), ru)):
+                if key in seen:
+                    changed |= union(seen[key], end)
+                else:
+                    seen[key] = end
+    folded = {(find(u), letter, find(v)) for u, letter, v in edges}
+
+    while True:
+        degree = {}
+        for u, _, v in folded:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        dangling = {w for w in degree if w != find(0) and degree[w] < 2}
+        if not dangling:
+            break
+        folded = {e for e in folded if e[0] not in dangling and e[2] not in dangling}
+
+    adjacency = {}
+    for u, letter, v in sorted(folded):
+        adjacency.setdefault(u, []).append((letter, 0, v))
+        adjacency.setdefault(v, []).append((letter, 1, u))
+    order = {find(0): 0}
+    queue = [find(0)]
+    while queue:
+        current = queue.pop(0)
+        for _, _, nbr in sorted(adjacency.get(current, [])):
+            if nbr not in order:
+                order[nbr] = len(order)
+                queue.append(nbr)
+    fwd = [{} for _ in order]
+    bwd = [{} for _ in order]
+    for u, letter, v in folded:
+        fwd[order[u]][letter] = order[v]
+        bwd[order[v]][letter] = order[u]
+    return SubgroupGraph(rank, len(order), fwd, bwd)
+
+
+def random_generator_set(rng):
+    """1-4 generators of 0-9 uniform letters at rank 1, 2, 3, 5 or 8."""
+    rank = rng.choice((1, 2, 3, 5, 8))
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        letters = [(rng.randint(1, rank), rng.choice((1, -1))) for _ in range(rng.randint(0, 9))]
+        gens.append(FreeWord(rank, tuple(letters)))
+    return gens
 
 
 class TestWords:
@@ -249,6 +339,18 @@ class TestKnBasis:
         assert stallings_graph(kn_basis(n)).cycle_rank() == n
 
 
+def reference_kn_rewrite(word, n):
+    """The letter-by-letter Schreier scan that the run scan replaced."""
+    runs = []
+    state = 0
+    for index, sign in word.single_letters():
+        j = (1 if sign > 0 else 2) if index == 1 else (3 if sign > 0 else 4)
+        runs.extend(_schreier_in_basis(state, j, n))
+        if index == 1:
+            state = (state + sign) % (n - 1)
+    return FreeWord(n, tuple(runs))
+
+
 class TestKnRewrite:
     def test_basis_letters(self):
         assert kn_rewrite(Y, 4).letters == ((1, 1),)
@@ -270,6 +372,32 @@ class TestKnRewrite:
         for _ in range(200):
             word = random_kn_element(rng, n)
             assert kn_substitute(kn_rewrite(word, n), n) == word
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_letter_scan(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(60):
+            runs = [
+                (rng.randint(1, 2), rng.choice((1, -1)) * rng.randint(1, 1000))
+                for _ in range(rng.randint(0, 6))
+            ]
+            word = FreeWord(2, tuple(runs))
+            word = word * x_power(-(abelianize(word)[0] % (n - 1)))
+            assert kn_member(word, n)
+            assert kn_rewrite(word, n) == reference_kn_rewrite(word, n)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x^1000000000 y x^-1000000000", "g2^500000000 g1 g2^-500000000"),
+            ("y^1000000000", "g1^1000000000"),
+        ],
+    )
+    def test_long_runs_take_a_few_steps(self, text, expected):
+        start = time.perf_counter()
+        rewritten = kn_rewrite(parse_free(text), 3)
+        assert time.perf_counter() - start < 0.05
+        assert rewritten.to_text() == expected
 
 
 class TestSixthPowerClosure:
@@ -340,6 +468,24 @@ class TestStallings:
         assert graph.num_vertices == 1
         assert subgroup_contains(graph, FreeWord(2))
         assert not subgroup_contains(graph, X)
+
+    @staticmethod
+    def assert_matches_reference(gens):
+        graph, expected = stallings_graph(gens), reference_stallings(gens)
+        assert graph.num_vertices == expected.num_vertices
+        assert graph.fwd == expected.fwd and graph.bwd == expected.bwd
+        # The degree counts a loop twice: once in fwd and once in bwd.
+        degrees = [len(out) + len(inc) for out, inc in zip(graph.fwd, graph.bwd)]
+        assert min(degrees[1:], default=2) >= 2, gens
+
+    def test_matches_reference_on_random_sets(self):
+        rng = random.Random(1010)
+        for _ in range(100_000):
+            self.assert_matches_reference(random_generator_set(rng))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_on_kn_bases(self, n):
+        self.assert_matches_reference(kn_basis(n))
 
     def test_deterministic_construction(self):
         gens = [parse_free("x^2"), Y, parse_free("x y x^-1")]

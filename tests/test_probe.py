@@ -30,7 +30,52 @@ from braidlab import (
 F2 = ExoticContext.f2()
 
 
+def reference_ball(rank, radius):
+    """Length-lex enumeration by recursion over the letters g1 < g1^-1 < ...,
+    one letter at a time, with no graph."""
+    alphabet = [(i, s) for i in range(1, rank + 1) for s in (1, -1)]
+    yield FreeWord(rank)
+
+    def extend(prefix, remaining):
+        if remaining == 0:
+            yield FreeWord(rank, prefix)
+            return
+        for letter, sign in alphabet:
+            if prefix and prefix[-1] == (letter, -sign):
+                continue
+            yield from extend(prefix + ((letter, sign),), remaining - 1)
+
+    for length in range(1, radius + 1):
+        yield from extend((), length)
+
+
+def reference_subgroup_elements(graph, max_length):
+    """Closed non-backtracking walks, one letter at a time, looking each
+    target up in ``fwd``/``bwd``."""
+    yield FreeWord(graph.rank)
+
+    def walk(vertex, prefix, remaining):
+        if remaining == 0:
+            if vertex == graph.base:
+                yield FreeWord(graph.rank, prefix)
+            return
+        for letter in range(1, graph.rank + 1):
+            for sign, table in ((1, graph.fwd[vertex]), (-1, graph.bwd[vertex])):
+                if letter in table and not (prefix and prefix[-1] == (letter, -sign)):
+                    yield from walk(table[letter], prefix + ((letter, sign),), remaining - 1)
+
+    for length in range(1, max_length + 1):
+        yield from walk(graph.base, (), length)
+
+
 class TestBall:
+    @pytest.mark.parametrize(
+        "rank, radius",
+        [(1, 6), (2, 5), (3, 4), (8, 0), (8, 1), (8, 2), (8, 3)],
+    )
+    def test_matches_reference(self, rank, radius):
+        assert list(ball(rank, radius)) == list(reference_ball(rank, radius))
+
     def test_rank_one_radius_two(self):
         words = [w.to_text() or "1" for w in ball(1, 2)]
         assert words == ["1", "x", "x^-1", "x^2", "x^-2"]
@@ -63,6 +108,15 @@ class TestBall:
 
 
 class TestSubgroupElements:
+    def test_matches_reference(self):
+        rng = random.Random(901)
+        for _ in range(60):
+            rank = rng.choice((1, 2, 3))
+            gens = [random_free_word(rng, 6, rank) for _ in range(rng.randint(1, 3))]
+            graph = stallings_graph(gens)
+            expected = list(reference_subgroup_elements(graph, 6))
+            assert list(subgroup_elements(graph, 6)) == expected
+
     def test_cyclic(self):
         graph = stallings_graph([parse_free("x")])
         words = [w.to_text() or "1" for w in subgroup_elements(graph, 2)]
