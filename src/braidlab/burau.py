@@ -16,6 +16,10 @@ of braid identities and trichotomy cross-check other methods against it,
 and the ``burau`` command prints it.  Signs, comparisons and commutation
 are decided by Dynnikov coordinates (:mod:`braidlab.dynnikov`) instead.
 
+The packed integers below are the only Burau arithmetic.  :func:`burau_matrix`
+decodes them into records with no ring operations: a :class:`LaurentMatrix`
+of four :class:`LaurentPoly`, each a tuple of ``terms`` sorted by exponent.
+
 Packed layout.  The entries of σ_i are in {0, ±1, ±t} and those of σ_i^-1
 in t^-1 {0, ±1, ±t}, so the image of a word with e inverse letters is
 t^-e [[a, b], [c, d]] with a, b, c, d polynomials in t.  The kernel keeps
@@ -68,122 +72,21 @@ from .braid import BraidWord
 __all__ = ["LaurentPoly", "LaurentMatrix", "burau_matrix", "braid_equal"]
 
 
-def _add(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-    if len(x) < len(y):
-        x, y = y, x
-    out = dict(x)
-    for e, v in y.items():
-        s = out.get(e, 0) + v
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out
-
-
 @dataclasses.dataclass(frozen=True)
 class LaurentPoly:
-    """An integer Laurent polynomial in one variable t.
-
-    ``terms`` is sorted by exponent and stores no zero coefficients.
-    """
+    """A decoded entry: (exponent, coefficient) ``terms`` sorted by exponent,
+    with no zero coefficients.  A record, not a ring."""
 
     terms: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPoly":
-        return cls(tuple(sorted((e, c) for e, c in coeffs.items() if c)))
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(((0, 1),))
-
-    @classmethod
-    def t_power(cls, k: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls(((k, coefficient),)) if coefficient else cls()
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly.from_dict(_add(self.as_dict(), other.as_dict()))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly.from_dict(out)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
-
-    def __call__(self, value):
-        """Evaluate at a value (typically an int or Fraction; needs value != 0
-        only when negative exponents are present)."""
-        total = 0
-        for e, c in self.terms:
-            total += c * value**e
-        return total
 
 
 @dataclasses.dataclass(frozen=True)
 class LaurentMatrix:
-    """A 2x2 matrix of Laurent polynomials.
-
-    Burau images of generators have unit determinant (-t)^{+/-1}, so every
-    word image is invertible over Z[t, t^{-1}].
-    """
+    """A decoded image: the 2x2 ``entries`` as rows of :class:`LaurentPoly`."""
 
     entries: tuple[
         tuple[LaurentPoly, LaurentPoly], tuple[LaurentPoly, LaurentPoly]
     ]
-
-    @classmethod
-    def identity(cls) -> "LaurentMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls(((one, zero), (zero, one)))
-
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return LaurentMatrix(
-            (
-                (a * e + b * g, a * f + b * h),
-                (c * e + d * g, c * f + d * h),
-            )
-        )
-
-    def determinant(self) -> LaurentPoly:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
-    def evaluate(self, value) -> tuple[tuple[int, int], tuple[int, int]]:
-        (a, b), (c, d) = self.entries
-        return ((a(value), b(value)), (c(value), d(value)))
 
     def to_json_entries(self) -> list:
         """Entries as lists of [exponent, coefficient] pairs sorted by exponent."""
@@ -259,13 +162,9 @@ def burau_matrix(word: BraidWord) -> LaurentMatrix:
     """
     _check(word)
     k = _width(word)
-    e, a, b, c, d = _pack(word, k)
-    return LaurentMatrix(
-        (
-            (_unpack(a, k, e), _unpack(b, k, e)),
-            (_unpack(c, k, e), _unpack(d, k, e)),
-        )
-    )
+    e, *packed = _pack(word, k)
+    a, b, c, d = (_unpack(x, k, e) for x in packed)
+    return LaurentMatrix(((a, b), (c, d)))
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

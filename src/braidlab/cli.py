@@ -9,9 +9,10 @@ Exit codes: 0 on success (including a found witness), 1 when a verified
 property fails or a domain error occurs (budget exhausted, no witness
 found), 2 on usage or word-parse errors.  With ``--json`` standard output is
 a single JSON document on every path, errors included (one per input word
-under ``--stdin``, see below).  The environment variable ``BRAIDLAB_BUDGET``
-overrides the step budget of ``reduce`` (an absolute step count); signs and
-comparisons come from Dynnikov coordinates and need no budget.
+under ``--stdin``, see below); ``--help`` is the one path that prints text.
+The environment variable ``BRAIDLAB_BUDGET`` overrides the step budget of
+``reduce`` (an absolute step count); signs and comparisons come from
+Dynnikov coordinates and need no budget.
 
 Single-word commands accept ``--stdin`` to process one word per input line;
 with ``--json`` they write JSON Lines, one document per input word, and at
@@ -57,11 +58,20 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse is done early (``--help``); the argument is the exit code."""
+
+
 class _QuietParser(argparse.ArgumentParser):
     """argparse that raises instead of calling sys.exit, so ``run`` stays total."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 @functools.cache
@@ -318,6 +328,8 @@ def run(argv: Sequence[str]) -> int:
             print(json.dumps(_error_payload("usage", exc), sort_keys=True))
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except _Exit as exc:
+        return exc.args[0]
 
     try:
         return args.handler(args)

@@ -40,6 +40,7 @@ from .exotic import ExoticContext, commutator_rewrite, embed
 from .freegroup import (
     FreeWord,
     SubgroupGraph,
+    _check_rank,
     kn_member,
     kn_substitute,
     stallings_graph,
@@ -70,8 +71,7 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     totals 2 * 3^radius - 1 words at rank two.  They are the closed walks of
     the rose (one vertex, one loop per letter), from :func:`subgroup_elements`.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
+    _check_rank(rank)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     loops = {i: 0 for i in range(1, rank + 1)}
@@ -91,19 +91,23 @@ def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWor
         options = [(letter, 1, v) for letter, v in graph.fwd[u].items()]
         options += [(letter, -1, v) for letter, v in graph.bwd[u].items()]
         moves.append(sorted(options, key=lambda move: (move[0], -move[1])))
-
-    def walk(vertex: int, prefix: _words.Runs, remaining: int) -> Iterator[FreeWord]:
-        if remaining == 0:
-            if vertex == graph.base:
-                yield FreeWord._reduced(graph.rank, prefix)
-            return
-        for letter, sign, target in moves[vertex]:
-            if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
-                continue
-            yield from walk(target, _words.append_letter(prefix, letter, sign), remaining - 1)
-
+    # Walks of each exact length, depth first.  The stack holds one (prefix,
+    # move iterator) pair per letter, so long walks need no recursion.
     for length in range(1, max_length + 1):
-        yield from walk(graph.base, (), length)
+        stack = [((), iter(moves[graph.base]))]
+        while stack:
+            prefix, options = stack[-1]
+            for letter, sign, target in options:
+                if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
+                    continue
+                word = _words.append_letter(prefix, letter, sign)
+                if len(stack) < length:
+                    stack.append((word, iter(moves[target])))
+                    break
+                if target == graph.base:
+                    yield FreeWord._reduced(graph.rank, word)
+            else:
+                stack.pop()
 
 
 class _CachedSeq:

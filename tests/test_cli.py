@@ -200,6 +200,26 @@ class TestProbeConvexity:
         payload = json.loads(out)
         assert set(payload["witness"]) == {"c_low", "g", "c_high"}
 
+    def test_long_members_give_one_json_document(self, capsys):
+        # Members of x^1200 are walked to length 2500, deeper than Python's
+        # default recursion limit.
+        code, out, _ = invoke(
+            capsys,
+            "probe-convexity",
+            "--gens",
+            "x^1200",
+            "--radius",
+            "2",
+            "--max-element-length",
+            "2500",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "ctx": "f2",
+            "witness": {"c_high": "x^1200", "c_low": "", "g": "x"},
+        }
+
     def test_inconclusive_exit(self, capsys):
         # The trivial subgroup can never produce a witness.
         code, out, _ = invoke(
@@ -259,6 +279,17 @@ class TestErrors:
     def test_missing_word(self, capsys):
         code, _, err = invoke(capsys, "sign")
         assert code == 2
+
+
+class TestHelp:
+    """``--help`` prints the argparse help and returns 0 instead of raising
+    SystemExit, with the same output as the installed command."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sign", "--help"], ["verify", "--json", "-h"]])
+    def test_returns_zero(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and out.startswith("usage: braidlab") and err == ""
+        assert (code, out, err) == fresh_process(argv)
 
 
 def fresh_process(argv):

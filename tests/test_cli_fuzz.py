@@ -1,0 +1,117 @@
+"""Fuzzing the command line: every command with ``--json`` on small, partly
+malformed inputs returns an exit code, never raises, and writes exactly one
+JSON document (JSON Lines, one per word read, under ``--stdin``)."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from braidlab.cli import run
+from braidlab.freegroup import NAMED_AUTOMORPHISMS
+
+MALFORMED = ["s0", "s9", "s1^", "^2", "s1^x", "s-1", "q", "x^", "g0", "g9", "(", "1", "z^2"]
+
+
+def _words(letters, compact):
+    """Words of at most 8 terms with |exponent| <= 5 or in the compact
+    alphabet; a quarter of them get one malformed token."""
+    term = st.tuples(st.sampled_from(letters), st.integers(-5, 5)).map("{0[0]}^{0[1]}".format)
+    verbose = st.lists(term, max_size=8).map(" ".join)
+    word = st.one_of(verbose, verbose, st.text(compact, max_size=8))
+    spoiled = st.tuples(word, st.sampled_from(MALFORMED), st.integers(0, 8)).map(
+        lambda t: t[0][: t[2]] + " " + t[1] + " " + t[0][t[2] :]
+    )
+    return st.one_of(word, word, word, spoiled)
+
+
+def _arg(values):
+    return values.map(lambda value: [str(value)])
+
+
+def _option(name, values):
+    return values.map(lambda value: [name, str(value)])
+
+
+BRAID = _words(["s1", "s2", "s3"], "aAbB")
+FREE = _words(["x", "y", "g1", "g3"], "xXyY")
+N = st.integers(-1, 8)
+CTX = _option("--ctx", st.sampled_from(["f2", "kn:x"] + [f"kn:{n}" for n in range(1, 9)]))
+STRANDS = st.one_of(st.just([]), _option("--strands", st.integers(0, 4)))
+
+# Per command: the parts of its argv, and its stdin word when it takes --stdin.
+COMMANDS = {
+    "sign": ([STRANDS], BRAID),
+    "compare": ([_arg(BRAID), _arg(BRAID), STRANDS], None),
+    "reduce": ([STRANDS, st.sampled_from([[], ["--trace"]])], BRAID),
+    "burau": ([], BRAID),
+    "embed": ([], FREE),
+    "unembed": ([], BRAID),
+    "aut": (
+        [
+            _arg(st.sampled_from(sorted(NAMED_AUTOMORPHISMS) + ["bogus"])),
+            _arg(FREE),
+            _option("--power", st.integers(-6, 6)),
+        ],
+        None,
+    ),
+    "kn-basis": ([_arg(N)], None),
+    "kn-rewrite": ([_arg(N), _arg(FREE)], None),
+    "exotic-compare": ([_arg(FREE), _arg(FREE), CTX], None),
+    "probe-convexity": (
+        [
+            CTX,
+            st.lists(FREE, min_size=1, max_size=2).map(lambda gens: ["--gens", *gens]),
+            _option("--radius", st.integers(0, 4)),
+        ],
+        None,
+    ),
+    "verify": ([_option("--seed", st.integers(0, 50)), _option("--trials", st.integers(0, 3))], None),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, stdin lines or None)`` for one command with ``--json``."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    parts, word = COMMANDS[name]
+    argv = [name, "--json"] + [arg for part in parts for arg in draw(part)]
+    if word is None:
+        return argv, None
+    if draw(st.booleans()):
+        return argv + ["--stdin"], draw(st.lists(word, min_size=1, max_size=4))
+    return argv + [draw(word)], None
+
+
+def _run(argv, stdin_text):
+    out = io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(stdin_text)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_json_contract(case):
+    argv, lines = case
+    code, out = _run(argv, "".join(line + "\n" for line in lines or ()))
+    assert code in (0, 1, 2), argv
+    documents = [json.loads(line) for line in out.splitlines()]
+    if lines is None:
+        assert len(documents) == 1, argv
+    elif code == 0:
+        assert len(documents) == len(lines), argv
+    else:
+        assert 1 <= len(documents) <= len(lines), argv
+    if code == 2:
+        assert documents[-1]["error"]["type"] == "usage", argv
+    if code == 0:
+        assert all("error" not in doc for doc in documents), argv

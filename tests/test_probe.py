@@ -100,8 +100,16 @@ class TestBall:
     def test_radius_zero(self):
         assert [w for w in ball(2, 0)] == [FreeWord(2)]
 
+    def test_deeper_than_the_recursion_limit(self):
+        # The walk keeps its own stack: one frame per letter would overflow
+        # Python's default recursion limit of 1000 here.  (Each length is
+        # walked afresh, so rank one costs quadratic time in the radius.)
+        words = list(ball(1, 1500))
+        assert len(words) == 3001
+        assert words[-2:] == [parse_free("x^1500", 1), parse_free("x^-1500", 1)]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank must be at least 1, got 0"):
             list(ball(0, 2))
         with pytest.raises(ValueError):
             list(ball(2, -1))
