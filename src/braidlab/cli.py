@@ -16,7 +16,13 @@ Dynnikov coordinates and need no budget.
 
 Single-word commands accept ``--stdin`` to process one word per input line;
 with ``--json`` they write JSON Lines, one document per input word, and at
-the first line that fails they write its error document and stop.
+the first line that fails they write its error document and stop.  That
+document, and the message on standard error, name the 1-based input line.
+
+Each ``_cmd_*`` handler is a function of its arguments (and of one word,
+for the single-word commands) that returns a :class:`Result` and prints
+nothing.  :func:`run` alone reads ``--stdin``, renders a result as text or
+JSON, and reports usage and domain errors, from argparse and handlers alike.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._words import WordParseError
 from .braid import parse_braid
@@ -159,190 +165,140 @@ def _parse_ctx(text: str) -> ExoticContext:
     raise _UsageError(f"unknown context {text!r}; expected f2 or kn:<n>")
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+class Result(NamedTuple):
+    """A command's JSON document, text form (``None``: the JSON) and exit code."""
+
+    payload: dict
+    text: str | None = None
+    code: int = OK
 
 
-def _input_words(args) -> list[str]:
-    if getattr(args, "stdin", False):
-        if args.word is not None:
-            raise _UsageError("give either a word argument or --stdin, not both")
-        return [line.rstrip("\n") for line in sys.stdin]
-    if args.word is None:
-        raise _UsageError("a word argument is required (or use --stdin)")
-    return [args.word]
+def _cmd_sign(args, text: str) -> Result:
+    verdict = dehornoy_sign(parse_braid(text, args.strands))
+    return Result({"kind": verdict.kind, "main_index": verdict.main_index}, str(verdict))
 
 
-def _cmd_sign(args) -> int:
-    for text in _input_words(args):
-        verdict = dehornoy_sign(parse_braid(text, args.strands))
-        _emit(
-            {"kind": verdict.kind, "main_index": verdict.main_index},
-            args.json,
-            str(verdict),
-        )
-    return OK
-
-
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Result:
     result = braid_compare(
         parse_braid(args.left, args.strands), parse_braid(args.right, args.strands)
     )
-    _emit({"result": result}, args.json, result)
-    return OK
+    return Result({"result": result}, result)
 
 
-def _cmd_reduce(args) -> int:
-    for text in _input_words(args):
-        word = parse_braid(text, args.strands)
-        if args.trace:
-            reduced, trace = handle_reduce_trace(word)
-            steps = [
-                {
-                    "step": item.step,
-                    "handle": item.handle.to_json_dict(),
-                    "word": item.word.to_text(),
-                }
-                for item in trace
-            ]
-            if args.json:
-                print(json.dumps({"word": reduced.to_text(), "steps": steps}, sort_keys=True))
-            else:
-                for step in steps:
-                    print(json.dumps(step, sort_keys=True))
-                print(reduced.to_text())
-        else:
-            reduced = handle_reduce(word)
-            _emit({"word": reduced.to_text()}, args.json, reduced.to_text())
-    return OK
+def _cmd_reduce(args, text: str) -> Result:
+    word = parse_braid(text, args.strands)
+    if not args.trace:
+        reduced = handle_reduce(word).to_text()
+        return Result({"word": reduced}, reduced)
+    reduced, trace = handle_reduce_trace(word)
+    steps = [
+        {"step": item.step, "handle": item.handle.to_json_dict(), "word": item.word.to_text()}
+        for item in trace
+    ]
+    lines = [json.dumps(step, sort_keys=True) for step in steps] + [reduced.to_text()]
+    return Result({"word": reduced.to_text(), "steps": steps}, "\n".join(lines))
 
 
-def _cmd_burau(args) -> int:
-    for text in _input_words(args):
-        matrix = burau_matrix(parse_braid(text))
-        print(json.dumps({"entries": matrix.to_json_entries()}, sort_keys=True))
-    return OK
+def _cmd_burau(args, text: str) -> Result:
+    return Result({"entries": burau_matrix(parse_braid(text)).to_json_entries()})
 
 
-def _cmd_embed(args) -> int:
-    for text in _input_words(args):
-        braid = embed(parse_free(text, 2))
-        _emit({"word": braid.to_text()}, args.json, braid.to_text())
-    return OK
+def _cmd_embed(args, text: str) -> Result:
+    braid = embed(parse_free(text, 2)).to_text()
+    return Result({"word": braid}, braid)
 
 
-def _cmd_unembed(args) -> int:
-    for text in _input_words(args):
-        word = commutator_rewrite(parse_braid(text))
-        _emit({"word": word.to_text()}, args.json, word.to_text())
-    return OK
+def _cmd_unembed(args, text: str) -> Result:
+    word = commutator_rewrite(parse_braid(text)).to_text()
+    return Result({"word": word}, word)
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args) -> Result:
     auto = NAMED_AUTOMORPHISMS[args.name]()
-    image = apply_automorphism(auto, parse_free(args.word, 2), args.power)
-    _emit({"word": image.to_text()}, args.json, image.to_text())
-    return OK
+    image = apply_automorphism(auto, parse_free(args.word, 2), args.power).to_text()
+    return Result({"word": image}, image)
 
 
-def _cmd_kn_basis(args) -> int:
-    basis = kn_basis(args.n)
-    if args.json:
-        print(json.dumps({"basis": [word.to_text() for word in basis]}, sort_keys=True))
-    else:
-        for word in basis:
-            print(word.to_text())
-    return OK
+def _cmd_kn_basis(args) -> Result:
+    basis = [word.to_text() for word in kn_basis(args.n)]
+    return Result({"basis": basis}, "\n".join(basis))
 
 
-def _cmd_kn_rewrite(args) -> int:
-    rewritten = kn_rewrite(parse_free(args.word, 2), args.n)
-    _emit({"word": rewritten.to_text()}, args.json, rewritten.to_text())
-    return OK
+def _cmd_kn_rewrite(args) -> Result:
+    rewritten = kn_rewrite(parse_free(args.word, 2), args.n).to_text()
+    return Result({"word": rewritten}, rewritten)
 
 
-def _cmd_exotic_compare(args) -> int:
+def _cmd_exotic_compare(args) -> Result:
     ctx = _parse_ctx(args.ctx)
     result = exotic_compare(
         parse_free(args.left, ctx.rank), parse_free(args.right, ctx.rank), ctx
     )
-    _emit({"result": result, "ctx": str(ctx)}, args.json, result)
-    return OK
+    return Result({"result": result, "ctx": str(ctx)}, result)
 
 
-def _cmd_probe_convexity(args) -> int:
+def _cmd_probe_convexity(args) -> Result:
     ctx = _parse_ctx(args.ctx)
     generators = [parse_free(text, ctx.rank) for text in args.gens]
     witness = convexity_probe(generators, ctx, args.radius, args.max_element_length)
     if witness is None:
-        _emit(
+        return Result(
             {"witness": None, "radius": args.radius, "conclusive": False},
-            args.json,
             f"none (inconclusive: radius {args.radius} exhausted; this does not prove convexity)",
+            FAILURE,
         )
-        return FAILURE
-    payload = {
-        "witness": {
-            "c_low": witness.c_low.to_text(),
-            "g": witness.g.to_text(),
-            "c_high": witness.c_high.to_text(),
-        },
-        "ctx": str(ctx),
-    }
-    text = (
-        f"witness: c_low = {witness.c_low.to_text() or '1'!s} < "
-        f"g = {witness.g.to_text()} < c_high = {witness.c_high.to_text() or '1'!s} "
-        f"(g outside the subgroup)"
+    c_low, g, c_high = (word.to_text() for word in (witness.c_low, witness.g, witness.c_high))
+    return Result(
+        {"witness": {"c_low": c_low, "g": g, "c_high": c_high}, "ctx": str(ctx)},
+        f"witness: c_low = {c_low or '1'} < g = {g} < c_high = {c_high or '1'} "
+        f"(g outside the subgroup)",
     )
-    _emit(payload, args.json, text)
-    return OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Result:
     report = lemma_suite(args.seed, args.trials)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
-    else:
-        print(report.to_text())
-    return OK if report.passed else FAILURE
+    return Result(report.to_json_dict(), report.to_text(), OK if report.passed else FAILURE)
 
 
-def _error_payload(kind: str, exc: Exception) -> dict:
-    payload = {"error": {"type": kind, "message": str(exc)}}
-    if isinstance(exc, WordParseError):
-        payload["error"]["offset"] = exc.offset
-    return payload
+def _print(result: Result, as_json: bool) -> int:
+    text = result.text
+    print(json.dumps(result.payload, sort_keys=True) if as_json or text is None else text)
+    return result.code
 
 
 def run(argv: Sequence[str]) -> int:
     """Dispatch a command line; returns the exit code, never raises."""
-    parser = _build_parser()
+    as_json, line = "--json" in argv, None
     try:
-        args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        wants_json = "--json" in argv
-        if wants_json:
-            print(json.dumps(_error_payload("usage", exc), sort_keys=True))
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        args = _build_parser().parse_args(list(argv))
+        as_json = args.json
+        if "stdin" not in args:
+            return _print(args.handler(args), as_json)
+        if args.stdin and args.word is not None:
+            raise _UsageError("give either a word argument or --stdin, not both")
+        if args.word is not None:
+            return _print(args.handler(args, args.word), as_json)
+        if not args.stdin:
+            raise _UsageError("a word argument is required (or use --stdin)")
+        for number, text in enumerate(sys.stdin, 1):
+            line = number  # set only while its word is handled: a failed read names no line
+            _print(args.handler(args, text.rstrip("\n")), as_json)
+            line = None
+        return OK
     except _Exit as exc:
         return exc.args[0]
-
-    try:
-        return args.handler(args)
-    except (_UsageError, WordParseError) as exc:
-        if args.json:
-            print(json.dumps(_error_payload("usage", exc), sort_keys=True))
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (BudgetExceededError, ValueError) as exc:
-        if args.json:
-            print(json.dumps(_error_payload("domain", exc), sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
+    except (_UsageError, BudgetExceededError, ValueError) as exc:
+        usage = isinstance(exc, (_UsageError, WordParseError))
+        error = {"type": "usage" if usage else "domain", "message": str(exc)}
+        if isinstance(exc, WordParseError):
+            error["offset"] = exc.offset
+        if line is not None:
+            error["line"] = line
+        if as_json:
+            print(json.dumps({"error": error}, sort_keys=True))
+        where = "" if line is None else f"line {line}: "
+        print(f"{'usage error' if usage else 'error'}: {where}{exc}", file=sys.stderr)
+        return USAGE_ERROR if usage else FAILURE
 
 
 def main() -> None:

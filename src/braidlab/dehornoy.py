@@ -33,7 +33,7 @@ import os
 
 from . import _words
 from .braid import BraidWord, half_twist
-from .dynnikov import dynnikov_coordinates
+from .dynnikov import touched_coordinates
 
 __all__ = [
     "POSITIVE",
@@ -280,8 +280,8 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
                 break
     else:  # σ_main occurs with one sign only
         return OrderVerdict(POSITIVE if positive else NEGATIVE, main)
-    coords = dynnikov_coordinates(word)
-    for k in range(word.strands):
+    coords = touched_coordinates(word)
+    for k in range(len(coords) // 2):
         entry = coords[2 * k] or coords[2 * k + 1] - 1
         if entry:
             return OrderVerdict(POSITIVE if entry > 0 else NEGATIVE, k + 1)
@@ -313,6 +313,8 @@ def commutes(u: BraidWord, v: BraidWord) -> bool:
 
     Decided by comparing the Dynnikov coordinates of u v and v u: the action
     is faithful, so they agree exactly when the braids do.  Works for every
-    strand count, with a few coordinate updates per run.
+    strand count, with a few coordinate updates per run.  A product may touch
+    fewer strands (σ3 · σ3^-1 σ1 = σ1), so the shorter list is padded with E.
     """
-    return dynnikov_coordinates(u * v) == dynnikov_coordinates(v * u)
+    short, long = sorted((touched_coordinates(u * v), touched_coordinates(v * u)), key=len)
+    return short + [0, 1] * ((len(long) - len(short)) // 2) == long

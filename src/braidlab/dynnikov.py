@@ -33,6 +33,8 @@ So the number of updates is linear in runs, plus that short transient per
 run: σ1^1000000000 σ2 σ1^-1000000000 takes two steps and two jumps.  Each
 update costs time in the bit length of the coordinates, which grows with
 the word, so the bit cost can be quadratic in the letter length.
+
+Untouched strands stay at E and are not computed: ``--strands`` adds no cost.
 """
 
 from __future__ import annotations
@@ -44,10 +46,20 @@ __all__ = ["dynnikov_coordinates"]
 
 def dynnikov_coordinates(word: BraidWord) -> tuple[int, ...]:
     """Flat coordinates (x_1, y_1, ..., x_n, y_n) of E·word."""
-    coords = [0, 1] * word.strands
+    coords = touched_coordinates(word)
+    return tuple(coords) + (0, 1) * (word.strands - len(coords) // 2)
+
+
+def touched_coordinates(word: BraidWord) -> list[int]:
+    """Coordinates of E·word at least up to the last strand touched; the rest are (0, 1)."""
+    coords = [0, 1] * min(word.strands, 3)  # three-strand words never grow it
     for index, count in word.letters:
         k = 2 * index - 2
-        x1, y1, x2, y2 = coords[k : k + 4]
+        try:  # free when it does not raise, unlike a length test per run
+            x1, y1, x2, y2 = coords[k : k + 4]
+        except ValueError:  # the window passes the end: those strands are at E
+            coords += [0, 1] * (index + 1 - len(coords) // 2)
+            x1, y1, x2, y2 = coords[k : k + 4]
         negative = count < 0
         if negative:
             x1, x2, count = -x1, -x2, -count
@@ -72,4 +84,4 @@ def dynnikov_coordinates(word: BraidWord) -> tuple[int, ...]:
             y1, y2 = y2 - zp, y1 + zp
             count -= 1
         coords[k : k + 4] = (-x1, y1, -x2, y2) if negative else (x1, y1, x2, y2)
-    return tuple(coords)
+    return coords

@@ -37,6 +37,14 @@ class TestSign:
         assert code == 0
         assert json.loads(out) == {"kind": "negative", "main_index": 2}
 
+    def test_huge_strand_count(self, capsys):
+        # Only the strands the word touches are computed.
+        code, out, _ = invoke(
+            capsys, "sign", "--strands", "100000000000000000000", "s1 s2 s1^-1", "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == {"kind": "positive", "main_index": 1}
+
     def test_exponents_of_a_billion(self, capsys):
         code, out, _ = invoke(capsys, "sign", "s1^1000000000 s2 s1^-1000000000")
         assert code == 0 and out == "positive(1)\n"
@@ -119,12 +127,25 @@ class TestStdinJsonLines:
         lines = ["s1", "s2^-1", "", "s1 s2^-1"]
         lines.insert(bad - 1, "s1 s9")
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
-        code, out, _ = invoke(capsys, "sign", "--stdin", "--json")
+        code, out, err = invoke(capsys, "sign", "--stdin", "--json")
         documents = [json.loads(line) for line in out.splitlines()]
         assert code == 2
         assert len(documents) == bad
         assert all("kind" in doc for doc in documents[:-1])
         assert documents[-1]["error"]["type"] == "usage"
+        assert documents[-1]["error"]["line"] == bad
+        assert err.startswith(f"usage error: line {bad}: ")
+
+    def test_undecodable_input_names_no_line(self, capsys, monkeypatch):
+        # The bad byte is decoded with the chunk that holds it, before the
+        # words ahead of it in that chunk are handled: no line is to blame.
+        data = b"s1\n" * 4000 + b"\xff\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = invoke(capsys, "sign", "--stdin", "--json")
+        *results, last = [json.loads(line) for line in out.splitlines()]
+        assert code == 1 and len(results) < 4000
+        assert last["error"]["type"] == "domain" and "line" not in last["error"]
+        assert err.startswith("error: 'utf-8' codec can't decode")
 
     def test_one_document_per_word(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("x\ny^-1\n\n"))

@@ -1,6 +1,7 @@
-"""Fuzzing the command line: every command with ``--json`` on small, partly
-malformed inputs returns an exit code, never raises, and writes exactly one
-JSON document (JSON Lines, one per word read, under ``--stdin``)."""
+"""Fuzzing the command line: every command on small, partly malformed inputs
+returns an exit code and never raises.  With ``--json`` it writes exactly one
+JSON document (JSON Lines, one per word read, under ``--stdin``); without it
+it writes text, and each error as one line on standard error."""
 
 from __future__ import annotations
 
@@ -76,10 +77,10 @@ COMMANDS = {
 
 @st.composite
 def command_lines(draw):
-    """``(argv, stdin lines or None)`` for one command with ``--json``."""
+    """``(argv, stdin lines or None)`` for one command, without ``--json``."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     parts, word = COMMANDS[name]
-    argv = [name, "--json"] + [arg for part in parts for arg in draw(part)]
+    argv = [name] + [arg for part in parts for arg in draw(part)]
     if word is None:
         return argv, None
     if draw(st.booleans()):
@@ -88,21 +89,22 @@ def command_lines(draw):
 
 
 def _run(argv, stdin_text):
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch("sys.stdin", io.StringIO(stdin_text)),
         contextlib.redirect_stdout(out),
-        contextlib.redirect_stderr(io.StringIO()),
+        contextlib.redirect_stderr(err),
     ):
         code = run(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
 @given(command_lines())
 def test_json_contract(case):
     argv, lines = case
-    code, out = _run(argv, "".join(line + "\n" for line in lines or ()))
+    argv = argv[:1] + ["--json"] + argv[1:]
+    code, out, _ = _run(argv, "".join(line + "\n" for line in lines or ()))
     assert code in (0, 1, 2), argv
     documents = [json.loads(line) for line in out.splitlines()]
     if lines is None:
@@ -115,3 +117,27 @@ def test_json_contract(case):
         assert documents[-1]["error"]["type"] == "usage", argv
     if code == 0:
         assert all("error" not in doc for doc in documents), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_text_contract(case):
+    """Text mode exits as ``--json`` does.  A result is at least one stdout
+    line per word; an error is one stderr line, naming the same input line as
+    the error document of ``--json``."""
+    argv, lines = case
+    stdin_text = "".join(line + "\n" for line in lines or ())
+    code, out, err = _run(argv, stdin_text)
+    json_code, json_out, _ = _run(argv[:1] + ["--json"] + argv[1:], stdin_text)
+    assert code == json_code, argv
+    error = json.loads(json_out.splitlines()[-1]).get("error")
+    if error is None:  # a result: success, or a property that fails (exit 1)
+        assert code in (0, 1) and err == "", argv
+        assert len(out.splitlines()) >= (len(lines) if lines and code == 0 else 1), argv
+    else:
+        assert code == (2 if error["type"] == "usage" else 1), argv
+        (message,) = err.splitlines()
+        prefix = "usage error: " if code == 2 else "error: "
+        if "line" in error:
+            prefix += f"line {error['line']}: "
+        assert message.startswith(prefix), argv

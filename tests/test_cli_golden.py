@@ -1,11 +1,15 @@
-"""Byte-exact CLI outputs: one command per subcommand and output mode.
+"""Byte-exact CLI outputs: one command per subcommand and output mode, and
+``--stdin`` streams of the five commands that take them.
 
-Each case is (argv, exit code, standard output).  The expected outputs pin
-the observable behaviour of the whole library through the CLI, so a change
-meant to leave behaviour alone must keep every one of them byte-identical.
+Each case is (argv, exit code, standard output), with standard input before
+the exit code for the streams.  The expected outputs pin the observable
+behaviour of the whole library through the CLI, so a change meant to leave
+behaviour alone must keep every one of them byte-identical.
 """
 
 from __future__ import annotations
+
+import io
 
 import pytest
 
@@ -122,5 +126,115 @@ GOLDEN = [
     "argv, code, stdout", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN]
 )
 def test_output_is_byte_identical(capsys, argv, code, stdout):
+    assert run(argv) == code
+    assert capsys.readouterr().out == stdout
+
+
+TRACE_1 = '{"handle": {"end": 2, "index": 1, "sign": 1, "start": 0}, "step": 1, '
+TRACED = "s1 s2 s1^-1\ns2\ns1 s2 s1^-1 s2^-1 s1\n"
+
+# Text and --json mode of each command, reduce --trace, and streams that
+# stop at a bad middle line, whose error document names that input line.
+STDIN_GOLDEN = [
+    (
+        ["sign", "--stdin"],
+        "s1 s2^-1\naBAb\n\ns2^-3\n",
+        0,
+        "positive(1)\nnegative(1)\ntrivial\nnegative(2)\n",
+    ),
+    (
+        ["sign", "--stdin", "--json"],
+        "s1 s2^-1\naBAb\n\ns2^-3\n",
+        0,
+        '{"kind": "positive", "main_index": 1}\n{"kind": "negative", "main_index": 1}\n'
+        '{"kind": "trivial", "main_index": null}\n{"kind": "negative", "main_index": 2}\n',
+    ),
+    (
+        ["reduce", "--stdin"],
+        "s1 s2 s1^-1\n\ns1 s2 s1^-1 s2^-1 s1\n",
+        0,
+        "s2^-1 s1 s2\n\ns2^-1 s1^2\n",
+    ),
+    (
+        ["reduce", "--stdin", "--json"],
+        "s1 s2 s1^-1\n\ns1 s2 s1^-1 s2^-1 s1\n",
+        0,
+        '{"word": "s2^-1 s1 s2"}\n{"word": ""}\n{"word": "s2^-1 s1^2"}\n',
+    ),
+    (
+        ["reduce", "--trace", "--stdin"],
+        TRACED,
+        0,
+        TRACE_1 + '"word": "s2^-1 s1 s2"}\ns2^-1 s1 s2\n'
+        "s2\n"
+        + TRACE_1 + '"word": "s2^-1 s1^2"}\ns2^-1 s1^2\n',
+    ),
+    (
+        ["reduce", "--trace", "--stdin", "--json"],
+        TRACED,
+        0,
+        '{"steps": [' + TRACE_1 + '"word": "s2^-1 s1 s2"}], "word": "s2^-1 s1 s2"}\n'
+        '{"steps": [], "word": "s2"}\n'
+        '{"steps": [' + TRACE_1 + '"word": "s2^-1 s1^2"}], "word": "s2^-1 s1^2"}\n',
+    ),
+    *(
+        (
+            ["burau", "--stdin", *json_flag],
+            "aB\n\n",
+            0,
+            '{"entries": [[[[0, 1], [1, -1]], [[-1, -1]]], [[[0, 1]], [[-1, -1]]]]}\n'
+            '{"entries": [[[[0, 1]], []], [[], [[0, 1]]]]}\n',
+        )
+        for json_flag in ([], ["--json"])
+    ),
+    (["embed", "--stdin"], "x\ny^-1\n\nx y^-1\n", 0, "s1 s2^-1\ns2^2 s1^-2\n\ns1 s2 s1^-2\n"),
+    (
+        ["embed", "--stdin", "--json"],
+        "x\ny^-1\n\nx y^-1\n",
+        0,
+        '{"word": "s1 s2^-1"}\n{"word": "s2^2 s1^-2"}\n{"word": ""}\n{"word": "s1 s2 s1^-2"}\n',
+    ),
+    (["unembed", "--stdin"], "s1 s2^-1\ns1 s2 s1 s1 s2 s1 s2^-6\n", 0, "x\nx y^-1 x^-1 y\n"),
+    (
+        ["unembed", "--stdin", "--json"],
+        "s1 s2^-1\ns1 s2 s1 s1 s2 s1 s2^-6\n",
+        0,
+        '{"word": "x"}\n{"word": "x y^-1 x^-1 y"}\n',
+    ),
+    # A malformed middle line ends the stream.
+    (["sign", "--stdin"], "s1\ns1 s9\ns2^-1\n", 2, "positive(1)\n"),
+    (
+        ["sign", "--stdin", "--json"],
+        "s1\ns1 s9\ns2^-1\n",
+        2,
+        '{"kind": "positive", "main_index": 1}\n'
+        '{"error": {"line": 2, "message": "generator index 9 out of range for 3 strands '
+        '(at offset 3)", "offset": 3, "type": "usage"}}\n',
+    ),
+    (
+        ["unembed", "--stdin", "--json"],
+        "s1 s2^-1\ns1\ns1 s2^-1\n",
+        1,
+        '{"word": "x"}\n'
+        '{"error": {"line": 2, "message": "word has nonzero exponent sum, so it lies '
+        'outside [B3, B3]", "type": "domain"}}\n',
+    ),
+    (
+        ["embed", "--stdin", "--json", "x"],
+        "y\n",
+        2,
+        '{"error": {"message": "give either a word argument or --stdin, not both", '
+        '"type": "usage"}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, stdout",
+    STDIN_GOLDEN,
+    ids=[f"{' '.join(case[0])} -> {case[2]}" for case in STDIN_GOLDEN],
+)
+def test_stdin_output_is_byte_identical(capsys, monkeypatch, argv, stdin, code, stdout):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(argv) == code
     assert capsys.readouterr().out == stdout

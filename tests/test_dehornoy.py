@@ -21,13 +21,13 @@ from braidlab import (
     cofinal_bound,
     commutes,
     dehornoy_sign,
-    dynnikov_coordinates,
     half_twist,
     handle_reduce,
     handle_reduce_trace,
     parse_braid,
     random_braid_word,
 )
+from braidlab.dynnikov import touched_coordinates
 
 
 def lowest_index_signs(word: BraidWord) -> set[bool]:
@@ -134,6 +134,19 @@ class TestHandleReduce:
 
 
 class TestSign:
+    def test_cost_does_not_depend_on_strands(self):
+        import tracemalloc
+
+        word = parse_braid("s1 s2 s1^-1", 10**6)
+        tracemalloc.start()
+        try:
+            verdict = dehornoy_sign(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (verdict.kind, verdict.main_index) == (POSITIVE, 1)
+        assert peak < 10**6
+
     def test_one_positive_generator_pair(self):
         verdict = dehornoy_sign(parse_braid("s1 s2^-1"))
         assert verdict.kind == POSITIVE and verdict.main_index == 1
@@ -169,9 +182,9 @@ class TestSign:
 
         def counted(w):
             calls.append(w)
-            return dynnikov_coordinates(w)
+            return touched_coordinates(w)
 
-        monkeypatch.setattr(dehornoy, "dynnikov_coordinates", counted)
+        monkeypatch.setattr(dehornoy, "touched_coordinates", counted)
         verdict = dehornoy_sign(word)
         assert (verdict.kind, verdict.main_index) == (kind, main_index)
         assert len(calls) == coordinate_passes
@@ -330,3 +343,10 @@ class TestCommutes:
     def test_strand_mismatch(self):
         with pytest.raises(ValueError):
             commutes(BraidWord(3, ((1, 1),)), BraidWord(4, ((1, 1),)))
+
+    @pytest.mark.parametrize("strands", [4, 10**6])
+    def test_products_touching_different_strands(self, strands):
+        # σ3 · σ3^-1 σ1 = σ1 touches two strands, σ3^-1 σ1 · σ3 touches four.
+        u, v = parse_braid("s3", strands), parse_braid("s3^-1 s1", strands)
+        assert commutes(u, v) and commutes(v, u)
+        assert not commutes(u, parse_braid("s3^-1 s2", strands))

@@ -21,6 +21,7 @@ from braidlab import (
     handle_reduce,
     parse_braid,
 )
+from braidlab.dynnikov import touched_coordinates
 
 
 def reference_coordinates(word: BraidWord) -> tuple[int, ...]:
@@ -88,6 +89,11 @@ def adversarial_words(k: int) -> list[BraidWord]:
 class TestCoordinates:
     def test_identity_is_e(self):
         assert dynnikov_coordinates(BraidWord(4)) == (0, 1, 0, 1, 0, 1, 0, 1)
+
+    @pytest.mark.parametrize("text, strands", [("", 3), ("s2 s1^-1", 3), ("s5 s1^-1 s3", 6)])
+    def test_untouched_strands_stay_at_e(self, text, strands):
+        coords = touched_coordinates(parse_braid(text, 10**20))
+        assert coords == list(dynnikov_coordinates(parse_braid(text, strands)))
 
     @pytest.mark.parametrize(
         "left, right, strands",
