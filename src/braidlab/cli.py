@@ -31,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._words import WordParseError
 from .braid import parse_braid
@@ -166,10 +166,15 @@ def _parse_ctx(text: str) -> ExoticContext:
 
 
 class Result(NamedTuple):
-    """A command's JSON document, text form (``None``: the JSON) and exit code."""
+    """A command's JSON document, text form and exit code.
+
+    ``text`` is the text itself, a zero-argument callable that builds it (for
+    a text form that costs work of its own, so ``--json`` never builds it),
+    or ``None`` to print the JSON document in text mode too.
+    """
 
     payload: dict
-    text: str | None = None
+    text: str | Callable[[], str] | None = None
     code: int = OK
 
 
@@ -195,8 +200,11 @@ def _cmd_reduce(args, text: str) -> Result:
         {"step": item.step, "handle": item.handle.to_json_dict(), "word": item.word.to_text()}
         for item in trace
     ]
-    lines = [json.dumps(step, sort_keys=True) for step in steps] + [reduced.to_text()]
-    return Result({"word": reduced.to_text(), "steps": steps}, "\n".join(lines))
+    final = reduced.to_text()
+    return Result(
+        {"word": final, "steps": steps},
+        lambda: "\n".join([json.dumps(step, sort_keys=True) for step in steps] + [final]),
+    )
 
 
 def _cmd_burau(args, text: str) -> Result:
@@ -257,12 +265,15 @@ def _cmd_probe_convexity(args) -> Result:
 
 def _cmd_verify(args) -> Result:
     report = lemma_suite(args.seed, args.trials)
-    return Result(report.to_json_dict(), report.to_text(), OK if report.passed else FAILURE)
+    return Result(report.to_json_dict(), report.to_text, OK if report.passed else FAILURE)
 
 
 def _print(result: Result, as_json: bool) -> int:
     text = result.text
-    print(json.dumps(result.payload, sort_keys=True) if as_json or text is None else text)
+    if as_json or text is None:
+        print(json.dumps(result.payload, sort_keys=True))
+    else:
+        print(text() if callable(text) else text)
     return result.code
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from typing import Sequence
 
 from . import _words
 from .braid import BraidWord, half_twist
@@ -63,6 +64,9 @@ TRIVIAL = "trivial"
 LESS = "less"
 EQUAL = "equal"
 GREATER = "greater"
+
+# The verdict on u against v for each kind of sign of u^-1 v.
+_COMPARISON = {POSITIVE: LESS, NEGATIVE: GREATER, TRIVIAL: EQUAL}
 
 BUDGET_ENV_VAR = "BRAIDLAB_BUDGET"
 _STEPS_PER_LETTER = 1_000_000
@@ -137,9 +141,7 @@ class OrderVerdict:
 
     def comparison(self) -> str:
         """LESS, EQUAL or GREATER for u against v, when this is the sign of u^-1 v."""
-        if self.kind == TRIVIAL:
-            return EQUAL
-        return LESS if self.kind == POSITIVE else GREATER
+        return _COMPARISON[self.kind]
 
     def negated(self) -> "OrderVerdict":
         if self.kind == TRIVIAL:
@@ -264,13 +266,20 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
     σ-definite as written, and its sign is read straight off the word.
     Otherwise the sign is that of the first nonzero entry of
     (x_1, y_1 - 1, x_2, y_2 - 1, ...) of the Dynnikov coordinates, which
-    cost a few updates per run (see :mod:`braidlab.dynnikov`).
+    cost a few updates per run (see :mod:`braidlab.dynnikov`).  On more than
+    three strands the touched indices are first relabeled (see
+    :func:`_relabeled`), so a huge generator index costs nothing.
     """
-    if word.is_identity():
-        return OrderVerdict(TRIVIAL)
-    main = min(word.letters)[0]
+    return OrderVerdict(*_sign(word.letters, word.strands))
+
+
+def _sign(runs: Sequence[_words.Run], strands: int) -> tuple[str, int | None]:
+    """Kind and main index of the braid of reduced ``runs``; see :func:`dehornoy_sign`."""
+    if not runs:
+        return TRIVIAL, None
+    main = min(runs)[0]
     positive = negative = False
-    for index, exponent in word.letters:
+    for index, exponent in runs:
         if index == main:
             if exponent > 0:
                 positive = True
@@ -279,13 +288,43 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
             if positive and negative:
                 break
     else:  # σ_main occurs with one sign only
-        return OrderVerdict(POSITIVE if positive else NEGATIVE, main)
-    coords = touched_coordinates(word)
+        return (POSITIVE if positive else NEGATIVE), main
+    labels = None
+    if strands > 3:
+        labels, strands, (runs,) = _relabeled(runs)
+    coords = touched_coordinates(runs, strands)
     for k in range(len(coords) // 2):
         entry = coords[2 * k] or coords[2 * k + 1] - 1
         if entry:
-            return OrderVerdict(POSITIVE if entry > 0 else NEGATIVE, k + 1)
-    return OrderVerdict(TRIVIAL)
+            main = k + 1
+            if labels is not None:
+                main = next(old for old, new in labels.items() if new == main)
+            return (POSITIVE if entry > 0 else NEGATIVE), main
+    return TRIVIAL, None
+
+
+def _relabeled(
+    *words: Sequence[_words.Run],
+) -> tuple[dict[int, int], int, list[_words.Runs]]:
+    """Relabel the words with one map that sends the distinct generator
+    indices onto 1, 2, ..., shrinking every gap between them to one untouched
+    strand; returns the map, the strand count of the images, and the images.
+
+    Consecutive indices stay consecutive and a gap stays a gap, so the map
+    sends the subgroup the indices generate isomorphically onto the one their
+    images generate: each block of adjacent generators keeps its braid
+    relations, and distinct blocks still commute.  It is monotone, so it
+    also maps handles to handles and commutes with handle reduction: an image
+    has the kind of its word and the image of its main index.
+    """
+    labels: dict[int, int] = {}
+    label = previous = 0
+    for index in sorted({index for runs in words for index, _ in runs}):
+        label += 1 if index == previous + 1 or not labels else 2
+        labels[index] = label
+        previous = index
+    images = [tuple((labels[index], exponent) for index, exponent in runs) for runs in words]
+    return labels, label + 1, images
 
 
 def braid_compare(u: BraidWord, v: BraidWord) -> str:
@@ -313,8 +352,15 @@ def commutes(u: BraidWord, v: BraidWord) -> bool:
 
     Decided by comparing the Dynnikov coordinates of u v and v u: the action
     is faithful, so they agree exactly when the braids do.  Works for every
-    strand count, with a few coordinate updates per run.  A product may touch
-    fewer strands (σ3 · σ3^-1 σ1 = σ1), so the shorter list is padded with E.
+    strand count, with a few coordinate updates per run; on more than three
+    strands both products are relabeled by one shared map (:func:`_relabeled`).
+    A product may touch fewer strands (σ3 · σ3^-1 σ1 = σ1), so the shorter
+    list is padded with E.
     """
-    short, long = sorted((touched_coordinates(u * v), touched_coordinates(v * u)), key=len)
+    uv, vu, strands = (u * v).letters, (v * u).letters, u.strands
+    if strands > 3:
+        _, strands, (uv, vu) = _relabeled(uv, vu)
+    short, long = sorted(
+        (touched_coordinates(uv, strands), touched_coordinates(vu, strands)), key=len
+    )
     return short + [0, 1] * ((len(long) - len(short)) // 2) == long

@@ -39,6 +39,8 @@ Untouched strands stay at E and are not computed: ``--strands`` adds no cost.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .braid import BraidWord
 
 __all__ = ["dynnikov_coordinates"]
@@ -46,14 +48,15 @@ __all__ = ["dynnikov_coordinates"]
 
 def dynnikov_coordinates(word: BraidWord) -> tuple[int, ...]:
     """Flat coordinates (x_1, y_1, ..., x_n, y_n) of E·word."""
-    coords = touched_coordinates(word)
+    coords = touched_coordinates(word.letters, word.strands)
     return tuple(coords) + (0, 1) * (word.strands - len(coords) // 2)
 
 
-def touched_coordinates(word: BraidWord) -> list[int]:
-    """Coordinates of E·word at least up to the last strand touched; the rest are (0, 1)."""
-    coords = [0, 1] * min(word.strands, 3)  # three-strand words never grow it
-    for index, count in word.letters:
+def touched_coordinates(runs: Iterable[tuple[int, int]], strands: int) -> list[int]:
+    """Coordinates of E·runs on ``strands`` strands at least up to the last
+    strand touched; the rest are (0, 1)."""
+    coords = [0, 1] * min(strands, 3)  # three-strand words never grow it
+    for index, count in runs:
         k = 2 * index - 2
         try:  # free when it does not raise, unlike a length test per run
             x1, y1, x2, y2 = coords[k : k + 4]

@@ -7,6 +7,13 @@ further to the rank-n subgroups K_n orders every finite-rank free group.
 This module provides the embedding, its inverse rewriting, and comparison in
 those restricted orders.
 
+Comparison works on runs from start to finish, since it is the inner step
+of every probe search: the difference u^-1 v is one seam-only concatenation,
+a K_n difference is substituted down to F_2 with the cached basis table, the
+image in B_3 comes from the run loop behind :func:`embed`, and the sign core
+behind :func:`~braidlab.dehornoy.dehornoy_sign` gives the verdict.  No
+intermediate word object is built and nothing is validated twice.
+
 The inverse rewriting is a Reidemeister-Schreier scan over the transversal
 {Δ^{2q} σ1^r : 0 <= r < 6} of [B_3, B_3]: the coset of a word with exponent
 sum t = 6q + r is represented by Δ^{2q} σ1^r.  Δ^2 is central with exponent
@@ -27,7 +34,7 @@ import dataclasses
 
 from . import _words, dehornoy
 from .braid import BraidWord, exponent_sum
-from .freegroup import FreeWord, _check_n, kn_substitute, parse_free
+from .freegroup import FreeWord, _check_n, _kn_table, kn_substitute, parse_free
 
 __all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
 
@@ -57,11 +64,12 @@ class ExoticContext:
     def rank(self) -> int:
         return 2 if self.kind == "F2" else self.n  # type: ignore[return-value]
 
+    def _check_rank(self, rank: int) -> None:
+        if rank != self.rank:
+            raise ValueError(f"word rank {rank} does not match context rank {self.rank}")
+
     def to_f2(self, word: FreeWord) -> FreeWord:
-        if word.rank != self.rank:
-            raise ValueError(
-                f"word rank {word.rank} does not match context rank {self.rank}"
-            )
+        self._check_rank(word.rank)
         if self.kind == "F2":
             return word
         return kn_substitute(word, self.n)  # type: ignore[arg-type]
@@ -89,8 +97,13 @@ def embed(word: FreeWord) -> BraidWord:
     """
     if word.rank != 2:
         raise ValueError("the commutator embedding is defined on rank-2 words")
+    return BraidWord._reduced(3, tuple(_embed_runs(word.letters)))
+
+
+def _embed_runs(runs: _words.Runs) -> list[tuple[int, int]]:
+    """The runs of :func:`embed` of reduced rank-2 ``runs``."""
     out: list[tuple[int, int]] = []
-    for index, exponent in word.letters:
+    for index, exponent in runs:
         image = _EMBED_RUNS[index][exponent > 0]
         head = image[0]
         if out and out[-1][0] == head[0]:
@@ -99,7 +112,7 @@ def embed(word: FreeWord) -> BraidWord:
             out.extend(image * (abs(exponent) - 1))
         else:
             out.extend(image * abs(exponent))
-    return BraidWord._reduced(3, tuple(out))
+    return out
 
 
 # The Schreier generator σ1^r σ2 σ1^-(r+1) of reading σ2 at state r; for
@@ -150,9 +163,20 @@ def commutator_rewrite(braid: BraidWord) -> FreeWord:
 def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -> str:
     """Compare words in the restricted Dehornoy order of the context.
 
-    K_n words are substituted down to F_2 first; the difference u^-1 v is
-    then embedded into B_3 and its Dehornoy sign gives the verdict.
+    u < v exactly when the embedding of u^-1 v is Dehornoy-positive.  The
+    whole path works on runs, with no intermediate word object: the
+    difference u^-1 v is one seam-only :func:`_words.concat`, a K_n
+    difference is substituted down to F_2 with the cached basis table, the
+    image in B_3 is built by the loop of :func:`embed`, and its sign comes
+    from the sign core of :func:`~braidlab.dehornoy.dehornoy_sign`.  Words
+    of different ranks, or of a rank other than the context's, raise the
+    ``ValueError`` of ``u.inverse() * v`` and :meth:`ExoticContext.to_f2`.
     """
     ctx = ctx or ExoticContext.f2()
-    difference = ctx.to_f2(u.inverse() * v)
-    return dehornoy.dehornoy_sign(embed(difference)).comparison()
+    if u.rank != v.rank:
+        raise ValueError(f"{FreeWord._MISMATCH}: {u.rank} != {v.rank}")
+    ctx._check_rank(u.rank)
+    difference = _words.concat(_words.invert(u.letters), v.letters)
+    if ctx.kind != "F2":
+        difference = _words.substitute(difference, _kn_table(ctx.n))
+    return dehornoy._COMPARISON[dehornoy._sign(_embed_runs(difference), 3)[0]]

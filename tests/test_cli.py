@@ -45,6 +45,20 @@ class TestSign:
         assert code == 0
         assert json.loads(out) == {"kind": "positive", "main_index": 1}
 
+    def test_huge_generator_index(self, capsys):
+        # The two generators commute, so the commutator is trivial.
+        big = "s99999999999999999999"
+        code, out, _ = invoke(
+            capsys,
+            "sign",
+            "--json",
+            "--strands",
+            "100000000000000000000",
+            f"{big} s1 {big}^-1 s1^-1",
+        )
+        assert code == 0
+        assert json.loads(out) == {"kind": "trivial", "main_index": None}
+
     def test_exponents_of_a_billion(self, capsys):
         code, out, _ = invoke(capsys, "sign", "s1^1000000000 s2 s1^-1000000000")
         assert code == 0 and out == "positive(1)\n"

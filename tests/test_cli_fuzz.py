@@ -38,11 +38,15 @@ def _option(name, values):
     return values.map(lambda value: [name, str(value)])
 
 
-BRAID = _words(["s1", "s2", "s3"], "aAbB")
+# An index this large overflows any per-strand allocation at once, so code
+# that allocates per strand fails here with OverflowError instead of running
+# out of memory.  Indices near 10^8 or 10^9 would allocate gigabytes first.
+HUGE = 10**20
+BRAID = _words(["s1", "s2", "s3", f"s{HUGE - 1}"], "aAbB")
 FREE = _words(["x", "y", "g1", "g3"], "xXyY")
 N = st.integers(-1, 8)
 CTX = _option("--ctx", st.sampled_from(["f2", "kn:x"] + [f"kn:{n}" for n in range(1, 9)]))
-STRANDS = st.one_of(st.just([]), _option("--strands", st.integers(0, 4)))
+STRANDS = st.one_of(st.just([]), _option("--strands", st.sampled_from([0, 1, 2, 3, 4, HUGE])))
 
 # Per command: the parts of its argv, and its stdin word when it takes --stdin.
 COMMANDS = {

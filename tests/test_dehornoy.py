@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -180,9 +181,9 @@ class TestSign:
         word = parse_braid(text, strands=4)
         calls = []
 
-        def counted(w):
-            calls.append(w)
-            return touched_coordinates(w)
+        def counted(runs, strands):
+            calls.append(runs)
+            return touched_coordinates(runs, strands)
 
         monkeypatch.setattr(dehornoy, "touched_coordinates", counted)
         verdict = dehornoy_sign(word)
@@ -350,3 +351,54 @@ class TestCommutes:
         u, v = parse_braid("s3", strands), parse_braid("s3^-1 s1", strands)
         assert commutes(u, v) and commutes(v, u)
         assert not commutes(u, parse_braid("s3^-1 s2", strands))
+
+
+class TestHugeIndices:
+    """On more than three strands the touched generator indices are relabeled
+    before the Dynnikov pass, so the size of an index costs nothing."""
+
+    BIG = 10**20
+    # 1 and 2 stay adjacent; the gap between 2 and 4 stays a gap.
+    LABELS = {1: BIG, 2: BIG + 1, 4: BIG + 7}
+
+    def spread(self, word: BraidWord) -> BraidWord:
+        return BraidWord(self.BIG + 8, tuple((self.LABELS[i], e) for i, e in word.letters))
+
+    def test_sign_matches_small_indices(self):
+        rng = random.Random(120)
+        labels = self.LABELS
+        for _ in range(200):
+            runs = [(rng.choice((1, 2, 4)), rng.choice((-2, -1, 1, 2))) for _ in range(10)]
+            small = BraidWord(5, tuple(runs))
+            verdict, big = dehornoy_sign(small), dehornoy_sign(self.spread(small))
+            assert big.kind == verdict.kind
+            assert big.main_index == (None if verdict.is_trivial else labels[verdict.main_index])
+            reduced = handle_reduce(self.spread(small))
+            if not reduced.is_identity():
+                assert min(i for i, _ in reduced.letters) == big.main_index
+
+    def test_compare_and_commutes(self):
+        b = self.BIG
+        s = {k: parse_braid(f"s{b + k}", b + 4) for k in range(4)}
+        assert braid_compare(s[0], s[0] * s[1]) == LESS
+        assert braid_compare(s[1] * s[0], s[1]) == GREATER
+        assert braid_compare(s[0] * s[2], s[2] * s[0]) == EQUAL
+        assert commutes(s[0], s[2]) and commutes(s[0], s[3])
+        assert not commutes(s[0], s[1])
+        # s3 · s3^-1 s0 = s0 touches fewer strands than s3^-1 s0 · s3.
+        assert commutes(s[3], s[3].inverse() * s[0])
+        assert not commutes(s[2], s[2].inverse() * s[1])
+
+    def test_index_of_a_billion_allocates_little(self):
+        strands = 10**9 + 1
+        word = parse_braid("s999999999 s1 s999999999^-1 s1^-1", strands)
+        other = parse_braid("s999999998 s1", strands)
+        tracemalloc.start()
+        try:
+            assert dehornoy_sign(word).is_trivial
+            assert not commutes(other, parse_braid("s999999999", strands))
+            assert braid_compare(other, word) == GREATER
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

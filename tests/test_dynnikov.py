@@ -92,7 +92,8 @@ class TestCoordinates:
 
     @pytest.mark.parametrize("text, strands", [("", 3), ("s2 s1^-1", 3), ("s5 s1^-1 s3", 6)])
     def test_untouched_strands_stay_at_e(self, text, strands):
-        coords = touched_coordinates(parse_braid(text, 10**20))
+        word = parse_braid(text, 10**20)
+        coords = touched_coordinates(word.letters, word.strands)
         assert coords == list(dynnikov_coordinates(parse_braid(text, strands)))
 
     @pytest.mark.parametrize(

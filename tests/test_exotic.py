@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidlab import (
     EQUAL,
@@ -260,6 +261,9 @@ class TestExoticCompare:
             assert (forward == EQUAL) == (u == v)
 
     def test_left_invariance(self):
+        # (f u)^-1 (f v) reduces to u^-1 v, so both sides sign the same word:
+        # a cone-defined order is left-invariant by definition, and this only
+        # checks that the comparison is deterministic.
         rng = random.Random(47)
         for _ in range(100):
             f = random_free_word(rng, 15)
@@ -275,6 +279,56 @@ class TestExoticCompare:
         for _ in range(200):
             word = random_free_word(rng, 15)
             assert braid_equal(embed(phi(word)), s2.inverse() * embed(word) * s2)
+
+
+CONTEXTS = [ExoticContext.f2()] + [ExoticContext.kn(n) for n in range(3, 9)]
+
+
+@st.composite
+def compared_pairs(draw):
+    """A context and two words of its rank: short random runs mixed with long
+    x- and y-runs, and equal words (an identity difference) in one case of
+    four."""
+    ctx = draw(st.sampled_from(CONTEXTS))
+    exponent = st.one_of(
+        st.integers(-3, 3).filter(bool), st.sampled_from((-50, -17, 17, 50))
+    )
+    run = st.tuples(st.integers(1, ctx.rank), exponent)
+    word = st.lists(run, max_size=6).map(lambda runs: FreeWord(ctx.rank, tuple(runs)))
+    u = draw(word)
+    v = u if draw(st.integers(0, 3)) == 0 else draw(word)
+    return ctx, u, v
+
+
+class TestExoticCompareOnRuns:
+    """exotic_compare works on runs; it must agree with the composition of the
+    public word-level steps it replaces, and raise their errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(compared_pairs())
+    @example((CONTEXTS[0], FreeWord(2), parse_free("x^50")))
+    @example((CONTEXTS[0], parse_free("y^50 x^-50"), FreeWord(2)))
+    @example((CONTEXTS[-1], parse_free("g8^-50 g1^50", 8), FreeWord(8)))
+    @example((CONTEXTS[-1], FreeWord(8), FreeWord(8)))
+    def test_matches_word_level_path(self, case):
+        ctx, u, v = case
+        expected = dehornoy_sign(embed(ctx.to_f2(u.inverse() * v))).comparison()
+        assert exotic_compare(u, v, ctx) == expected
+
+    @pytest.mark.parametrize(
+        "u, v, ctx, message",
+        [
+            (FreeWord(2), FreeWord(3), None, "rank mismatch: 2 != 3"),
+            (FreeWord(3), FreeWord(4), ExoticContext.kn(3), "rank mismatch: 3 != 4"),
+            (FreeWord(3), FreeWord(3), None, "word rank 3 does not match context rank 2"),
+            (X, Y, ExoticContext.kn(4), "word rank 2 does not match context rank 4"),
+        ],
+    )
+    def test_rank_errors(self, u, v, ctx, message):
+        with pytest.raises(ValueError, match=message):
+            exotic_compare(u, v, ctx)
+        with pytest.raises(ValueError, match=message):
+            (ctx or ExoticContext.f2()).to_f2(u.inverse() * v)
 
 
 def test_embed_merges_only_at_seams():
