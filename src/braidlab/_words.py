@@ -220,10 +220,15 @@ class RunWord:
         """Yield ``(index, +1/-1)`` one letter at a time."""
         return expand(self.letters)
 
-    def __mul__(self: _W, other: _W) -> _W:
-        bound, other_bound = getattr(self, self._BOUND), getattr(other, self._BOUND)
+    @classmethod
+    def _check_bounds(cls, bound: int, other_bound: int) -> None:
+        """Raise the mismatch ``ValueError`` unless the two bounds agree."""
         if bound != other_bound:
-            raise ValueError(f"{self._MISMATCH}: {bound} != {other_bound}")
+            raise ValueError(f"{cls._MISMATCH}: {bound} != {other_bound}")
+
+    def __mul__(self: _W, other: _W) -> _W:
+        bound = getattr(self, self._BOUND)
+        self._check_bounds(bound, getattr(other, self._BOUND))
         return self._reduced(bound, concat(self.letters, other.letters))
 
     def inverse(self: _W) -> _W:

@@ -31,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._words import WordParseError
 from .braid import parse_braid
@@ -166,15 +166,10 @@ def _parse_ctx(text: str) -> ExoticContext:
 
 
 class Result(NamedTuple):
-    """A command's JSON document, text form and exit code.
-
-    ``text`` is the text itself, a zero-argument callable that builds it (for
-    a text form that costs work of its own, so ``--json`` never builds it),
-    or ``None`` to print the JSON document in text mode too.
-    """
+    """A command's JSON document, text form (``None``: the JSON) and exit code."""
 
     payload: dict
-    text: str | Callable[[], str] | None = None
+    text: str | None = None
     code: int = OK
 
 
@@ -200,11 +195,8 @@ def _cmd_reduce(args, text: str) -> Result:
         {"step": item.step, "handle": item.handle.to_json_dict(), "word": item.word.to_text()}
         for item in trace
     ]
-    final = reduced.to_text()
-    return Result(
-        {"word": final, "steps": steps},
-        lambda: "\n".join([json.dumps(step, sort_keys=True) for step in steps] + [final]),
-    )
+    lines = [json.dumps(step, sort_keys=True) for step in steps] + [reduced.to_text()]
+    return Result({"word": reduced.to_text(), "steps": steps}, "\n".join(lines))
 
 
 def _cmd_burau(args, text: str) -> Result:
@@ -265,15 +257,12 @@ def _cmd_probe_convexity(args) -> Result:
 
 def _cmd_verify(args) -> Result:
     report = lemma_suite(args.seed, args.trials)
-    return Result(report.to_json_dict(), report.to_text, OK if report.passed else FAILURE)
+    return Result(report.to_json_dict(), report.to_text(), OK if report.passed else FAILURE)
 
 
 def _print(result: Result, as_json: bool) -> int:
     text = result.text
-    if as_json or text is None:
-        print(json.dumps(result.payload, sort_keys=True))
-    else:
-        print(text() if callable(text) else text)
+    print(json.dumps(result.payload, sort_keys=True) if as_json or text is None else text)
     return result.code
 
 

@@ -34,7 +34,9 @@ run: σ1^1000000000 σ2 σ1^-1000000000 takes two steps and two jumps.  Each
 update costs time in the bit length of the coordinates, which grows with
 the word, so the bit cost can be quadratic in the letter length.
 
-Untouched strands stay at E and are not computed: ``--strands`` adds no cost.
+Strands no letter touches stay at E.  :mod:`braidlab.dehornoy` relabels the
+touched generators before it calls :func:`run_coordinates`, so ``--strands``
+adds no cost to a sign or a commutation test.
 """
 
 from __future__ import annotations
@@ -48,21 +50,15 @@ __all__ = ["dynnikov_coordinates"]
 
 def dynnikov_coordinates(word: BraidWord) -> tuple[int, ...]:
     """Flat coordinates (x_1, y_1, ..., x_n, y_n) of E·word."""
-    coords = touched_coordinates(word.letters, word.strands)
-    return tuple(coords) + (0, 1) * (word.strands - len(coords) // 2)
+    return tuple(run_coordinates(word.letters, word.strands))
 
 
-def touched_coordinates(runs: Iterable[tuple[int, int]], strands: int) -> list[int]:
-    """Coordinates of E·runs on ``strands`` strands at least up to the last
-    strand touched; the rest are (0, 1)."""
-    coords = [0, 1] * min(strands, 3)  # three-strand words never grow it
+def run_coordinates(runs: Iterable[tuple[int, int]], strands: int) -> list[int]:
+    """Flat coordinates of E·runs on ``strands`` strands, as a list."""
+    coords = [0, 1] * strands
     for index, count in runs:
         k = 2 * index - 2
-        try:  # free when it does not raise, unlike a length test per run
-            x1, y1, x2, y2 = coords[k : k + 4]
-        except ValueError:  # the window passes the end: those strands are at E
-            coords += [0, 1] * (index + 1 - len(coords) // 2)
-            x1, y1, x2, y2 = coords[k : k + 4]
+        x1, y1, x2, y2 = coords[k : k + 4]
         negative = count < 0
         if negative:
             x1, x2, count = -x1, -x2, -count

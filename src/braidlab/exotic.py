@@ -173,8 +173,7 @@ def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -
     ``ValueError`` of ``u.inverse() * v`` and :meth:`ExoticContext.to_f2`.
     """
     ctx = ctx or ExoticContext.f2()
-    if u.rank != v.rank:
-        raise ValueError(f"{FreeWord._MISMATCH}: {u.rank} != {v.rank}")
+    FreeWord._check_bounds(u.rank, v.rank)
     ctx._check_rank(u.rank)
     difference = _words.concat(_words.invert(u.letters), v.letters)
     if ctx.kind != "F2":

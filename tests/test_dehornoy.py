@@ -28,7 +28,7 @@ from braidlab import (
     parse_braid,
     random_braid_word,
 )
-from braidlab.dynnikov import touched_coordinates
+from braidlab.dynnikov import run_coordinates
 
 
 def lowest_index_signs(word: BraidWord) -> set[bool]:
@@ -183,9 +183,9 @@ class TestSign:
 
         def counted(runs, strands):
             calls.append(runs)
-            return touched_coordinates(runs, strands)
+            return run_coordinates(runs, strands)
 
-        monkeypatch.setattr(dehornoy, "touched_coordinates", counted)
+        monkeypatch.setattr(dehornoy, "run_coordinates", counted)
         verdict = dehornoy_sign(word)
         assert (verdict.kind, verdict.main_index) == (kind, main_index)
         assert len(calls) == coordinate_passes
