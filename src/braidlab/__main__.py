@@ -1,0 +1,6 @@
+"""``python -m braidlab``: the ``braidlab`` command without an install."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

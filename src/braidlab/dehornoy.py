@@ -291,9 +291,9 @@ def _sign(runs: Sequence[_words.Run], strands: int) -> tuple[str, int | None]:
     else:  # σ_main occurs with one sign only
         return (POSITIVE if positive else NEGATIVE), main
     back, strands, (runs,) = _relabeled(strands, runs)
-    coords = run_coordinates(runs, strands)
+    xs, ys = run_coordinates(runs, strands)
     for k in range(strands):
-        entry = coords[2 * k] or coords[2 * k + 1] - 1
+        entry = xs[k] or ys[k] - 1
         if entry:
             return (POSITIVE if entry > 0 else NEGATIVE), back[k + 1]
     return TRIVIAL, None

@@ -34,6 +34,10 @@ run: σ1^1000000000 σ2 σ1^-1000000000 takes two steps and two jumps.  Each
 update costs time in the bit length of the coordinates, which grows with
 the word, so the bit cost can be quadratic in the letter length.
 
+The kernel keeps the x's and the y's in two lists and reads and writes the
+window of σ_i by index, as xs[i-1], ys[i-1], xs[i], ys[i]: one flat list
+would need a slice and a slice assignment per run, each a new sequence.
+
 Strands no letter touches stay at E.  :mod:`braidlab.dehornoy` relabels the
 touched generators before it calls :func:`run_coordinates`, so ``--strands``
 adds no cost to a sign or a commutation test.
@@ -50,15 +54,15 @@ __all__ = ["dynnikov_coordinates"]
 
 def dynnikov_coordinates(word: BraidWord) -> tuple[int, ...]:
     """Flat coordinates (x_1, y_1, ..., x_n, y_n) of E·word."""
-    return tuple(run_coordinates(word.letters, word.strands))
+    xs, ys = run_coordinates(word.letters, word.strands)
+    return tuple(c for pair in zip(xs, ys) for c in pair)
 
 
-def run_coordinates(runs: Iterable[tuple[int, int]], strands: int) -> list[int]:
-    """Flat coordinates of E·runs on ``strands`` strands, as a list."""
-    coords = [0, 1] * strands
-    for index, count in runs:
-        k = 2 * index - 2
-        x1, y1, x2, y2 = coords[k : k + 4]
+def run_coordinates(runs: Iterable[tuple[int, int]], strands: int) -> tuple[list[int], list[int]]:
+    """Coordinates of E·runs on ``strands`` strands, as lists (x_k) and (y_k)."""
+    xs, ys = [0] * strands, [1] * strands
+    for i, count in runs:
+        x1, y1, x2, y2 = xs[i - 1], ys[i - 1], xs[i], ys[i]
         negative = count < 0
         if negative:
             x1, x2, count = -x1, -x2, -count
@@ -82,5 +86,6 @@ def run_coordinates(runs: Iterable[tuple[int, int]], strands: int) -> list[int]:
             x2 += y2 - y2p + (u if u < 0 else 0)
             y1, y2 = y2 - zp, y1 + zp
             count -= 1
-        coords[k : k + 4] = (-x1, y1, -x2, y2) if negative else (x1, y1, x2, y2)
-    return coords
+        xs[i - 1], xs[i] = (-x1, -x2) if negative else (x1, x2)
+        ys[i - 1], ys[i] = y1, y2
+    return xs, ys

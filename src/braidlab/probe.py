@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _SIGMA2 = BraidWord(3, ((2, 1),))
+MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter: 10^5 build in about 1 s
 
 
 def ball(rank: int, radius: int) -> Iterator[FreeWord]:
@@ -152,7 +153,8 @@ def convexity_probe(
     enumeration order); bounds run over subgroup elements of reduced length
     up to ``max_element_length`` (default 2 * radius).  Returns the first
     witness found, or None when the radius is exhausted; None is
-    inconclusive and never proves convexity.
+    inconclusive and never proves convexity.  Generators of more than
+    ``MAX_GENERATOR_LETTERS`` letters in total raise ValueError.
     """
     from .exotic import exotic_compare
 
@@ -163,6 +165,8 @@ def convexity_probe(
             raise ValueError(
                 f"generator rank {gen.rank} does not match context rank {ctx.rank}"
             )
+    if sum(gen.length for gen in generators) > MAX_GENERATOR_LETTERS:
+        raise ValueError(f"generators have more than {MAX_GENERATOR_LETTERS} letters in total")
     bound = 2 * radius if max_element_length is None else max_element_length
     graph = stallings_graph(list(generators))
     members = _CachedSeq(subgroup_elements(graph, bound))

@@ -210,6 +210,78 @@ class TestBurauMatrix:
             assert _matmul(p, q) == (scalar, 0, 0, scalar)
 
 
+def reference_pack(word: BraidWord, k: int) -> tuple[int, int, int, int, int]:
+    """The packed kernel one letter at a time: the loop the closed form of a
+    run replaced."""
+    a, b, c, d, e = 1, 0, 0, 1, 0
+    for index, sign in word.single_letters():
+        if index == 1 and sign > 0:
+            a, b = -(a << k), a + b
+            c, d = -(c << k), c + d
+        elif index == 1:
+            e += 1
+            a, b = -a, a + (b << k)
+            c, d = -c, c + (d << k)
+        elif sign > 0:
+            a, b = a + (b << k), -(b << k)
+            c, d = c + (d << k), -(d << k)
+        else:
+            e += 1
+            a, b = (a + b) << k, -b
+            c, d = (c + d) << k, -d
+    return e, a, b, c, d
+
+
+_P = (1 << 61) - 1
+
+
+def _power_mod(m, n):
+    """The n-th power of the 2x2 matrix m = (a, b, c, d) modulo _P."""
+    result = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            result = tuple(x % _P for x in _matmul(result, m))
+        m = tuple(x % _P for x in _matmul(m, m))
+        n >>= 1
+    return result
+
+
+class TestRuns:
+    """A run is applied in closed form; it must match one step per letter."""
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_single_runs(self, index):
+        prefix = parse_braid("s2 s1^-1 s2^2 s1")
+        for n in range(-50, 51):
+            run = BraidWord(3, ((index, n),) if n else ())
+            for word in (run, prefix * run):
+                k = _width(word)
+                assert _pack(word, k) == reference_pack(word, k), word.to_text()
+
+    def test_random_words(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            word = _random_runs_word(rng, 12, 50)
+            k = _width(word)
+            assert _pack(word, k) == reference_pack(word, k), word.to_text()
+
+    @pytest.mark.parametrize("index", [1, 2])
+    @pytest.mark.parametrize("n", [10**5, -(10**5), 10**5 - 1, 1 - 10**5])
+    def test_long_run_against_matrix_power_mod_p(self, index, n):
+        # The image is t^-e [[a, b], [c, d]], with e counting inverse letters,
+        # so [[a, b], [c, d]] is the n-th power of t^e times the letter's image.
+        word = BraidWord(3, ((index, n),))
+        k = _width(word)
+        e, *packed = _pack(word, k)
+        t = pow(2, k, _P)
+        if n > 0:
+            generator = (-t, 1, 0, 1) if index == 1 else (1, 0, t, -t)
+        else:
+            generator = (-1, 1, 0, t) if index == 1 else (t, 0, t, -1)
+        assert e == max(0, -n)
+        assert tuple(x % _P for x in packed) == _power_mod(generator, abs(n))
+
+
 class TestBraidEqual:
     def test_defining_relation(self):
         assert braid_equal(parse_braid("s1 s2 s1"), parse_braid("s2 s1 s2"))

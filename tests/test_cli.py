@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,16 @@ class TestBurau:
         code, out, _ = invoke(capsys, "burau", "")
         assert code == 0
         assert json.loads(out) == {"entries": [[[[0, 1]], []], [[], [[0, 1]]]]}
+
+    def test_long_run(self, capsys):
+        # A run is one step of the packed kernel, not 10^5 of them.
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "burau", "s1^100000")
+        assert time.perf_counter() - start < 2
+        # σ1^n = [[(-t)^n, Σ_{j<n} (-t)^j], [0, 1]].
+        (a, b), (c, d) = json.loads(out)["entries"]
+        assert code == 0 and a == [[100000, 1]] and c == [] and d == [[0, 1]]
+        assert b == [[j, (-1) ** j] for j in range(100000)]
 
     def test_wrong_strands_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "burau", "s3")
@@ -255,6 +266,12 @@ class TestProbeConvexity:
             "witness": {"c_high": "x^1200", "c_low": "", "g": "x"},
         }
 
+    def test_generators_too_long_is_a_domain_error(self, capsys):
+        code, out, err = invoke(capsys, "probe-convexity", "--json", "--gens", "x^1000000000")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "domain"
+        assert "letters in total" in err
+
     def test_inconclusive_exit(self, capsys):
         # The trivial subgroup can never produce a witness.
         code, out, _ = invoke(
@@ -327,12 +344,25 @@ class TestHelp:
         assert (code, out, err) == fresh_process(argv)
 
 
-def fresh_process(argv):
+def fresh_process(argv, module="braidlab.cli"):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run(
-        [sys.executable, "-m", "braidlab.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )
     return child.returncode, child.stdout, child.stderr
+
+
+class TestRunAsModule:
+    """``python -m braidlab`` runs the command line from a plain checkout."""
+
+    def test_help(self):
+        code, out, err = fresh_process(["--help"], module="braidlab")
+        assert code == 0 and out.startswith("usage: braidlab") and err == ""
+
+    def test_sign_json(self):
+        code, out, err = fresh_process(["sign", "--json", "s1 s2^-1"], module="braidlab")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"kind": "positive", "main_index": 1}
 
 
 class TestParserReuse:

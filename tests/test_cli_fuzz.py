@@ -44,6 +44,8 @@ def _option(name, values):
 HUGE = 10**20
 BRAID = _words(["s1", "s2", "s3", f"s{HUGE - 1}"], "aAbB")
 FREE = _words(["x", "y", "g1", "g3"], "xXyY")
+# A generator too long for a Stallings graph: the probe refuses it at once.
+LONG_GENERATOR = st.sampled_from(["x^1000000000", "g1^-1000000000"])
 N = st.integers(-1, 8)
 CTX = _option("--ctx", st.sampled_from(["f2", "kn:x"] + [f"kn:{n}" for n in range(1, 9)]))
 STRANDS = st.one_of(st.just([]), _option("--strands", st.sampled_from([0, 1, 2, 3, 4, HUGE])))
@@ -70,7 +72,9 @@ COMMANDS = {
     "probe-convexity": (
         [
             CTX,
-            st.lists(FREE, min_size=1, max_size=2).map(lambda gens: ["--gens", *gens]),
+            st.lists(st.one_of(FREE, FREE, FREE, LONG_GENERATOR), min_size=1, max_size=2).map(
+                lambda gens: ["--gens", *gens]
+            ),
             _option("--radius", st.integers(0, 4)),
         ],
         None,

@@ -21,6 +21,7 @@ from braidlab import (
     handle_reduce,
     parse_braid,
 )
+from braidlab.dynnikov import run_coordinates
 
 
 def reference_coordinates(word: BraidWord) -> tuple[int, ...]:
@@ -46,6 +47,39 @@ def reference_coordinates(word: BraidWord) -> tuple[int, ...]:
                 y1 - min(z, 0),
             )
     return tuple(coords)
+
+
+def reference_run_coordinates(runs, strands: int) -> list[int]:
+    """The run kernel on one flat list, slicing out the window of each run:
+    the layout the two-list kernel replaced."""
+    coords = [0, 1] * strands
+    for index, count in runs:
+        k = 2 * index - 2
+        x1, y1, x2, y2 = coords[k : k + 4]
+        negative = count < 0
+        if negative:
+            x1, x2, count = -x1, -x2, -count
+        while count:
+            if y1 <= 0 <= y2:
+                d = x1 - x2
+                steps = count if d >= 0 else min(count, min(-y1, y2) // -d)
+                if steps:
+                    y1 -= steps * d
+                    y2 += steps * d
+                    count -= steps
+                    continue
+            y1m = y1 if y1 < 0 else 0
+            y2p = y2 if y2 > 0 else 0
+            z = x1 - y1m - x2 + y2p
+            t = y2p - z
+            u = y1m + z
+            zp = z if z > 0 else 0
+            x1 += y1 - y1m + (t if t > 0 else 0)
+            x2 += y2 - y2p + (u if u < 0 else 0)
+            y1, y2 = y2 - zp, y1 + zp
+            count -= 1
+        coords[k : k + 4] = (-x1, y1, -x2, y2) if negative else (x1, y1, x2, y2)
+    return coords
 
 
 def handle_sign(word: BraidWord) -> tuple[str, int | None]:
@@ -83,6 +117,10 @@ def adversarial_words(k: int) -> list[BraidWord]:
     conjugate = half_twist(-2 * k) * BraidWord(3, ((1, 1),)) * half_twist(2 * k)
     commutator = BraidWord(3, ((1, -k), (2, k), (1, k), (2, -k))) ** 4
     return [conjugate, conjugate.inverse(), commutator, commutator.inverse()]
+
+
+def mirror(word: BraidWord) -> BraidWord:
+    return BraidWord(word.strands, tuple((i, -e) for i, e in word.letters))
 
 
 class TestCoordinates:
@@ -145,10 +183,10 @@ class TestShortCircuit:
         assert time.perf_counter() - start < 0.05
 
 
-def random_runs(rng: random.Random, strands: int, runs: int) -> BraidWord:
-    """Runs with exponents log-uniform up to 10^3, so that long runs are common."""
+def random_runs(rng: random.Random, strands: int, runs: int, digits: int = 3) -> BraidWord:
+    """Runs with exponents log-uniform up to 10^digits, so that long runs are common."""
     letters = [
-        (rng.randint(1, strands - 1), rng.choice((1, -1)) * int(10 ** rng.uniform(0, 3)))
+        (rng.randint(1, strands - 1), rng.choice((1, -1)) * int(10 ** rng.uniform(0, digits)))
         for _ in range(runs)
     ]
     return BraidWord(strands, tuple(letters))
@@ -193,8 +231,7 @@ class TestRuns:
         rng = random.Random(3000 + strands)
         for _ in range(50):
             word = random_runs(rng, strands, rng.randint(1, 8))
-            mirror = BraidWord(strands, tuple((i, -e) for i, e in word.letters))
-            coords, mirrored = dynnikov_coordinates(word), dynnikov_coordinates(mirror)
+            coords, mirrored = dynnikov_coordinates(word), dynnikov_coordinates(mirror(word))
             assert mirrored[0::2] == tuple(-x for x in coords[0::2]), word
             assert mirrored[1::2] == coords[1::2], word
 
@@ -229,3 +266,33 @@ class TestLongExponents:
         assert commutes(far, parse_braid("s4^-1000000000 s1^1000000000", 5)) is False
         assert commutes(far, parse_braid("s3^999999999 s1^-1000000001", 5)) is True
         assert time.perf_counter() - start < 0.05
+
+
+class TestTwoListKernel:
+    """The two-list kernel against the flat-list one, on full coordinate
+    lists; both jump over runs, so exponents can be large."""
+
+    @staticmethod
+    def assert_same(word: BraidWord):
+        xs, ys = run_coordinates(word.letters, word.strands)
+        flat = reference_run_coordinates(word.letters, word.strands)
+        assert (xs, ys) == (flat[0::2], flat[1::2]), word
+
+    @pytest.mark.parametrize("strands", range(3, 9))
+    def test_random_runs_and_mirrors(self, strands):
+        rng = random.Random(4000 + strands)
+        for _ in range(100):
+            word = random_runs(rng, strands, rng.randint(1, 10), digits=6)
+            self.assert_same(word)
+            self.assert_same(mirror(word))
+
+    def test_adversarial_families(self):
+        for k in range(1, 41):
+            for word in adversarial_words(k):
+                self.assert_same(word)
+                self.assert_same(mirror(word))
+
+    def test_long_exponents(self):
+        word = parse_braid("s1^1000000000 s2 s1^-1000000000", 3)
+        self.assert_same(word)
+        self.assert_same(mirror(word))

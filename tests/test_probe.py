@@ -184,6 +184,14 @@ class TestConvexityProbe:
             )
 
 
+    def test_generator_letters_are_bounded(self):
+        from braidlab.probe import MAX_GENERATOR_LETTERS
+
+        half = MAX_GENERATOR_LETTERS // 2
+        for gens in (["x^1000000000"], [f"x^{half}", f"y^-{half + 1}"]):
+            with pytest.raises(ValueError, match="letters in total"):
+                convexity_probe([parse_free(g) for g in gens], F2, 1)
+
     def test_one_comparison_per_member(self, monkeypatch):
         import braidlab.exotic
 
