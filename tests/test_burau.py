@@ -20,6 +20,7 @@ from braidlab import (
     parse_braid,
     random_braid_word,
 )
+from braidlab import burau
 from braidlab.burau import _pack, _width
 
 RELATOR = parse_braid("s1 s2 s1 s2^-1 s1^-1 s2^-1")
@@ -264,6 +265,22 @@ class TestRuns:
             word = _random_runs_word(rng, 12, 50)
             k = _width(word)
             assert _pack(word, k) == reference_pack(word, k), word.to_text()
+
+    def test_long_run_is_one_step(self, monkeypatch):
+        # The cost shape behind 'burau s1^100000' in the CLI tests, with no
+        # clock: each run of m > 1 letters makes one call to the doubling
+        # sum, which loops once per bit of m, and a single letter makes none.
+        calls = []
+
+        def counted(x, z, k, m):
+            calls.append(m)
+            return times_sum(x, z, k, m)
+
+        times_sum = burau._times_sum
+        monkeypatch.setattr(burau, "_times_sum", counted)
+        word = parse_braid("s1^100000 s2^-100000 s1 s2^-2")
+        _pack(word, _width(word))
+        assert calls == [100000, 100000, 2]
 
     @pytest.mark.parametrize("index", [1, 2])
     @pytest.mark.parametrize("n", [10**5, -(10**5), 10**5 - 1, 1 - 10**5])

@@ -110,6 +110,7 @@ class TestBurau:
 
     def test_long_run(self, capsys):
         # A run is one step of the packed kernel, not 10^5 of them.
+        # test_burau.py checks the same cost shape without a clock.
         start = time.perf_counter()
         code, out, _ = invoke(capsys, "burau", "s1^100000")
         assert time.perf_counter() - start < 2
