@@ -162,15 +162,15 @@ class TraceStep:
 
 
 def _resolve_budget(length: int, budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
         try:
-            return int(env)
+            budget = _STEPS_PER_LETTER * max(1, length) if env is None else int(env)
         except ValueError:
             raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return _STEPS_PER_LETTER * max(1, length)
+    if budget >= 0:
+        return budget
+    raise ValueError(f"the step budget must be nonnegative, got {budget}")
 
 
 def _leftmost_handle(runs: tuple[tuple[int, int], ...]) -> tuple[int, int] | None:
@@ -245,7 +245,8 @@ def handle_reduce(word: BraidWord, budget: int | None = None) -> BraidWord:
 
     The default budget is 10^6 steps per input letter; the environment
     variable ``BRAIDLAB_BUDGET`` (an absolute step count) overrides it, and
-    an explicit ``budget`` argument overrides both.
+    an explicit ``budget`` argument overrides both.  A negative budget
+    raises :class:`ValueError`.
     """
     return _reduce(word, budget, None)
 

@@ -96,6 +96,17 @@ class TestReduce:
         assert code == 1
         assert "exceeded" in err
 
+    def test_negative_budget_env_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDLAB_BUDGET", "-7")
+        code, out, err = invoke(capsys, "reduce", "s1 s2 s1^-1")
+        assert (code, out) == (1, "")
+        assert err == "error: the step budget must be nonnegative, got -7\n"
+        code, out, _ = invoke(capsys, "reduce", "--json", "s1 s2 s1^-1")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"type": "domain", "message": "the step budget must be nonnegative, got -7"}
+        }
+
     def test_budget_env_does_not_bound_sign(self, capsys, monkeypatch):
         monkeypatch.setenv("BRAIDLAB_BUDGET", "0")
         code, out, _ = invoke(capsys, "sign", "s1 s2 s1^-1")

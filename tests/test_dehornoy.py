@@ -103,6 +103,16 @@ class TestHandleReduce:
         with pytest.raises(ValueError):
             handle_reduce(parse_braid("s1 s2 s1^-1"))
 
+    @pytest.mark.parametrize("text", ["s1 s2 s1^-1", "s1 s2"])
+    def test_negative_budget_is_rejected(self, text, monkeypatch):
+        # Even a word with no handle to reduce: the budget itself is invalid.
+        message = r"^the step budget must be nonnegative, got -7$"
+        with pytest.raises(ValueError, match=message):
+            handle_reduce(parse_braid(text), budget=-7)
+        monkeypatch.setenv("BRAIDLAB_BUDGET", "-7")
+        with pytest.raises(ValueError, match=message):
+            handle_reduce(parse_braid(text))
+
     def test_trace_records_steps(self):
         word = parse_braid("s1 s2 s1^-1")
         reduced, trace = handle_reduce_trace(word)

@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidlab import (
     NEGATIVE,
@@ -296,3 +297,49 @@ class TestTwoListKernel:
         word = parse_braid("s1^1000000000 s2 s1^-1000000000", 3)
         self.assert_same(word)
         self.assert_same(mirror(word))
+
+
+@st.composite
+def exponents(draw):
+    """Mostly ±1, some ±2..±6, and a few up to ±10^6."""
+    bucket = draw(st.integers(0, 9))
+    if bucket < 7:
+        magnitude = 1
+    elif bucket < 9:
+        magnitude = draw(st.integers(2, 6))
+    else:
+        magnitude = draw(st.integers(7, 10**6))
+    return draw(st.sampled_from((1, -1))) * magnitude
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Raw runs on 2 to 8 strands.  A run may be followed by a single letter
+    on its own generator: after a long run the window is often in the twist
+    region, where a last letter skips the jump test."""
+    strands = draw(st.integers(2, 8))
+    runs = []
+    for _ in range(draw(st.integers(0, 10))):
+        index = draw(st.integers(1, strands - 1))
+        runs.append((index, draw(exponents())))
+        if draw(st.booleans()):
+            runs.append((index, draw(st.sampled_from((1, -1)))))
+    return strands, runs
+
+
+class TestDifferentialKernel:
+    """``run_coordinates`` against the flat-list kernel, which tests the
+    region before every letter, and against one update per letter where the
+    word is short enough to expand."""
+
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_words_and_mirrors(self, drawn):
+        strands, runs = drawn
+        for letters in (runs, [(i, -e) for i, e in runs]):
+            xs, ys = run_coordinates(letters, strands)
+            flat = reference_run_coordinates(letters, strands)
+            assert (xs, ys) == (flat[0::2], flat[1::2])
+            if sum(abs(e) for _, e in letters) <= 3000:
+                expected = reference_coordinates(BraidWord(strands, tuple(letters)))
+                assert (xs, ys) == (list(expected[0::2]), list(expected[1::2]))
