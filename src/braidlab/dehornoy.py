@@ -132,10 +132,6 @@ class OrderVerdict:
         return self.kind == POSITIVE
 
     @property
-    def is_negative(self) -> bool:
-        return self.kind == NEGATIVE
-
-    @property
     def is_trivial(self) -> bool:
         return self.kind == TRIVIAL
 

@@ -154,7 +154,15 @@ def convexity_probe(
     up to ``max_element_length`` (default 2 * radius).  Returns the first
     witness found, or None when the radius is exhausted; None is
     inconclusive and never proves convexity.  Generators of more than
-    ``MAX_GENERATOR_LETTERS`` letters in total raise ValueError.
+    ``MAX_GENERATOR_LETTERS`` letters in total, or a negative radius, raise
+    ValueError.
+
+    Two subgroups return None at once, with no search: the whole group F_r,
+    which leaves no g outside it, and the trivial group {1}, whose one
+    member cannot be both c_low and c_high.  Their folded graphs are the one
+    vertex with a loop on every letter and the one vertex with no edge; a
+    core graph is the rose exactly when the subgroup is F_r (Kapovich-
+    Myasnikov, *Stallings foldings and subgroups of free groups*, 2002).
     """
     from .exotic import exotic_compare
 
@@ -167,8 +175,12 @@ def convexity_probe(
             )
     if sum(gen.length for gen in generators) > MAX_GENERATOR_LETTERS:
         raise ValueError(f"generators have more than {MAX_GENERATOR_LETTERS} letters in total")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     bound = 2 * radius if max_element_length is None else max_element_length
     graph = stallings_graph(list(generators))
+    if graph.num_vertices == 1 and len(graph.fwd[0]) in (0, ctx.rank):
+        return None
     members = _CachedSeq(subgroup_elements(graph, bound))
     for g in ball(ctx.rank, radius):
         if g.is_identity() or subgroup_contains(graph, g):
@@ -194,16 +206,18 @@ def conradian_violation_search(
     the ball.
 
     Such a pair witnesses that the order is not Conradian.  Pairs are scanned
-    with g outer and h inner, both in ball order.
+    with g outer and h inner, both in ball order.  Positivity is decided
+    lazily, in ball order, for the words the scan reaches: a pair found early
+    signs a short prefix of the ball, not all of it.
     """
     from .exotic import exotic_compare
 
     one = FreeWord(ctx.rank)
-    positives = [
+    positives = _CachedSeq(
         w
         for w in ball(ctx.rank, radius)
         if not w.is_identity() and exotic_compare(one, w, ctx) == LESS
-    ]
+    )
     for g in positives:
         gg = g * g
         for h in positives:

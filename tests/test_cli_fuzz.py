@@ -46,6 +46,10 @@ BRAID = _words(["s1", "s2", "s3", f"s{HUGE - 1}"], "aAbB")
 FREE = _words(["x", "y", "g1", "g3"], "xXyY")
 # A generator too long for a Stallings graph: the probe refuses it at once.
 LONG_GENERATOR = st.sampled_from(["x^1000000000", "g1^-1000000000"])
+# Generators of the whole group: of F2, and of K_3 in its basis g1, g2, g3.
+# The probe answers these at once, with no search.
+WHOLE_GROUP = st.sampled_from([["x", "y"], ["y x", "x^-1"], ["g1", "g2", "g3"]])
+GENERATORS = st.lists(st.one_of(FREE, FREE, FREE, LONG_GENERATOR), min_size=1, max_size=2)
 N = st.integers(-1, 8)
 CTX = _option("--ctx", st.sampled_from(["f2", "kn:x"] + [f"kn:{n}" for n in range(1, 9)]))
 STRANDS = st.one_of(st.just([]), _option("--strands", st.sampled_from([0, 1, 2, 3, 4, HUGE])))
@@ -72,10 +76,10 @@ COMMANDS = {
     "probe-convexity": (
         [
             CTX,
-            st.lists(st.one_of(FREE, FREE, FREE, LONG_GENERATOR), min_size=1, max_size=2).map(
+            st.one_of(GENERATORS, GENERATORS, GENERATORS, WHOLE_GROUP).map(
                 lambda gens: ["--gens", *gens]
             ),
-            _option("--radius", st.integers(0, 4)),
+            _option("--radius", st.integers(-2, 4)),
         ],
         None,
     ),

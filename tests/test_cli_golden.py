@@ -83,6 +83,14 @@ GOLDEN = [
         1,
         "none (inconclusive: radius 2 exhausted; this does not prove convexity)\n",
     ),
+    *(
+        (
+            ["probe-convexity", "--json", "--gens", *gens, "--radius", "-1"],
+            1,
+            '{"error": {"message": "radius must be nonnegative, got -1", "type": "domain"}}\n',
+        )
+        for gens in (["x", "y"], [""])
+    ),
     (
         ["verify", "--seed", "1", "--trials", "10"],
         0,

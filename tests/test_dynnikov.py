@@ -3,7 +3,10 @@ signs against handle reduction and the Burau oracle."""
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -267,6 +270,86 @@ class TestLongExponents:
         assert commutes(far, parse_braid("s4^-1000000000 s1^1000000000", 5)) is False
         assert commutes(far, parse_braid("s3^999999999 s1^-1000000001", 5)) is True
         assert time.perf_counter() - start < 0.05
+
+
+def kernel_work(runs, strands: int, start=None) -> list[tuple[int, int, int]]:
+    """(letter steps, whole jumps, partial jumps) of each run, counted by a
+    line tracer on ``run_coordinates`` itself.
+
+    ``start`` replaces E by the flat coordinates (x_1, y_1, ..., x_n, y_n):
+    the tracer writes them into the kernel's two lists before the first run.
+    A kernel that stops jumping fails at once: more than ten counted lines
+    per run raise, instead of stepping through 10^9 letters under the tracer.
+    """
+    source, first = inspect.getsourcelines(run_coordinates)
+    (loop,), (letter,), (whole, part) = (
+        [first + k for k, text in enumerate(source) if text.strip().startswith(prefix)]
+        for prefix in ("for i, count in runs", "y1m = ", "y1, y2 = y1 -")
+    )
+    counted = {loop, letter, whole, part}
+    runs = list(runs)
+    limit = 10 * (len(runs) + 1)
+    seen: list[int] = []
+    pending = start
+
+    def local(frame, event, arg):
+        nonlocal pending
+        line = frame.f_lineno
+        if event == "line" and line in counted:
+            if pending is not None:
+                kernel = frame.f_locals
+                kernel["xs"][:], kernel["ys"][:] = pending[0::2], pending[1::2]
+                pending = None
+            seen.append(line)
+            if len(seen) > limit:
+                raise AssertionError(f"more than {limit} counted lines for {len(runs)} runs")
+        return local
+
+    code = run_coordinates.__code__
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run_coordinates(runs, strands)
+    finally:
+        sys.settrace(previous)
+    # The loop header runs once per run and once more when the runs end.
+    work = []
+    for line in seen:
+        if line == loop:
+            work.append([0, 0, 0])
+        else:
+            work[-1][(letter, whole, part).index(line)] += 1
+    assert len(work) == len(runs) + 1 and work[-1] == [0, 0, 0]
+    return [tuple(counts) for counts in work[:-1]]
+
+
+class TestWorkCensus:
+    """The module docstring's work bounds, counted with no clock: a kernel
+    that jumped less would give the same coordinates, so only a count of its
+    letter steps can see it."""
+
+    def test_every_window_of_a_box(self):
+        # σ_i^-1 runs act as σ_i runs on the window with both x's negated,
+        # and the box is symmetric, so positive exponents cover both signs.
+        windows = list(itertools.product(range(-6, 7), repeat=4))
+        start = [c for window in windows for c in window]
+        for exponent in (*range(1, 9), 10**3, 10**9):
+            runs = [(2 * k + 1, exponent) for k in range(len(windows))]
+            work = kernel_work(runs, 2 * len(windows), start)
+            for window, (steps, whole, part) in zip(windows, work):
+                assert steps <= 4 and whole <= 1 and part <= 1, (window, exponent)
+                assert steps + whole + part <= 5, (window, exponent)
+
+    def test_long_conjugate(self):
+        work = kernel_work(parse_braid("s1^1000000000 s2 s1^-1000000000", 3).letters, 3)
+        assert sum(steps for steps, _, _ in work) == 2
+        assert sum(whole + part for _, whole, part in work) == 2
+
+    def test_start_replaces_e(self):
+        # From E, σ1^4 takes one letter step and one whole jump; this window
+        # takes the census's four letter steps.
+        assert kernel_work([(1, 4)], 2) == [(1, 1, 0)]
+        assert kernel_work([(1, 4)], 2, (-6, -6, -4, 1)) == [(4, 0, 0)]
 
 
 class TestTwoListKernel:

@@ -30,6 +30,19 @@ from braidlab import (
 F2 = ExoticContext.f2()
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def reference_ball(rank, radius):
     """Length-lex enumeration by recursion over the letters g1 < g1^-1 < ...,
     one letter at a time, with no graph."""
@@ -195,14 +208,7 @@ class TestConvexityProbe:
     def test_one_comparison_per_member(self, monkeypatch):
         import braidlab.exotic
 
-        calls = []
-        original = braidlab.exotic.exotic_compare
-
-        def counting(u, v, ctx=None):
-            calls.append((u, v))
-            return original(u, v, ctx)
-
-        monkeypatch.setattr(braidlab.exotic, "exotic_compare", counting)
+        calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
         generators = [parse_free("x^2"), parse_free("y")]
         witness = convexity_probe(generators, F2, 6)
         assert witness is not None
@@ -210,15 +216,42 @@ class TestConvexityProbe:
         graph = stallings_graph(generators)
         # Every call compares a member against a candidate outside the
         # subgroup, and no (member, candidate) pair is compared twice.
-        assert all(subgroup_contains(graph, u) for u, _ in calls)
-        assert not any(subgroup_contains(graph, v) for _, v in calls)
-        pairs = {(u, v) for u, v in calls}
+        assert all(subgroup_contains(graph, u) for u, _, _ in calls)
+        assert not any(subgroup_contains(graph, v) for _, v, _ in calls)
+        pairs = {(u, v) for u, v, _ in calls}
         assert len(pairs) == len(calls)
         # The members scanned per candidate are a prefix of the enumeration.
         members = list(subgroup_elements(graph, 12))
-        for g in {v for _, v in calls}:
-            scanned = [u for u, v in calls if v == g]
+        for g in {v for _, v, _ in calls}:
+            scanned = [u for u, v, _ in calls if v == g]
             assert scanned == members[: len(scanned)]
+
+    @pytest.mark.parametrize(
+        "gens, ctx",
+        [
+            (["x", "y"], F2),
+            (["x^-1", "y x"], F2),
+            (["x y", "y"], F2),
+            (["g1", "g2", "g3"], ExoticContext.kn(3)),
+            ([""], F2),
+        ],
+    )
+    def test_whole_and_trivial_subgroups_return_at_once(self, monkeypatch, gens, ctx):
+        # F_r leaves no candidate outside it, and {1} has one member, which
+        # cannot be both bounds: no witness exists, so nothing is searched.
+        import braidlab.exotic
+        import braidlab.probe
+
+        compares = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        memberships = count_calls(monkeypatch, braidlab.probe, "subgroup_contains")
+        generators = [parse_free(g, ctx.rank) for g in gens]
+        assert convexity_probe(generators, ctx, 12) is None
+        assert compares == [] and memberships == []
+
+    @pytest.mark.parametrize("gens", [["x", "y"], [""], ["x"]])
+    def test_negative_radius(self, gens):
+        with pytest.raises(ValueError, match="radius must be nonnegative, got -1"):
+            convexity_probe([parse_free(g) for g in gens], F2, -1)
 
     @pytest.mark.parametrize(
         "gens, expected",
@@ -277,9 +310,41 @@ class TestRandomWords:
             random_free_word(random.Random(1), 5, rank=0)
 
 
+def reference_conradian(ctx, radius):
+    """The eager scan: sign every word of the ball, then scan the pairs."""
+    one = FreeWord(ctx.rank)
+    positives = [
+        w
+        for w in ball(ctx.rank, radius)
+        if not w.is_identity() and exotic_compare(one, w, ctx) == LESS
+    ]
+    for g in positives:
+        for h in positives:
+            if exotic_compare(h * g * g, g, ctx) == LESS:
+                return g, h
+    return None
+
+
 class TestConradianSearch:
     def test_radius_zero(self):
         assert conradian_violation_search(F2, 0) is None
+
+    @pytest.mark.parametrize(
+        "ctx, radii",
+        [(F2, range(7)), (ExoticContext.kn(3), range(5)), (ExoticContext.kn(4), range(4))],
+    )
+    def test_matches_eager_scan(self, ctx, radii):
+        for radius in radii:
+            assert conradian_violation_search(ctx, radius) == reference_conradian(ctx, radius)
+
+    def test_signs_only_what_the_scan_reaches(self, monkeypatch):
+        import braidlab.exotic
+
+        calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        assert conradian_violation_search(F2, 6) is not None
+        # The eager scan made 1,461 calls: a sign for each of the 1,456 words
+        # of the ball other than 1, then five pair tests.
+        assert len(calls) <= 20
 
     def test_finds_violating_pair(self):
         pair = conradian_violation_search(F2, 6)
