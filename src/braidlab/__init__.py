@@ -6,136 +6,20 @@ All values are immutable and all operations pure, so everything here may be
 shared freely across threads.
 """
 
-from ._words import WordParseError
-from .braid import (
-    BraidWord,
-    exponent_sum,
-    half_twist,
-    parse_braid,
-)
-from .burau import LaurentMatrix, LaurentPoly, braid_equal, burau_matrix
-from .dehornoy import (
-    BUDGET_ENV_VAR,
-    EQUAL,
-    GREATER,
-    LESS,
-    NEGATIVE,
-    POSITIVE,
-    TRIVIAL,
-    BudgetExceededError,
-    CofinalCapError,
-    Handle,
-    OrderVerdict,
-    TraceStep,
-    braid_compare,
-    cofinal_bound,
-    commutes,
-    dehornoy_sign,
-    handle_reduce,
-    handle_reduce_trace,
-)
-from .dynnikov import dynnikov_coordinates
-from .exotic import ExoticContext, commutator_rewrite, embed, exotic_compare
-from .freegroup import (
-    FreeWord,
-    GroupAutomorphism,
-    IntMatrix2,
-    NAMED_AUTOMORPHISMS,
-    SubgroupGraph,
-    abelianize,
-    apply_automorphism,
-    automorphism_abelianization,
-    conj_by_sigma1,
-    conj_by_sigma2,
-    flip_generators,
-    identity_automorphism,
-    kn_basis,
-    kn_member,
-    kn_rewrite,
-    kn_substitute,
-    parse_free,
-    schreier_table,
-    stallings_graph,
-    subgroup_contains,
-    substitute,
-)
-from .probe import (
-    CheckResult,
-    ConvexityWitness,
-    ExperimentReport,
-    ball,
-    conradian_violation_search,
-    convexity_probe,
-    lemma_suite,
-    random_braid_word,
-    random_free_word,
-    subgroup_elements,
-)
+from . import braid, burau, dehornoy, dynnikov, exotic, freegroup, probe
+from .braid import *
+from .burau import *
+from .dehornoy import *
+from .dynnikov import *
+from .exotic import *
+from .freegroup import *
+from .probe import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUDGET_ENV_VAR",
-    "BraidWord",
-    "BudgetExceededError",
-    "CheckResult",
-    "CofinalCapError",
-    "ConvexityWitness",
-    "EQUAL",
-    "ExoticContext",
-    "ExperimentReport",
-    "FreeWord",
-    "GREATER",
-    "GroupAutomorphism",
-    "Handle",
-    "IntMatrix2",
-    "LESS",
-    "LaurentMatrix",
-    "LaurentPoly",
-    "NAMED_AUTOMORPHISMS",
-    "NEGATIVE",
-    "OrderVerdict",
-    "POSITIVE",
-    "SubgroupGraph",
-    "TRIVIAL",
-    "TraceStep",
-    "WordParseError",
-    "abelianize",
-    "apply_automorphism",
-    "automorphism_abelianization",
-    "ball",
-    "braid_compare",
-    "braid_equal",
-    "burau_matrix",
-    "cofinal_bound",
-    "commutator_rewrite",
-    "commutes",
-    "conj_by_sigma1",
-    "conj_by_sigma2",
-    "conradian_violation_search",
-    "convexity_probe",
-    "dehornoy_sign",
-    "dynnikov_coordinates",
-    "embed",
-    "exotic_compare",
-    "exponent_sum",
-    "flip_generators",
-    "half_twist",
-    "handle_reduce",
-    "handle_reduce_trace",
-    "identity_automorphism",
-    "kn_basis",
-    "kn_member",
-    "kn_rewrite",
-    "kn_substitute",
-    "lemma_suite",
-    "parse_braid",
-    "parse_free",
-    "random_braid_word",
-    "random_free_word",
-    "schreier_table",
-    "stallings_graph",
-    "subgroup_contains",
-    "subgroup_elements",
-    "substitute",
-]
+# Each public name is listed once, in the __all__ of its module.
+__all__ = sorted(
+    name
+    for module in (braid, burau, dehornoy, dynnikov, exotic, freegroup, probe)
+    for name in module.__all__
+)

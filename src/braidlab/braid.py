@@ -69,20 +69,6 @@ class BraidWord(_words.RunWord):
         """Text forms read ``s1 s2^-1``."""
         return f"s{index}"
 
-    def to_compact(self) -> str:
-        """Compact a/A/b/B form; only defined on three-strand words."""
-        if self.strands != 3:
-            raise ValueError("compact form is specific to 3 strands")
-        table = {run: letter for letter, run in _COMPACT.items()}
-        return "".join(table[run] for run in self.single_letters())
-
-    def to_json_dict(self) -> dict:
-        return {"strands": self.strands, "letters": [list(run) for run in self.letters]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BraidWord":
-        return cls(data["strands"], tuple((i, e) for i, e in data["letters"]))
-
 
 def _check_strands(strands: int) -> None:
     if strands < 2:

@@ -154,8 +154,8 @@ def convexity_probe(
     up to ``max_element_length`` (default 2 * radius).  Returns the first
     witness found, or None when the radius is exhausted; None is
     inconclusive and never proves convexity.  Generators of more than
-    ``MAX_GENERATOR_LETTERS`` letters in total, or a negative radius, raise
-    ValueError.
+    ``MAX_GENERATOR_LETTERS`` letters in total, a negative radius or a
+    negative ``max_element_length`` raise ValueError.
 
     Two subgroups return None at once, with no search: the whole group F_r,
     which leaves no g outside it, and the trivial group {1}, whose one
@@ -178,6 +178,8 @@ def convexity_probe(
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     bound = 2 * radius if max_element_length is None else max_element_length
+    if bound < 0:
+        raise ValueError(f"max_element_length must be nonnegative, got {bound}")
     graph = stallings_graph(list(generators))
     if graph.num_vertices == 1 and len(graph.fwd[0]) in (0, ctx.rank):
         return None
@@ -306,9 +308,6 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def failure_count(self) -> int:
-        return sum(len(check.failures) for check in self.checks)
-
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -328,10 +327,6 @@ class ExperimentReport:
                 lines.append(f"    witness: {failure}")
         lines.append("result: " + ("pass" if self.passed else "fail"))
         return "\n".join(lines)
-
-
-def _trial_rng(seed: int, check: str, trial: int) -> random.Random:
-    return random.Random(f"{seed}/{check}/{trial}")
 
 
 def _sample_positive_commutator_base(
@@ -366,9 +361,28 @@ def lemma_suite(
 ) -> ExperimentReport:
     """Run the seeded verification suite and report every failure.
 
+    The suite is one table of (report name, cases, test) rows run by one
+    loop: a test takes one case and returns a failure dict or None, and a
+    row's ``steps`` counts the words its tests signed.  A sampled check runs
+    its test on ``trials`` cases, each with its own substream
+    ``(seed, key, trial)``.
+
     ``_sign_fn`` is a test-only hook replacing the Dehornoy sign computation,
     so deliberately broken comparators can be shown to be caught; leave it
     None for real runs.  Failures are recorded in the report, never raised.
+    At seed 1 and 25 trials these mutants fail the eight checks, in report
+    order, this many times:
+
+    - the negated sign: 25 25 25 0 4 25 0 0;
+    - the sign of the first run of the main index: 20 0 0 0 0 11 9 0;
+    - the sign of the last run of the main index: 0 18 15 0 0 11 9 0;
+    - the sign of the exponent sum, main index 1: 2 25 25 0 4 0 3 0;
+    - σ1 and σ2 relabelled, then the Dehornoy sign: 0 18 20 0 0 0 0 0.
+
+    ``braid-relation-identities`` tests Burau, not signs, and
+    ``left-invariance`` signs the same word on both sides, so no sign mutant
+    fails them.  The exponent-sum mutant signs every commutator trivial, so
+    both sandwich samplers give up.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -383,22 +397,18 @@ def lemma_suite(
     def compare(u: BraidWord, v: BraidWord) -> str:
         return sign(u.inverse() * v).comparison()
 
+    def sampled(key: str, test: Callable[[int, random.Random], dict | None]):
+        # The substream of each trial is made when its case runs, so a
+        # report holds one generator at a time, not one per trial.
+        return lambda trial: test(trial, random.Random(f"{seed}/{key}/{trial}"))
+
     one = BraidWord(3)
-    checks: list[CheckResult] = []
 
-    def finish(name: str, samples: int, failures: list[dict]) -> None:
-        nonlocal steps
-        checks.append(CheckResult(name, samples, failures, steps))
-        steps = 0
-
-    # (a) words σ2^{k_1} σ1^{l_1} ... σ2^{k_m} σ1^{l_m} σ2^{n} σ1 with
-    # k_i > 0, l_i < 0, n > 1 are 1-positive.
-    failures: list[dict] = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, "shape", trial)
-        m = rng.randint(0, 6)
+    def shape(trial: int, rng: random.Random) -> dict | None:
+        """σ2^{k_1} σ1^{l_1} ... σ2^{k_m} σ1^{l_m} σ2^{n} σ1 with k_i > 0,
+        l_i < 0 and n > 1 is 1-positive."""
         runs: list[tuple[int, int]] = []
-        for _ in range(m):
+        for _ in range(rng.randint(0, 6)):
             runs.append((2, rng.randint(1, 5)))
             runs.append((1, -rng.randint(1, 5)))
         runs.append((2, rng.randint(2, 5)))
@@ -406,110 +416,111 @@ def lemma_suite(
         word = BraidWord(3, tuple(runs))
         verdict = sign(word)
         if verdict.kind != POSITIVE or verdict.main_index != 1:
-            failures.append({"trial": trial, "word": word.to_text(), "verdict": str(verdict)})
-    finish("alternating-shape-positivity", trials, failures)
+            return {"trial": trial, "word": word.to_text(), "verdict": str(verdict)}
+        return None
 
-    # (b) for 1-positive β in [B3, B3] not commuting with σ2 and k > 0:
-    # 1 < β σ2^k β^-1 σ2^-k < β.
-    failures = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, "sandwich-f2", trial)
-        sampled = _sample_positive_commutator_base(rng, 12, sign_of)
-        if sampled is None:
-            failures.append({"trial": trial, "error": "rejection sampling exhausted"})
-            continue
-        word, beta = sampled
+    def sandwich_f2(trial: int, rng: random.Random) -> dict | None:
+        """For 1-positive β in [B3, B3] not commuting with σ2 and k > 0:
+        1 < β σ2^k β^-1 σ2^-k < β."""
+        sampled_base = _sample_positive_commutator_base(rng, 12, sign_of)
+        if sampled_base is None:
+            return {"trial": trial, "error": "rejection sampling exhausted"}
+        word, beta = sampled_base
         k = rng.randint(1, 4)
         conjugator = _SIGMA2**k
         inner = beta * conjugator * beta.inverse() * conjugator.inverse()
         if compare(one, inner) != LESS or compare(inner, beta) != LESS:
-            failures.append({"trial": trial, "beta": word.to_text(), "k": k})
-    finish("conjugate-sandwich-f2", trials, failures)
+            return {"trial": trial, "beta": word.to_text(), "k": k}
+        return None
 
-    # (c) the K_n version: exponents 6k keep the commutator inside K_n and
-    # the sandwich inequalities persist.
-    failures = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, "sandwich-kn", trial)
+    def sandwich_kn(trial: int, rng: random.Random) -> dict | None:
+        """The K_n version: exponents 6k keep the commutator inside K_n and
+        the sandwich inequalities persist."""
         n = (3, 4, 5)[trial % 3]
-        sampled = _sample_positive_commutator_base(rng, 6, sign_of, n=n)
-        if sampled is None:
-            failures.append({"trial": trial, "n": n, "error": "rejection sampling exhausted"})
-            continue
-        word, beta = sampled
+        sampled_base = _sample_positive_commutator_base(rng, 6, sign_of, n=n)
+        if sampled_base is None:
+            return {"trial": trial, "n": n, "error": "rejection sampling exhausted"}
+        word, beta = sampled_base
         k = rng.randint(1, 2)
         conjugator = _SIGMA2 ** (6 * k)
         inner = beta * conjugator * beta.inverse() * conjugator.inverse()
         entry = {"trial": trial, "n": n, "beta": word.to_text(), "k": k}
         if not kn_member(commutator_rewrite(inner), n):
-            failures.append({**entry, "error": "commutator left K_n"})
-        elif compare(one, inner) != LESS or compare(inner, beta) != LESS:
-            failures.append({**entry, "error": "sandwich inequality failed"})
-    finish("conjugate-sandwich-kn", trials, failures)
+            return {**entry, "error": "commutator left K_n"}
+        if compare(one, inner) != LESS or compare(inner, beta) != LESS:
+            return {**entry, "error": "sandwich inequality failed"}
+        return None
 
-    # (d) braid identities σ1^k σ2 σ1 = σ2 σ1 σ2^k and
-    # σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
-    failures = []
-    identity_count = 0
-    for k in range(-5, 6):
-        lhs = BraidWord(3, ((1, k), (2, 1), (1, 1)))
-        rhs = BraidWord(3, ((2, 1), (1, 1), (2, k)))
-        identity_count += 1
-        if not braid_equal(lhs, rhs):
-            failures.append({"identity": "s1^k s2 s1 = s2 s1 s2^k", "k": k})
-        lhs = BraidWord(3, ((1, -1), (2, k), (1, 1)))
-        rhs = BraidWord(3, ((2, 1), (1, k), (2, -1)))
-        identity_count += 1
-        if not braid_equal(lhs, rhs):
-            failures.append({"identity": "s1^-1 s2^k s1 = s2 s1^k s2^-1", "k": k})
-    finish("braid-relation-identities", identity_count, failures)
+    # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
+    identities = [
+        (k, text, BraidWord(3, lhs), BraidWord(3, rhs))
+        for k in range(-5, 6)
+        for text, lhs, rhs in (
+            ("s1^k s2 s1 = s2 s1 s2^k", ((1, k), (2, 1), (1, 1)), ((2, 1), (1, 1), (2, k))),
+            (
+                "s1^-1 s2^k s1 = s2 s1^k s2^-1",
+                ((1, -1), (2, k), (1, 1)),
+                ((2, 1), (1, k), (2, -1)),
+            ),
+        )
+    ]
 
-    # (e) Δ^2 < Δ^{4p} σ2^{-12p} = (Δ^{2p} σ2^{-6p})^2 for p in 1..4.
-    failures = []
-    for p in range(1, 5):
+    def identity(case: tuple[int, str, BraidWord, BraidWord]) -> dict | None:
+        k, text, lhs, rhs = case
+        return None if braid_equal(lhs, rhs) else {"identity": text, "k": k}
+
+    def cofinality(p: int) -> dict | None:
+        """Δ^2 < Δ^{4p} σ2^{-12p} = (Δ^{2p} σ2^{-6p})^2."""
         square = half_twist(4 * p) * BraidWord(3, ((2, -12 * p),))
-        if compare(half_twist(2), square) != LESS:
-            failures.append({"p": p})
-    finish("half-twist-cofinality", 4, failures)
+        return None if compare(half_twist(2), square) == LESS else {"p": p}
 
-    # (f) sampled order axioms.
-    failures = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, "subword", trial)
+    def subword(trial: int, rng: random.Random) -> dict | None:
+        """β σ_k β^-1 is positive."""
         beta = random_braid_word(rng, 40)
         k = rng.choice((1, 2))
         generator = BraidWord(3, ((k, 1),))
         if sign(beta * generator * beta.inverse()).kind != POSITIVE:
-            failures.append({"trial": trial, "beta": beta.to_text(), "k": k})
-    finish("subword-property", trials, failures)
+            return {"trial": trial, "beta": beta.to_text(), "k": k}
+        return None
 
-    failures = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, "trichotomy", trial)
+    def trichotomy(trial: int, rng: random.Random) -> dict | None:
         u = random_braid_word(rng, 40)
         v = random_braid_word(rng, 40)
         forward, backward = compare(u, v), compare(v, u)
         opposite = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
         entry = {"trial": trial, "u": u.to_text(), "v": v.to_text()}
         if backward != opposite[forward]:
-            failures.append({**entry, "error": "asymmetric comparison"})
-        elif (forward == EQUAL) != braid_equal(u, v):
-            failures.append({**entry, "error": "equality disagrees with Burau"})
-    finish("trichotomy", trials, failures)
+            return {**entry, "error": "asymmetric comparison"}
+        if (forward == EQUAL) != braid_equal(u, v):
+            return {**entry, "error": "equality disagrees with Burau"}
+        return None
 
-    # (f u)^-1 (f v) freely reduces to u^-1 v, so both sides sign the same
-    # word: an order defined by a positive cone is left-invariant by
-    # definition, and this check only tests that comparison is deterministic.
-    failures = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, "left-invariance", trial)
+    def left_invariance(trial: int, rng: random.Random) -> dict | None:
+        """(f u)^-1 (f v) freely reduces to u^-1 v, so both sides sign the
+        same word: an order defined by a positive cone is left-invariant by
+        definition, and this check only tests that comparison is
+        deterministic."""
         f = random_braid_word(rng, 40)
         u = random_braid_word(rng, 40)
         v = random_braid_word(rng, 40)
         if compare(u, v) != compare(f * u, f * v):
-            failures.append(
-                {"trial": trial, "f": f.to_text(), "u": u.to_text(), "v": v.to_text()}
-            )
-    finish("left-invariance", trials, failures)
+            return {"trial": trial, "f": f.to_text(), "u": u.to_text(), "v": v.to_text()}
+        return None
 
+    trial_cases = range(trials)
+    table: list[tuple[str, Sequence, Callable[..., dict | None]]] = [
+        ("alternating-shape-positivity", trial_cases, sampled("shape", shape)),
+        ("conjugate-sandwich-f2", trial_cases, sampled("sandwich-f2", sandwich_f2)),
+        ("conjugate-sandwich-kn", trial_cases, sampled("sandwich-kn", sandwich_kn)),
+        ("braid-relation-identities", identities, identity),
+        ("half-twist-cofinality", range(1, 5), cofinality),
+        ("subword-property", trial_cases, sampled("subword", subword)),
+        ("trichotomy", trial_cases, sampled("trichotomy", trichotomy)),
+        ("left-invariance", trial_cases, sampled("left-invariance", left_invariance)),
+    ]
+    checks = []
+    for name, cases, test in table:
+        steps = 0
+        failures = [failure for failure in map(test, cases) if failure is not None]
+        checks.append(CheckResult(name, len(cases), failures, steps))
     return ExperimentReport(seed, trials, checks)

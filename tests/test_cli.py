@@ -284,6 +284,23 @@ class TestProbeConvexity:
         assert json.loads(out)["error"]["type"] == "domain"
         assert "letters in total" in err
 
+    def test_negative_max_element_length_is_a_domain_error(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            "probe-convexity",
+            "--json",
+            "--gens",
+            "x",
+            "--radius",
+            "3",
+            "--max-element-length",
+            "-4",
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"message": "max_element_length must be nonnegative, got -4", "type": "domain"}
+        }
+
     def test_inconclusive_exit(self, capsys):
         # The trivial subgroup can never produce a witness.
         code, out, _ = invoke(

@@ -80,6 +80,7 @@ COMMANDS = {
                 lambda gens: ["--gens", *gens]
             ),
             _option("--radius", st.integers(-2, 4)),
+            st.one_of(st.just([]), _option("--max-element-length", st.integers(-2, 6))),
         ],
         None,
     ),

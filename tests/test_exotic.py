@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
+import inspect
 import random
+import sys
 import time
 
 import pytest
@@ -27,6 +30,7 @@ from braidlab import (
     half_twist,
     kn_basis,
     kn_member,
+    kn_rewrite,
     kn_substitute,
     parse_braid,
     parse_free,
@@ -205,6 +209,75 @@ class TestCommutatorRewrite:
         word = commutator_rewrite(braid)
         assert time.perf_counter() - start < 1.0
         assert dynnikov_coordinates(embed(word)) == dynnikov_coordinates(braid)
+
+
+def line_counts(func, *args, limit: int) -> collections.Counter:
+    """How often each line of ``func``'s own frame ran on ``args``, counted
+    by a line tracer.
+
+    A line that runs more than ``limit`` times raises at once, so a rewrite
+    that loops over the letters of a long run fails instead of stepping
+    through them under the tracer.
+    """
+    code = func.__code__
+    counts: collections.Counter = collections.Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno] += 1
+            if counts[frame.f_lineno] > limit:
+                raise AssertionError(f"line {frame.f_lineno} ran more than {limit} times")
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+class TestRewriteWork:
+    """The work bounds of the two Schreier rewrites, counted with no clock:
+    no line of the rewrite runs more often than the bound allows."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_kn_rewrite_takes_one_step_per_run(self, n):
+        # x runs of about 10^9 letters, and y runs of 10^9 letters at the
+        # trivial coset, where a y run emits one g1 run; elsewhere a y run
+        # emits its Schreier generator once per letter, so it stays short.
+        rng = random.Random(900 + n)
+        runs, state = [], 0
+        for _ in range(20):
+            x = rng.choice((1, -1)) * (10**9 + rng.randint(0, 5))
+            state = (state + x) % (n - 1)
+            y = rng.choice((1, -1)) * (10**9 if state == 0 else rng.randint(1, 3))
+            runs += [(1, x), (2, y)]
+        runs.append((1, -state))
+        word = FreeWord(2, tuple(runs))
+        assert kn_member(word, n)
+        # Each line runs at most once per run, and the loop header once more.
+        counts = line_counts(kn_rewrite, word, n, limit=len(word.letters) + 1)
+        assert max(counts.values()) == len(word.letters) + 1
+
+    def test_commutator_rewrite_is_linear_in_sigma2_letters_and_sigma1_runs(self):
+        # σ1 runs of about 6 * 10^4 letters: a σ1 run is one divmod, though
+        # its output W^k grows with the run, so the runs are not longer.
+        rng = random.Random(91)
+        runs = []
+        for _ in range(10):
+            runs.append((1, rng.choice((1, -1)) * (60_000 + rng.randint(0, 5))))
+            runs.append((2, rng.choice((1, -1)) * rng.randint(1, 5)))
+        runs.append((1, -sum(e for _, e in runs)))
+        braid = BraidWord(3, tuple(runs))
+        sigma2_letters = sum(abs(e) for i, e in braid.letters if i == 2)
+        # A σ2^e run runs its inner loop header |e| + 1 times.
+        limit = len(braid.letters) + sigma2_letters + 1
+        counts = line_counts(commutator_rewrite, braid, limit=limit)
+        source, first = inspect.getsourcelines(commutator_rewrite)
+        (divmod_line,) = [first + k for k, text in enumerate(source) if "divmod(" in text]
+        assert counts[divmod_line] == sum(1 for i, _ in braid.letters if i == 1)
 
 
 class TestExoticContext:

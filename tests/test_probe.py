@@ -9,14 +9,19 @@ import pytest
 
 from braidlab import (
     LESS,
+    NEGATIVE,
+    POSITIVE,
+    TRIVIAL,
     BraidWord,
     ExoticContext,
     FreeWord,
+    OrderVerdict,
     ball,
     conradian_violation_search,
     convexity_probe,
     dehornoy_sign,
     exotic_compare,
+    exponent_sum,
     kn_basis,
     lemma_suite,
     parse_free,
@@ -253,6 +258,13 @@ class TestConvexityProbe:
         with pytest.raises(ValueError, match="radius must be nonnegative, got -1"):
             convexity_probe([parse_free(g) for g in gens], F2, -1)
 
+    @pytest.mark.parametrize("gens", [["x", "y"], [""], ["x"]])
+    def test_negative_max_element_length(self, gens):
+        # A negative bound used to leave the identity as the only member, so
+        # the whole ball was walked for an inconclusive None.
+        with pytest.raises(ValueError, match="max_element_length must be nonnegative, got -4"):
+            convexity_probe([parse_free(g) for g in gens], F2, 3, max_element_length=-4)
+
     @pytest.mark.parametrize(
         "gens, expected",
         [
@@ -361,11 +373,44 @@ class TestConradianSearch:
         assert pair == (parse_free("x"), parse_free("x y^-1"))
 
 
+def run_sign(pick):
+    """The main index of the true sign, with the sign of the exponent of
+    one run of that index: ``pick`` chooses it from the runs in order."""
+
+    def sign(word):
+        verdict = dehornoy_sign(word)
+        if verdict.kind == TRIVIAL:
+            return verdict
+        exponent = pick([e for i, e in word.letters if i == verdict.main_index])
+        return OrderVerdict(POSITIVE if exponent > 0 else NEGATIVE, verdict.main_index)
+
+    return sign
+
+
+def exponent_sum_sign(word):
+    total = exponent_sum(word)
+    if total == 0:
+        return OrderVerdict(TRIVIAL)
+    return OrderVerdict(POSITIVE if total > 0 else NEGATIVE, 1)
+
+
+# Broken sign functions for ``lemma_suite``'s ``_sign_fn`` hook.
+SIGN_MUTANTS = {
+    "negated": lambda word: dehornoy_sign(word).negated(),
+    "first-run": run_sign(lambda exponents: exponents[0]),
+    "last-run": run_sign(lambda exponents: exponents[-1]),
+    "exponent-sum": exponent_sum_sign,
+    # σ1 and σ2 swapped before signing.
+    "relabelled": lambda word: dehornoy_sign(
+        BraidWord(3, tuple((3 - i, e) for i, e in word.letters))
+    ),
+}
+
+
 class TestLemmaSuite:
     def test_small_run_passes(self):
         report = lemma_suite(seed=1, trials=10)
         assert report.passed
-        assert report.failure_count() == 0
         names = [check.name for check in report.checks]
         assert names == [
             "alternating-shape-positivity",
@@ -378,13 +423,20 @@ class TestLemmaSuite:
             "left-invariance",
         ]
 
-    def test_mutated_comparator_is_caught(self):
-        def flipped(word):
-            return dehornoy_sign(word).negated()
-
-        report = lemma_suite(seed=1, trials=5, _sign_fn=flipped)
+    @pytest.mark.parametrize(
+        "mutant, expected",
+        [
+            pytest.param("negated", [25, 25, 25, 0, 4, 25, 0, 0], id="negated"),
+            pytest.param("first-run", [20, 0, 0, 0, 0, 11, 9, 0], id="first-run"),
+            pytest.param("last-run", [0, 18, 15, 0, 0, 11, 9, 0], id="last-run"),
+            pytest.param("exponent-sum", [2, 25, 25, 0, 4, 0, 3, 0], id="exponent-sum"),
+            pytest.param("relabelled", [0, 18, 20, 0, 0, 0, 0, 0], id="relabelled"),
+        ],
+    )
+    def test_mutated_comparator_is_caught(self, mutant, expected):
+        report = lemma_suite(seed=1, trials=25, _sign_fn=SIGN_MUTANTS[mutant])
         assert not report.passed
-        assert report.failure_count() >= 1
+        assert [len(check.failures) for check in report.checks] == expected
 
     def test_same_seed_identical_reports(self):
         first = json.dumps(lemma_suite(3, 12).to_json_dict(), sort_keys=True)

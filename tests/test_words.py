@@ -271,6 +271,17 @@ class TestPublicNames:
         exec("from braidlab import *", namespace)
         assert set(braidlab.__all__) <= namespace.keys()
         assert not self.REMOVED & namespace.keys()
+        # Each name is listed once, in its module; the package takes the union.
+        modules = [
+            braidlab.braid,
+            braidlab.burau,
+            braidlab.dehornoy,
+            braidlab.dynnikov,
+            braidlab.exotic,
+            braidlab.freegroup,
+            braidlab.probe,
+        ]
+        assert braidlab.__all__ == sorted(name for module in modules for name in module.__all__)
 
     @pytest.mark.parametrize("module", [braidlab, braidlab.braid, braidlab.freegroup])
     def test_identity_wrappers_are_gone(self, module):
