@@ -2,8 +2,9 @@
 free groups obtained by restricting it to the commutator subgroup and to the
 kernels K_n.
 
-All values are immutable and all operations pure, so everything here may be
-shared freely across threads.
+All values are immutable and all operations pure, except that handle
+reduction without a ``budget`` reads ``BRAIDLAB_BUDGET`` from the environment;
+everything here may be shared freely across threads.
 """
 
 from . import braid, burau, dehornoy, dynnikov, exotic, freegroup, probe

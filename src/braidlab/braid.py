@@ -95,11 +95,9 @@ def _generator_index(head: str, term: str, offset: int) -> int:
     return _words.parse_positive_int(head[1:], offset, "generator index")
 
 
-def exponent_sum(word: BraidWord, generator: int | None = None) -> int:
-    """Total exponent sum, or the sum over a single generator index."""
-    if generator is None:
-        return sum(e for _, e in word.letters)
-    return sum(e for i, e in word.letters if i == generator)
+def exponent_sum(word: BraidWord) -> int:
+    """Total exponent sum: the image of the word under B_n -> Z."""
+    return sum(e for _, e in word.letters)
 
 
 def half_twist(power: int = 1) -> BraidWord:

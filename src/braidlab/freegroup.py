@@ -6,9 +6,9 @@ braid word: run-length encoded, always freely reduced, with products,
 inverses and powers from the run-word core.  On top of the words this module
 provides:
 
-* substitution endomorphisms/automorphisms with verified inverses, among
-  them the conjugation actions that the three-strand braid group induces on
-  its commutator subgroup (see :mod:`braidlab.exotic`),
+* automorphisms with verified inverses, among them the conjugation actions
+  that the three-strand braid group induces on its commutator subgroup (see
+  :mod:`braidlab.exotic`), each named one a literal pair of image tuples,
 * abelianization and 2x2 integer matrices for the induced maps on Z^2,
 * the subgroups K_n = ker(F_2 -> Z_{n-1}, y -> 0, x -> 1): membership, the
   rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], the
@@ -37,7 +37,6 @@ __all__ = [
     "abelianize",
     "substitute",
     "GroupAutomorphism",
-    "identity_automorphism",
     "apply_automorphism",
     "IntMatrix2",
     "automorphism_abelianization",
@@ -139,15 +138,15 @@ def substitute(word: FreeWord, images: Sequence[FreeWord]) -> FreeWord:
 
 @dataclasses.dataclass(frozen=True)
 class GroupAutomorphism:
-    """A substitution endomorphism given by the images of the generators.
+    """An automorphism given by the images of the generators and of its inverse.
 
-    When ``inverse_images`` is supplied the constructor verifies that the two
-    substitutions compose to the identity on every generator, both ways, so a
-    stored inverse is always a genuine inverse.
+    The constructor verifies that the two substitutions compose to the
+    identity on every generator, both ways, so the stored inverse is always a
+    genuine inverse.
     """
 
     images: tuple[FreeWord, ...]
-    inverse_images: tuple[FreeWord, ...] | None = None
+    inverse_images: tuple[FreeWord, ...]
 
     def __post_init__(self):
         if not self.images:
@@ -156,15 +155,14 @@ class GroupAutomorphism:
         for image in self.images:
             if image.rank != rank:
                 raise ValueError("generator images must live in the same rank")
-        if self.inverse_images is not None:
-            if len(self.inverse_images) != rank:
-                raise ValueError("inverse images must match the rank")
-            for i in range(1, rank + 1):
-                gen = FreeWord(rank, ((i, 1),))
-                if substitute(self.images[i - 1], self.inverse_images) != gen:
-                    raise ValueError(f"stored inverse fails on the image of g{i}")
-                if substitute(self.inverse_images[i - 1], self.images) != gen:
-                    raise ValueError(f"stored inverse fails against g{i}")
+        if len(self.inverse_images) != rank:
+            raise ValueError("inverse images must match the rank")
+        for i in range(1, rank + 1):
+            gen = FreeWord(rank, ((i, 1),))
+            if substitute(self.images[i - 1], self.inverse_images) != gen:
+                raise ValueError(f"stored inverse fails on the image of g{i}")
+            if substitute(self.inverse_images[i - 1], self.images) != gen:
+                raise ValueError(f"stored inverse fails against g{i}")
 
     @property
     def rank(self) -> int:
@@ -174,25 +172,7 @@ class GroupAutomorphism:
         return substitute(word, self.images)
 
     def inverted(self) -> "GroupAutomorphism":
-        if self.inverse_images is None:
-            raise ValueError("no stored inverse for this automorphism")
         return GroupAutomorphism(self.inverse_images, self.images)
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """The automorphism w -> self(other(w))."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in composition")
-        images = tuple(self(img) for img in other.images)
-        inverse = None
-        if self.inverse_images is not None and other.inverse_images is not None:
-            inv_other = other.inverted()
-            inverse = tuple(inv_other(img) for img in self.inverse_images)
-        return GroupAutomorphism(images, inverse)
-
-
-def identity_automorphism(rank: int) -> GroupAutomorphism:
-    gens = tuple(FreeWord(rank, ((i, 1),)) for i in range(1, rank + 1))
-    return GroupAutomorphism(gens, gens)
 
 
 def apply_automorphism(auto: GroupAutomorphism, word: FreeWord, power: int = 1) -> FreeWord:
@@ -234,10 +214,6 @@ class IntMatrix2:
             k >>= 1
         return result
 
-    def determinant(self) -> int:
-        (a, b), (c, d) = self.rows
-        return a * d - b * c
-
 
 def automorphism_abelianization(auto: GroupAutomorphism) -> IntMatrix2:
     """Matrix of the induced map on Z^2; columns are the abelianized images."""
@@ -248,10 +224,6 @@ def automorphism_abelianization(auto: GroupAutomorphism) -> IntMatrix2:
     return IntMatrix2(((col_x[0], col_y[0]), (col_x[1], col_y[1])))
 
 
-def _word2(text: str) -> FreeWord:
-    return parse_free(text, 2)
-
-
 def conj_by_sigma2() -> GroupAutomorphism:
     """The automorphism x -> x y^-1 x, y -> x y^-1 x^2 of F_2.
 
@@ -260,21 +232,24 @@ def conj_by_sigma2() -> GroupAutomorphism:
     suite).
     """
     return GroupAutomorphism(
-        (_word2("xYx"), _word2("xYxx")),
-        (_word2("Xy"), _word2("XyXXy")),
+        (parse_free("xYx"), parse_free("xYxx")),
+        (parse_free("Xy"), parse_free("XyXXy")),
     )
 
 
 def flip_generators() -> GroupAutomorphism:
     """The involution x -> x^-1, y -> y^-1 (conjugation by the half twist)."""
-    images = (_word2("X"), _word2("Y"))
+    images = (parse_free("X"), parse_free("Y"))
     return GroupAutomorphism(images, images)
 
 
 def conj_by_sigma1() -> GroupAutomorphism:
-    """g -> σ1^-1 g σ1 on the commutator subgroup: flip . conj_by_sigma2 . flip."""
-    flip = flip_generators()
-    return flip.compose(conj_by_sigma2()).compose(flip)
+    """x -> x y^-1 x, y -> x^2 y^-1 x: g -> σ1^-1 g σ1 on the commutator
+    subgroup, and flip . conj_by_sigma2 . flip (both checked in the tests)."""
+    return GroupAutomorphism(
+        (parse_free("xYx"), parse_free("xxYx")),
+        (parse_free("yX"), parse_free("yXXyX")),
+    )
 
 
 NAMED_AUTOMORPHISMS = {

@@ -140,11 +140,6 @@ class TestExponentSum:
         word = half_twist(2) * BraidWord(3, ((2, -6),))
         assert exponent_sum(word) == 0
 
-    def test_single_generator(self):
-        word = parse_braid("s1 s2^-1 s1^3")
-        assert exponent_sum(word, 1) == 4
-        assert exponent_sum(word, 2) == -1
-
 
 class TestHalfTwist:
     def test_letters(self):

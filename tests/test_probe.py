@@ -136,12 +136,17 @@ class TestBall:
 class TestSubgroupElements:
     def test_matches_reference(self):
         rng = random.Random(901)
+        cases = []
         for _ in range(60):
             rank = rng.choice((1, 2, 3))
             gens = [random_free_word(rng, 6, rank) for _ in range(rng.randint(1, 3))]
+            cases.append((gens, 6))
+        named = [["x"], ["y"], ["x^2", "y"]]
+        cases += [([parse_free(g) for g in gens], 8) for gens in named] + [(kn_basis(3), 8)]
+        for gens, length in cases:
             graph = stallings_graph(gens)
-            expected = list(reference_subgroup_elements(graph, 6))
-            assert list(subgroup_elements(graph, 6)) == expected
+            expected = list(reference_subgroup_elements(graph, length))
+            assert list(subgroup_elements(graph, length)) == expected
 
     def test_cyclic(self):
         graph = stallings_graph([parse_free("x")])
