@@ -14,13 +14,14 @@ with at most one merge per seam.
 
 :class:`RunWord` is the one base of :class:`~braidlab.braid.BraidWord` and
 :class:`~braidlab.freegroup.FreeWord`: products, inverses, powers and
-lengths are written once, here.  :func:`parse` is their one text parser.
+lengths are written once, here, and so are the constructor's validation and
+the one text parser, :meth:`RunWord._parse`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Run = tuple[int, int]
 Runs = tuple[Run, ...]
@@ -112,93 +113,94 @@ def substitute(pairs: Iterable[Run], table: Mapping[int, tuple[Runs, Runs]]) -> 
     return normalize(out)
 
 
-def expand(pairs: Iterable[Run]) -> Iterator[Run]:
-    """Yield single letters ``(index, +1/-1)``, one per unit of exponent."""
-    for index, exponent in pairs:
-        step = 1 if exponent > 0 else -1
-        for _ in range(abs(exponent)):
-            yield index, step
-
-
-def letter_length(pairs: Iterable[Run]) -> int:
-    return sum(abs(e) for _, e in pairs)
-
-
-def split_terms(text: str) -> Iterator[tuple[str, int]]:
-    """Split on whitespace, yielding ``(term, byte_offset)`` pairs."""
-    for match in re.finditer(r"\S+", text):
-        yield match.group(), match.start()
-
-
-def parse_exponent(term: str, offset: int) -> tuple[str, int]:
-    """Split a trailing ``^SINT`` off a term; returns (head, exponent)."""
-    if "^" not in term:
-        return term, 1
-    head, _, tail = term.partition("^")
-    if not _SINT_RE.match(tail):
-        raise WordParseError(f"malformed exponent {tail!r}", offset)
-    return head, int(tail)
-
-
-def parse_positive_int(text: str, offset: int, what: str) -> int:
-    if not _INT_RE.match(text):
-        raise WordParseError(f"malformed {what} {text!r}", offset)
-    return int(text)
-
-
-def parse(
-    text: str,
-    compact: Mapping[str, Run],
-    head_index: Callable[[str, str, int], int],
-    top: int,
-    out_of_range: Callable[[int], str],
-) -> Runs:
-    """Runs of a word text, not yet reduced.
-
-    Text made only of ``compact`` characters and whitespace is read one
-    letter ``compact[char]`` per character.  Otherwise every term is a head
-    with an optional ``^SINT``, and ``head_index(head, term, offset)`` gives
-    the letter index of the head or raises :class:`WordParseError`.  A letter
-    index above ``top`` raises :class:`WordParseError` with the message
-    ``out_of_range(index)``.  Terms are read and checked in text order, so
-    the error reported is that of the first bad term.
-    """
-    squeezed = "".join(text.split())
-    if squeezed and set(squeezed) <= compact.keys():
-        terms: Iterable[tuple[Run, int]] = (
-            (compact[char], offset) for offset, char in enumerate(text) if not char.isspace()
-        )
-    else:
-        terms = _verbose_terms(text, head_index)
-    runs = []
-    for (index, exponent), offset in terms:
-        if index > top:
-            raise WordParseError(out_of_range(index), offset)
-        runs.append((index, exponent))
-    return tuple(runs)
-
-
-def _verbose_terms(
-    text: str, head_index: Callable[[str, str, int], int]
-) -> Iterator[tuple[Run, int]]:
-    for term, offset in split_terms(text):
-        head, exponent = parse_exponent(term, offset)
-        yield (head_index(head, term, offset), exponent), offset
-
-
 class RunWord:
     """A freely reduced word stored as runs: the base of the word classes.
 
     Subclasses are frozen dataclasses with two fields: the bound on the
     letter indices (the strand count or the rank), whose name is ``_BOUND``,
-    and ``letters``, the reduced runs.  They name letter i in text by
-    ``_letter_name(i)``.  The product of two words with different bounds
-    raises ``ValueError`` with the message ``"<_MISMATCH>: a != b"``.
+    and ``letters``, the reduced runs.  Everything else they hold is data:
+
+    - ``_LEAST``, the least bound, at which there is one letter, so the top
+      letter index is ``bound - _LEAST + 1``; ``_BOUND_ERROR`` and
+      ``_RANGE_ERROR`` format the ``ValueError`` messages of a bound below
+      ``_LEAST`` (given the bound) and of an index out of range (given the
+      index and the bound);
+    - ``_MISMATCH``: a product of two words with different bounds raises
+      ``ValueError`` with the message ``"<_MISMATCH>: a != b"``;
+    - the text alphabet read by :meth:`_parse`: ``_COMPACT`` maps a character
+      to a run; a head is the one character ``_HEAD`` followed by an INT, or
+      a key of ``_ALIAS``; ``_TOKEN`` names a letter in parse errors; and
+      ``_letter_name(i)`` names letter i in text forms.
+
+    The constructor checks the bound, normalizes the runs and checks every
+    index: each word invariant is enforced here, once.
     """
 
     __slots__ = ()
     _BOUND: str
+    _LEAST: int
+    _BOUND_ERROR: str
+    _RANGE_ERROR: str
     _MISMATCH: str
+    _COMPACT: Mapping[str, Run]
+    _HEAD: str
+    _ALIAS: Mapping[str, int]
+    _TOKEN: str
+
+    def __post_init__(self):
+        bound = getattr(self, self._BOUND)
+        top = self._top_index(bound)
+        letters = normalize(self.letters)
+        for index, _ in letters:
+            if not 1 <= index <= top:
+                raise ValueError(self._RANGE_ERROR.format(index, bound))
+        object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _top_index(cls, bound: int) -> int:
+        """The top letter index for ``bound``; a bound below ``_LEAST`` raises."""
+        if bound < cls._LEAST:
+            raise ValueError(cls._BOUND_ERROR.format(bound))
+        return bound - cls._LEAST + 1
+
+    @classmethod
+    def _parse(cls: type[_W], text: str, bound: int) -> _W:
+        """The word that ``text`` spells, validated once, term by term.
+
+        Text made only of ``_COMPACT`` characters and whitespace is read one
+        letter per character.  Otherwise every whitespace-separated term is a
+        head with an optional ``^SINT``.  A bound below ``_LEAST`` raises the
+        constructor's ``ValueError`` before the text is read.  Terms are read
+        and checked in text order, so the :class:`WordParseError` raised is
+        that of the first bad term, with its byte offset: a malformed
+        exponent, head or index, or an index out of range, whose message is
+        the constructor's.
+        """
+        top = cls._top_index(bound)
+        squeezed = "".join(text.split())
+        compact = bool(squeezed) and set(squeezed) <= cls._COMPACT.keys()
+        runs = []
+        for match in re.finditer(r"\S" if compact else r"\S+", text):
+            term, offset = match.group(), match.start()
+            if compact:
+                index, exponent = cls._COMPACT[term]
+            else:
+                head, caret, tail = term.partition("^")
+                if caret and not _SINT_RE.match(tail):
+                    raise WordParseError(f"malformed exponent {tail!r}", offset)
+                exponent = int(tail) if caret else 1
+                if head in cls._ALIAS:
+                    index = cls._ALIAS[head]
+                elif not head.startswith(cls._HEAD):
+                    raise WordParseError(f"malformed {cls._TOKEN} token {term!r}", offset)
+                elif _INT_RE.match(head[1:]):
+                    index = int(head[1:])
+                else:
+                    raise WordParseError(f"malformed {cls._TOKEN} index {head[1:]!r}", offset)
+            if index > top:
+                raise WordParseError(cls._RANGE_ERROR.format(index, bound), offset)
+            runs.append((index, exponent))
+        return cls._reduced(bound, normalize(runs))
 
     @classmethod
     def _reduced(cls: type[_W], bound: int, letters: Runs) -> _W:
@@ -211,14 +213,17 @@ class RunWord:
     @property
     def length(self) -> int:
         """Number of single letters (sum of |exponent| over runs)."""
-        return letter_length(self.letters)
+        return sum(abs(e) for _, e in self.letters)
 
     def is_identity(self) -> bool:
         return not self.letters
 
     def single_letters(self) -> Iterator[Run]:
         """Yield ``(index, +1/-1)`` one letter at a time."""
-        return expand(self.letters)
+        for index, exponent in self.letters:
+            step = 1 if exponent > 0 else -1
+            for _ in range(abs(exponent)):
+                yield index, step
 
     @classmethod
     def _check_bounds(cls, bound: int, other_bound: int) -> None:

@@ -1,11 +1,11 @@
-"""Braid words: parsing, text forms, exponent sums and the half twist.
+"""Braid words: the s-grammar, text forms, exponent sums and the half twist.
 
 Words in the Artin braid group B_n live over the generators σ1 .. σ_{n-1}.
 A :class:`BraidWord` is a :class:`~braidlab._words.RunWord`: it is stored
 run-length encoded as ``(generator_index, exponent)`` pairs and is always
 freely reduced, so all downstream algorithms may assume reduced input.  The
-public constructor normalizes and validates; products (``*``), inverses and
-powers come from the run-word core and build their results already reduced.
+run-word core validates, parses and normalizes; products (``*``), inverses
+and powers come from it too and build their results already reduced.
 Values are immutable and safe to share across threads.
 
 Text grammar (whitespace separated)::
@@ -20,7 +20,6 @@ Three-strand words also admit the compact alphabet ``a/A/b/B`` for
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from . import _words
 from ._words import WordParseError
@@ -33,9 +32,6 @@ __all__ = [
     "half_twist",
 ]
 
-_COMPACT = {"a": (1, 1), "A": (1, -1), "b": (2, 1), "B": (2, -1)}
-_OUT_OF_RANGE = "generator index {} out of range for {strands} strands"
-
 
 @dataclasses.dataclass(frozen=True)
 class BraidWord(_words.RunWord):
@@ -44,35 +40,29 @@ class BraidWord(_words.RunWord):
     ``letters`` holds ``(generator_index, exponent)`` runs with every index in
     ``[1, strands - 1]``, every exponent nonzero, and adjacent runs never
     sharing an index.  Arbitrary run sequences may be passed in; the public
-    constructor normalizes and validates them.  Library operations on reduced
-    words (inverse, powers, products, the half twist, handle reduction) build
-    their results already reduced, through :meth:`_reduced`, and so normalize
-    each produced word exactly once.  A product of words on different strand
-    counts raises ``ValueError``.
+    constructor, inherited from the run-word core, normalizes them and
+    validates the strand count and every index.  Library operations on
+    reduced words (inverse, powers, products, parsing, the half twist, handle
+    reduction) build their results already reduced, through :meth:`_reduced`,
+    and so normalize each produced word exactly once.  A product of words on
+    different strand counts raises ``ValueError``.  The class itself holds
+    only data: the bound, its messages and the text alphabet.
     """
 
     _BOUND = "strands"
+    _LEAST = 2
+    _BOUND_ERROR = "strand count must be at least 2, got {}"
+    _RANGE_ERROR = "generator index {} out of range for {} strands"
     _MISMATCH = "strand count mismatch"
+    _COMPACT = {"a": (1, 1), "A": (1, -1), "b": (2, 1), "B": (2, -1)}
+    _HEAD, _ALIAS, _TOKEN = "s", {}, "generator"
 
     strands: int = 3
     letters: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        _check_strands(self.strands)
-        normalized = _words.normalize(self.letters)
-        for index, _ in normalized:
-            if not 1 <= index <= self.strands - 1:
-                raise ValueError(_OUT_OF_RANGE.format(index, strands=self.strands))
-        object.__setattr__(self, "letters", normalized)
-
     def _letter_name(self, index: int) -> str:
         """Text forms read ``s1 s2^-1``."""
         return f"s{index}"
-
-
-def _check_strands(strands: int) -> None:
-    if strands < 2:
-        raise ValueError(f"strand count must be at least 2, got {strands}")
 
 
 def parse_braid(text: str, strands: int = 3) -> BraidWord:
@@ -83,16 +73,7 @@ def parse_braid(text: str, strands: int = 3) -> BraidWord:
     generator index.  A strand count below 2 raises the constructor's
     ``ValueError`` before the text is read.
     """
-    _check_strands(strands)
-    out_of_range = functools.partial(_OUT_OF_RANGE.format, strands=strands)
-    runs = _words.parse(text, _COMPACT, _generator_index, strands - 1, out_of_range)
-    return BraidWord(strands, runs)
-
-
-def _generator_index(head: str, term: str, offset: int) -> int:
-    if not head.startswith("s"):
-        raise WordParseError(f"malformed generator token {term!r}", offset)
-    return _words.parse_positive_int(head[1:], offset, "generator index")
+    return BraidWord._parse(text, strands)
 
 
 def exponent_sum(word: BraidWord) -> int:

@@ -28,12 +28,13 @@ JSON, and reports usage and domain errors, from argparse and handlers alike.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from typing import NamedTuple, Sequence
 
-from ._words import WordParseError
+from ._words import _INT_RE, WordParseError
 from .braid import parse_braid
 from .burau import burau_matrix
 from .dehornoy import (
@@ -155,9 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_ctx(text: str) -> ExoticContext:
+    """``f2``, or ``kn:`` followed by an INT of the word grammar."""
     if text == "f2":
         return ExoticContext.f2()
-    if text.startswith("kn:"):
+    if text.startswith("kn:") and _INT_RE.match(text[3:]):
         try:
             return ExoticContext.kn(int(text[3:]))
         except ValueError as exc:
@@ -192,7 +194,7 @@ def _cmd_reduce(args, text: str) -> Result:
         return Result({"word": reduced}, reduced)
     reduced, trace = handle_reduce_trace(word)
     steps = [
-        {"step": item.step, "handle": item.handle.to_json_dict(), "word": item.word.to_text()}
+        {"step": item.step, "handle": dataclasses.asdict(item.handle), "word": item.word.to_text()}
         for item in trace
     ]
     lines = [json.dumps(step, sort_keys=True) for step in steps] + [reduced.to_text()]

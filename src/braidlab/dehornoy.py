@@ -110,9 +110,6 @@ class Handle:
     index: int
     sign: int
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class OrderVerdict:

@@ -46,23 +46,27 @@ _EMBED_RUNS = _words.substitution_table((X_IMAGE.letters, Y_IMAGE.letters))
 
 @dataclasses.dataclass(frozen=True)
 class ExoticContext:
-    """Which restricted order to compare in: F_2 itself or K_n inside it."""
+    """Which restricted order to compare in: F_2 itself, or K_n inside it.
 
-    kind: str
+    ``n`` is None for F_2 and the index n >= 2 of K_n otherwise; the rank of
+    the compared words, the map down to F_2 and the text form all follow
+    from it.
+    """
+
     n: int | None = None
 
     @classmethod
     def f2(cls) -> "ExoticContext":
-        return cls("F2")
+        return cls()
 
     @classmethod
     def kn(cls, n: int) -> "ExoticContext":
         _check_n(n)
-        return cls("Kn", n)
+        return cls(n)
 
     @property
     def rank(self) -> int:
-        return 2 if self.kind == "F2" else self.n  # type: ignore[return-value]
+        return 2 if self.n is None else self.n
 
     def _check_rank(self, rank: int) -> None:
         if rank != self.rank:
@@ -70,12 +74,10 @@ class ExoticContext:
 
     def to_f2(self, word: FreeWord) -> FreeWord:
         self._check_rank(word.rank)
-        if self.kind == "F2":
-            return word
-        return kn_substitute(word, self.n)  # type: ignore[arg-type]
+        return word if self.n is None else kn_substitute(word, self.n)
 
     def __str__(self) -> str:
-        return "f2" if self.kind == "F2" else f"kn:{self.n}"
+        return "f2" if self.n is None else f"kn:{self.n}"
 
 
 def embed(word: FreeWord) -> BraidWord:
@@ -176,6 +178,6 @@ def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -
     FreeWord._check_bounds(u.rank, v.rank)
     ctx._check_rank(u.rank)
     difference = _words.concat(_words.invert(u.letters), v.letters)
-    if ctx.kind != "F2":
+    if ctx.n is not None:
         difference = _words.substitute(difference, _kn_table(ctx.n))
     return dehornoy._COMPARISON[dehornoy._sign(_embed_runs(difference), 3)[0]]

@@ -2,9 +2,9 @@
 
 Words of the free group F_r live over letters g1 .. gr (aliases x = g1 and
 y = g2).  A :class:`FreeWord` is a :class:`~braidlab._words.RunWord`, like a
-braid word: run-length encoded, always freely reduced, with products,
-inverses and powers from the run-word core.  On top of the words this module
-provides:
+braid word: run-length encoded, always freely reduced, with validation,
+parsing, products, inverses and powers from the run-word core.  On top of
+the words this module provides:
 
 * automorphisms with verified inverses, among them the conjugation actions
   that the three-strand braid group induces on its commutator subgroup (see
@@ -29,7 +29,6 @@ import functools
 from typing import Sequence
 
 from . import _words
-from ._words import WordParseError
 
 __all__ = [
     "FreeWord",
@@ -54,63 +53,46 @@ __all__ = [
     "subgroup_contains",
 ]
 
-_ALIAS = {"x": 1, "y": 2}
-_COMPACT = {"x": (1, 1), "X": (1, -1), "y": (2, 1), "Y": (2, -1)}
-_OUT_OF_RANGE = "letter {} out of range for rank {rank}"
-
 
 @dataclasses.dataclass(frozen=True)
 class FreeWord(_words.RunWord):
     """A freely reduced word in the free group of the given rank.
 
     ``letters`` holds ``(letter_index, exponent)`` runs with indices in
-    ``[1, rank]``.  The public constructor normalizes and validates; library
-    operations on reduced words (inverse, powers, products, substitution)
-    build their results already reduced, through :meth:`_reduced`.  A
-    product of words of different ranks raises ``ValueError``.
+    ``[1, rank]``.  The public constructor, inherited from the run-word core,
+    normalizes the runs and validates the rank and every index; library
+    operations on reduced words (inverse, powers, products, parsing,
+    substitution) build their results already reduced, through
+    :meth:`_reduced`.  A product of words of different ranks raises
+    ``ValueError``.  The class itself holds only data: the bound, its
+    messages and the text alphabet.
     """
 
     _BOUND = "rank"
+    _LEAST = 1
+    _BOUND_ERROR = "rank must be at least 1, got {}"
+    _RANGE_ERROR = "letter {} out of range for rank {}"
     _MISMATCH = "rank mismatch"
+    _COMPACT = {"x": (1, 1), "X": (1, -1), "y": (2, 1), "Y": (2, -1)}
+    _HEAD, _ALIAS, _TOKEN = "g", {"x": 1, "y": 2}, "letter"
 
     rank: int = 2
     letters: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        _check_rank(self.rank)
-        normalized = _words.normalize(self.letters)
-        for index, _ in normalized:
-            if not 1 <= index <= self.rank:
-                raise ValueError(_OUT_OF_RANGE.format(index, rank=self.rank))
-        object.__setattr__(self, "letters", normalized)
 
     def _letter_name(self, index: int) -> str:
         """Text forms read ``x y^-1`` for rank <= 2, ``g1 g2^-1`` above."""
         return ("x", "y")[index - 1] if self.rank <= 2 else f"g{index}"
 
 
-def _check_rank(rank: int) -> None:
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-
-
 def parse_free(text: str, rank: int = 2) -> FreeWord:
     """Parse a free-group word (verbose grammar or rank-2 compact form).
 
-    A rank below 1 raises the constructor's ``ValueError`` before the text
-    is read.
+    Raises :class:`~braidlab._words.WordParseError` with the byte offset of
+    the offending token on malformed input or an out-of-range letter.  A
+    rank below 1 raises the constructor's ``ValueError`` before the text is
+    read.
     """
-    _check_rank(rank)
-    out_of_range = functools.partial(_OUT_OF_RANGE.format, rank=rank)
-    return FreeWord(rank, _words.parse(text, _COMPACT, _letter_index, rank, out_of_range))
-
-
-def _letter_index(head: str, term: str, offset: int) -> int:
-    if head in _ALIAS:
-        return _ALIAS[head]
-    if not head.startswith("g"):
-        raise WordParseError(f"malformed letter token {term!r}", offset)
-    return _words.parse_positive_int(head[1:], offset, "letter index")
+    return FreeWord._parse(text, rank)
 
 
 def abelianize(word: FreeWord) -> tuple[int, ...]:
@@ -276,23 +258,23 @@ def kn_basis(n: int) -> list[FreeWord]:
     """The rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x] of K_n.
 
     For 1 <= i <= n-2, x^i y x^{n-1-i} is the Schreier generator x^i y x^-i
-    right-multiplied by x^{n-1}.  Each call returns a fresh list over a basis
-    built once per n.
+    right-multiplied by x^{n-1}.  Each call returns a fresh list, read off
+    the substitution table built once per n.
     """
-    return list(_kn_basis(n))
-
-
-@functools.lru_cache(maxsize=64)
-def _kn_basis(n: int) -> tuple[FreeWord, ...]:
-    _check_n(n)
-    conjugates = (FreeWord(2, ((1, i), (2, 1), (1, n - 1 - i))) for i in range(1, n - 1))
-    return (FreeWord(2, ((2, 1),)), FreeWord(2, ((1, n - 1),)), *conjugates)
+    return [FreeWord._reduced(2, image) for _, image in _kn_table(n).values()]
 
 
 @functools.lru_cache(maxsize=64)
 def _kn_table(n: int) -> dict[int, tuple[_words.Runs, _words.Runs]]:
-    """The :func:`_words.substitute` table of the K_n basis."""
-    return _words.substitution_table(word.letters for word in _kn_basis(n))
+    """The :func:`_words.substitute` table of the K_n basis.
+
+    The literal runs go through :func:`_words.normalize`, which also makes
+    every small run the shared run object.
+    """
+    _check_n(n)
+    conjugates = (((1, i), (2, 1), (1, n - 1 - i)) for i in range(1, n - 1))
+    basis = (((2, 1),), ((1, n - 1),), *conjugates)
+    return _words.substitution_table(_words.normalize(runs) for runs in basis)
 
 
 # Basis coordinates of the Schreier generator for (coset i, generator j);
@@ -365,7 +347,7 @@ def kn_substitute(word: FreeWord, n: int) -> FreeWord:
 class SubgroupGraph:
     """A folded Stallings graph for a finitely generated subgroup of F_r.
 
-    Vertices are 0 .. num_vertices - 1 with the base point at 0; ``fwd[v]``
+    Vertices are 0 .. len(fwd) - 1 with the base point at 0; ``fwd[v]``
     maps a letter to the target of the unique outgoing edge at v with that
     label, ``bwd[v]`` to the source of the unique incoming one.  Vertex
     numbering is the breadth-first order from the base (edges sorted by
@@ -373,18 +355,18 @@ class SubgroupGraph:
     Instances are immutable after construction.
     """
 
+    base = 0
+
     def __init__(
-        self,
-        rank: int,
-        num_vertices: int,
-        fwd: Sequence[dict[int, int]],
-        bwd: Sequence[dict[int, int]],
+        self, rank: int, fwd: Sequence[dict[int, int]], bwd: Sequence[dict[int, int]]
     ):
         self.rank = rank
-        self.num_vertices = num_vertices
-        self.base = 0
         self.fwd = tuple(dict(m) for m in fwd)
         self.bwd = tuple(dict(m) for m in bwd)
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.fwd)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (source, letter, target), sorted."""
@@ -482,7 +464,7 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
             raise AssertionError("folding left a nondeterministic vertex")
         fwd[nu][letter] = nv
         bwd[nv][letter] = nu
-    return SubgroupGraph(rank, count, fwd, bwd)
+    return SubgroupGraph(rank, fwd, bwd)
 
 
 def subgroup_contains(graph: SubgroupGraph, word: FreeWord) -> bool:

@@ -40,7 +40,6 @@ from .exotic import ExoticContext, commutator_rewrite, embed
 from .freegroup import (
     FreeWord,
     SubgroupGraph,
-    _check_rank,
     kn_member,
     kn_substitute,
     stallings_graph,
@@ -72,11 +71,10 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     totals 2 * 3^radius - 1 words at rank two.  They are the closed walks of
     the rose (one vertex, one loop per letter), from :func:`subgroup_elements`.
     """
-    _check_rank(rank)
+    loops = {i: 0 for i in range(1, FreeWord._top_index(rank) + 1)}
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    loops = {i: 0 for i in range(1, rank + 1)}
-    yield from subgroup_elements(SubgroupGraph(rank, 1, [loops], [loops]), radius)
+    yield from subgroup_elements(SubgroupGraph(rank, [loops], [loops]), radius)
 
 
 def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWord]:

@@ -4,12 +4,15 @@ The harness is not part of this suite, so a deleted or renamed public member
 would only show when the benchmark runs.  This test reads ``bench/*.py``
 (it imports none of it), collects each attribute chain rooted at a name the
 file binds to ``braidlab`` (``bl.ExoticContext.f2``, ``braidlab.cli.run``)
-and resolves it on the package.
+and resolves it on the package.  It also checks that every hook key of the
+tracer in ``bench/spans.py`` names a function that the tracer wraps.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -76,3 +79,39 @@ def test_bench_names_resolve(file):
         except AttributeError:
             unresolved.append(".".join(path))
     assert not unresolved, f"{file.name} uses missing library names: {unresolved}"
+
+
+def hook_keys(source: str) -> list[str]:
+    """The string keys of the dict that ``Tracer._hooks`` returns."""
+    keys = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_hooks":
+            for ret in ast.walk(node):
+                if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Dict):
+                    keys += [
+                        key.value
+                        for key in ret.value.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    ]
+    return keys
+
+
+def test_hook_keys_name_wrapped_functions():
+    # The tracer wraps each function defined in braidlab.<mod> and listed in
+    # its __all__, then looks its hooks up by "mod.fn": a key naming anything
+    # else is skipped without a word, and its counter reads 0.
+    keys = hook_keys((BENCH / "spans.py").read_text())
+    assert "exotic.exotic_compare" in keys and "cli.run" in keys
+    unwrapped = []
+    for key in keys:
+        module_name, _, name = key.partition(".")
+        module = importlib.import_module(f"braidlab.{module_name}")
+        fn = getattr(module, name, None)
+        public = getattr(module, "__all__", None) or [n for n in vars(module) if n[:1] != "_"]
+        listed = name in public
+        if not (inspect.isfunction(fn) and fn.__module__ == module.__name__ and listed):
+            unwrapped.append(key)
+    assert not unwrapped, f"spans.py hooks functions it does not wrap: {unwrapped}"
+    # The tracer also wraps the word classes' constructor check.
+    assert callable(braidlab.BraidWord.__post_init__)
+    assert callable(braidlab.FreeWord.__post_init__)

@@ -236,6 +236,28 @@ class TestExoticCompare:
         code, _, err = invoke(capsys, "exotic-compare", "--ctx", "k3", "x", "y")
         assert code == 2
 
+    # The n of kn:<n> follows the INT rule of s<INT> and g<INT>; int() would
+    # read each of these (kn:3_0 as K_30) or fail with its own message.
+    @pytest.mark.parametrize("ctx", ["kn:3_0", "kn:+3", "kn: 3", "kn:03", "kn:٣", "kn:", "kn:x"])
+    def test_ctx_outside_the_int_rule(self, capsys, ctx):
+        code, out, err = invoke(capsys, "exotic-compare", "--json", "--ctx", ctx, "g1", "g2")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "usage",
+            "message": f"unknown context {ctx!r}; expected f2 or kn:<n>",
+        }
+        assert "int()" not in err
+
+    def test_ctx_below_k2(self, capsys):
+        code, _, err = invoke(capsys, "exotic-compare", "--ctx", "kn:1", "g1", "g2")
+        assert code == 2
+        assert err == "usage error: bad context 'kn:1': n must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_ctx_echo(self, capsys, n):
+        code, out, _ = invoke(capsys, "exotic-compare", "--json", "--ctx", f"kn:{n}", "g1", "g2")
+        assert code == 0 and json.loads(out) == {"ctx": f"kn:{n}", "result": "greater"}
+
 
 class TestProbeConvexity:
     def test_witness_found(self, capsys):

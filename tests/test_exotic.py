@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import inspect
 import random
 import sys
@@ -297,6 +298,13 @@ class TestExoticContext:
             ExoticContext.kn(3).to_f2(X)
         with pytest.raises(ValueError, match="n must be at least 2, got 1"):
             ExoticContext.kn(1)
+
+    def test_n_is_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(ExoticContext)] == ["n"]
+        assert ExoticContext.f2() == ExoticContext()
+        assert ExoticContext.kn(3) == ExoticContext.kn(3)
+        assert hash(ExoticContext.kn(3)) == hash(ExoticContext.kn(3))
+        assert ExoticContext.f2() != ExoticContext.kn(2)
 
 
 class TestExoticCompare:

@@ -129,7 +129,7 @@ def reference_stallings(generators):
     for u, letter, v in folded:
         fwd[order[u]][letter] = order[v]
         bwd[order[v]][letter] = order[u]
-    return SubgroupGraph(rank, len(order), fwd, bwd)
+    return SubgroupGraph(rank, fwd, bwd)
 
 
 def random_generator_set(rng):
@@ -493,7 +493,7 @@ class TestStallings:
     @staticmethod
     def assert_matches_reference(gens):
         graph, expected = stallings_graph(gens), reference_stallings(gens)
-        assert graph.num_vertices == expected.num_vertices
+        assert graph.num_vertices == expected.num_vertices == len(graph.fwd)
         assert graph.fwd == expected.fwd and graph.bwd == expected.bwd
         # The degree counts a loop twice: once in fwd and once in bwd.
         degrees = [len(out) + len(inc) for out, inc in zip(graph.fwd, graph.bwd)]

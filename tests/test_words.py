@@ -24,6 +24,8 @@ from braidlab import (
     handle_reduce_trace,
     kn_basis,
     kn_substitute,
+    WordParseError,
+    parse_braid,
     parse_free,
     stallings_graph,
     subgroup_elements,
@@ -219,6 +221,12 @@ class TestPublicNames:
             ("braid", "product"),
             ("free", "product"),
             ("identity", "automorphism"),
+            ("", "check", "strands"),
+            ("", "check", "rank"),
+            ("", "kn", "basis"),
+            ("expand",),
+            ("letter", "length"),
+            ("split", "terms"),
         ]
     }
 
@@ -239,6 +247,77 @@ class TestPublicNames:
         ]
         assert braidlab.__all__ == sorted(name for module in modules for name in module.__all__)
 
-    @pytest.mark.parametrize("module", [braidlab, braidlab.braid, braidlab.freegroup])
+    @pytest.mark.parametrize(
+        "module", [braidlab, braidlab.braid, braidlab.freegroup, _words]
+    )
     def test_identity_wrappers_are_gone(self, module):
         assert not [name for name in self.REMOVED if hasattr(module, name)]
+
+
+class TestOneValidation:
+    """The run-word core validates and parses for both word classes, which
+    hold only data; a parsed word is validated once, term by term."""
+
+    def test_word_classes_define_no_constructor_check(self):
+        assert "__post_init__" not in vars(BraidWord)
+        assert "__post_init__" not in vars(FreeWord)
+
+    def test_parsers_skip_the_public_constructor(self, monkeypatch):
+        calls = []
+        check = _words.RunWord.__post_init__
+
+        def counted(word):
+            calls.append(word)
+            check(word)
+
+        monkeypatch.setattr(_words.RunWord, "__post_init__", counted)
+        parsed = [
+            parse_braid("s1 s2^-1 s1^3", 4),
+            parse_braid("aBBa b"),
+            parse_free("x y^-1 g3 x^2", 3),
+            parse_free("xYyX"),
+        ]
+        assert calls == []
+        assert [BraidWord(4, parsed[0].letters), FreeWord(3, parsed[2].letters)] == parsed[::2]
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "cls, parse, bound, message",
+        [
+            (BraidWord, parse_braid, 1, "strand count must be at least 2, got 1"),
+            (FreeWord, parse_free, 0, "rank must be at least 1, got 0"),
+        ],
+        ids=["braid", "free"],
+    )
+    def test_bound_below_the_least(self, cls, parse, bound, message):
+        with pytest.raises(ValueError) as built:
+            cls(bound)
+        with pytest.raises(ValueError) as parsed:
+            parse("s1 x", bound)
+        assert str(built.value) == str(parsed.value) == message
+        assert not isinstance(parsed.value, WordParseError)
+
+    @pytest.mark.parametrize(
+        "cls, parse, text, bound, index, offset, message",
+        [
+            (
+                BraidWord, parse_braid, "s1 s3", 3, 3, 3,
+                "generator index 3 out of range for 3 strands",
+            ),
+            (
+                BraidWord, parse_braid, "a b", 2, 2, 2,
+                "generator index 2 out of range for 2 strands",
+            ),
+            (FreeWord, parse_free, "x g3", 2, 3, 2, "letter 3 out of range for rank 2"),
+            (FreeWord, parse_free, "x Y", 1, 2, 2, "letter 2 out of range for rank 1"),
+        ],
+        ids=["s-grammar", "compact-braid", "g-grammar", "compact-free"],
+    )
+    def test_index_out_of_range(self, cls, parse, text, bound, index, offset, message):
+        with pytest.raises(ValueError) as built:
+            cls(bound, ((1, 1), (index, 1)))
+        with pytest.raises(WordParseError) as parsed:
+            parse(text, bound)
+        assert str(built.value) == message
+        assert str(parsed.value) == f"{message} (at offset {offset})"
+        assert parsed.value.offset == offset
