@@ -32,7 +32,6 @@ from .dehornoy import (
     LESS,
     OrderVerdict,
     POSITIVE,
-    commutes,
     dehornoy_sign,
 )
 from .burau import braid_equal
@@ -42,6 +41,7 @@ from .freegroup import (
     SubgroupGraph,
     kn_member,
     kn_substitute,
+    parse_free,
     stallings_graph,
     subgroup_contains,
 )
@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 _SIGMA2 = BraidWord(3, ((2, 1),))
+# c = x y^-1 x^-1 y, whose image Δ^2 σ2^-6 generates the centralizer of σ2
+# in [B3, B3]: see _centralizes_sigma2.
+_CENTRALIZER_RUNS = parse_free("x y^-1 x^-1 y").letters
+_CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
 MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter: 10^5 build in about 1 s
 
 
@@ -154,12 +158,32 @@ def convexity_probe(
     ``MAX_GENERATOR_LETTERS`` letters in total, a negative radius or a
     negative ``max_element_length`` raise ValueError.
 
-    Two subgroups return None at once, with no search: the whole group F_r,
-    which leaves no g outside it, and the trivial group {1}, whose one
-    member cannot be both c_low and c_high.  Their folded graphs are the one
-    vertex with a loop on every letter and the one vertex with no edge; a
-    core graph is the rose exactly when the subgroup is F_r (Kapovich-
-    Myasnikov, *Stallings foldings and subgroups of free groups*, 2002).
+    The search depends on the rank E - V + 1 of the folded graph, which has
+    V vertices and E edges (Kapovich-Myasnikov, *Stallings foldings and
+    subgroups of free groups*, 2002):
+
+    - Rank 0 and the whole group F_r return None at once, with no search:
+      F_r leaves no g outside it, and the one member of {1} cannot be both
+      c_low and c_high.  Their graphs are the one vertex with no edge and
+      the one vertex with a loop on every letter; a core graph is that rose
+      exactly when the subgroup is F_r.
+    - Rank >= 2 scans the members for each candidate, in enumeration order,
+      and returns (first member below g, first member above g, g).
+    - Rank 1, H = <p> with p > 1, walks the sorted powers of p instead.
+      Write p = u v u^-1, reduced, with v cyclically reduced; then
+      |p^j| = 2|u| + |j| |v| strictly increases with |j|.  So the first
+      non-identity member enumerated is p or p^-1, one comparison with 1
+      orients it, and p, ..., p^K are the members of positive exponent
+      within the length bound; if the bound is below |p|, 1 is the only
+      member and None returns with no comparison.  In a left order p > 1 gives p^j < p^j p,
+      so 1 < p < p^2 < ... < p^K and p^-K < ... < p^-1 < 1.  A candidate
+      g > 1 has c_low = 1, only positive powers can lie above it, and they
+      do from the first one above g on.  So one comparison with p^K tells
+      whether any member lies above g, and if one does, the powers from p
+      up give the first, p^j0.  The scan meets 1 first and the positive
+      powers in order of j, so it returns the same witness (1, p^j0, g).
+      A candidate g < 1 mirrors this with p^-1, ..., p^-K.  A candidate
+      that no member bounds costs two comparisons, not one per member.
     """
     from .exotic import exotic_compare
 
@@ -180,6 +204,8 @@ def convexity_probe(
     graph = stallings_graph(list(generators))
     if graph.num_vertices == 1 and len(graph.fwd[0]) in (0, ctx.rank):
         return None
+    if graph.cycle_rank() == 1:
+        return _probe_cyclic(graph, ctx, radius, bound)
     members = _CachedSeq(subgroup_elements(graph, bound))
     for g in ball(ctx.rank, radius):
         if g.is_identity() or subgroup_contains(graph, g):
@@ -195,6 +221,41 @@ def convexity_probe(
                 c_high = member
             if c_low is not None and c_high is not None:
                 return ConvexityWitness(c_low, c_high, g)
+    return None
+
+
+def _probe_cyclic(
+    graph: SubgroupGraph, ctx: ExoticContext, radius: int, bound: int
+) -> ConvexityWitness | None:
+    """The rank-1 search of :func:`convexity_probe`, whose docstring shows
+    that it returns the witness of the member scan."""
+    from .exotic import exotic_compare
+
+    members = subgroup_elements(graph, bound)
+    one = next(members)
+    h = next(members, None)
+    if h is None:
+        return None
+    p = h if exotic_compare(one, h, ctx) == LESS else h.inverse()
+    above = []
+    power = p
+    while power.length <= bound:
+        above.append(power)
+        power = power * p
+    below = [q.inverse() for q in above]
+    for g in ball(ctx.rank, radius):
+        if g.is_identity() or subgroup_contains(graph, g):
+            continue
+        if exotic_compare(one, g, ctx) == LESS:
+            powers, beyond = above, LESS
+        else:
+            powers, beyond = below, GREATER
+        if exotic_compare(g, powers[-1], ctx) != beyond:
+            continue
+        first = next(q for q in powers if exotic_compare(g, q, ctx) == beyond)
+        if beyond == LESS:
+            return ConvexityWitness(one, first, g)
+        return ConvexityWitness(first, one, g)
     return None
 
 
@@ -346,10 +407,29 @@ def _sample_positive_commutator_base(
         verdict = sign_of(braid)
         if verdict.kind != POSITIVE or verdict.main_index != 1:
             continue
-        if commutes(braid, _SIGMA2):
+        if _centralizes_sigma2(word):
             continue
         return word, braid
     return None
+
+
+def _centralizes_sigma2(word: FreeWord) -> bool:
+    """Whether embed(word) commutes with σ2, for a rank-2 word; exact.
+
+    The centralizer of σ1 in B3 is <σ1, Δ^2> (Fenn-Rolfsen-Zhu,
+    *Centralisers in the braid group and singular braid monoid*, 1996), and
+    Δ σ1 Δ^-1 = σ2, so the centralizer of σ2 is <σ2, Δ^2>.  Δ^2 is central,
+    so its elements are σ2^a Δ^(2b), with exponent sum a + 6b.  Those in
+    [B3, B3] have a = -6b: they are the powers of σ2^-6 Δ^2 = embed(c) for
+    c = x y^-1 x^-1 y.  embed is injective, so embed(word) commutes with σ2
+    exactly when word = c^b for some integer b.  c is cyclically reduced (it
+    starts with x and ends with y), so the reduced word c^b is c written b
+    times, or c^-1 written -b times, with no merge at the seams: its runs
+    are those of c, or of c^-1, repeated.
+    """
+    runs = word.letters
+    count = len(runs) // 4
+    return runs in (_CENTRALIZER_RUNS * count, _CENTRALIZER_INVERSE_RUNS * count)
 
 
 def lemma_suite(

@@ -83,6 +83,17 @@ GOLDEN = [
         1,
         "none (inconclusive: radius 2 exhausted; this does not prove convexity)\n",
     ),
+    # No member of <x^100> but 1 fits the default length bound 20.
+    (
+        ["probe-convexity", "--gens", "x^100", "--radius", "10"],
+        1,
+        "none (inconclusive: radius 10 exhausted; this does not prove convexity)\n",
+    ),
+    (
+        ["probe-convexity", "--json", "--gens", "x^100", "--radius", "10"],
+        1,
+        '{"conclusive": false, "radius": 10, "witness": null}\n',
+    ),
     *(
         (
             ["probe-convexity", "--json", "--gens", *gens, "--radius", "-1"],

@@ -4,25 +4,31 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from braidlab import (
+    GREATER,
     LESS,
     NEGATIVE,
     POSITIVE,
     TRIVIAL,
     BraidWord,
+    ConvexityWitness,
     ExoticContext,
     FreeWord,
     OrderVerdict,
     ball,
+    commutes,
     conradian_violation_search,
     convexity_probe,
     dehornoy_sign,
+    embed,
     exotic_compare,
     exponent_sum,
     kn_basis,
+    kn_substitute,
     lemma_suite,
     parse_free,
     random_braid_word,
@@ -224,8 +230,10 @@ class TestConvexityProbe:
         assert witness is not None
         assert calls
         graph = stallings_graph(generators)
-        # Every call compares a member against a candidate outside the
-        # subgroup, and no (member, candidate) pair is compared twice.
+        assert graph.cycle_rank() == 2
+        # The scan of a subgroup of rank >= 2: every call compares a member
+        # against a candidate outside the subgroup, and no (member,
+        # candidate) pair is compared twice.
         assert all(subgroup_contains(graph, u) for u, _, _ in calls)
         assert not any(subgroup_contains(graph, v) for _, v, _ in calls)
         pairs = {(u, v) for u, v, _ in calls}
@@ -284,6 +292,131 @@ class TestConvexityProbe:
         witness = convexity_probe(generators, F2, 10)
         texts = (witness.c_low.to_text(), witness.g.to_text(), witness.c_high.to_text())
         assert texts == expected
+
+
+def reference_convexity_scan(generators, ctx, radius, bound):
+    """The member scan of ``convexity_probe`` for subgroups of rank >= 2, run
+    on any subgroup: every member, in enumeration order, against every
+    candidate until one member lies below it and one above."""
+    graph = stallings_graph(list(generators))
+    members = list(subgroup_elements(graph, bound))
+    for g in ball(ctx.rank, radius):
+        if g.is_identity() or subgroup_contains(graph, g):
+            continue
+        c_low = c_high = None
+        for member in members:
+            verdict = exotic_compare(member, g, ctx)
+            if verdict == LESS and c_low is None:
+                c_low = member
+            elif verdict == GREATER and c_high is None:
+                c_high = member
+            if c_low is not None and c_high is not None:
+                return ConvexityWitness(c_low, c_high, g)
+    return None
+
+
+def cyclic_generator_sets(rng, rank, count):
+    """(generators, p) for ``count`` random cyclic subgroups <p>, p a stem
+    u v u^-1: p alone, and two sets that fold to the one cycle of p."""
+    sets = []
+    while len(sets) < 3 * count:
+        u = random_free_word(rng, 2, rank)
+        p = u * random_free_word(rng, 3, rank) * u.inverse()
+        if p.is_identity():
+            continue
+        sets.append(([p], p))
+        sets.append(([p**2, p**3], p))
+        sets.append(([p, p.inverse()], p))
+    return sets
+
+
+class TestCyclicProbe:
+    """Rank-1 subgroups are probed along the sorted powers of their
+    generator, and must give the witness (or None) of the member scan."""
+
+    @pytest.mark.parametrize(
+        "n, radii, count",
+        [(None, range(7), 10), (3, range(5), 4), (4, range(4), 3)]
+        + [(n, range(3), 2) for n in range(5, 9)],
+    )
+    def test_matches_the_scan(self, n, radii, count):
+        ctx = F2 if n is None else ExoticContext.kn(n)
+        rng = random.Random(2100 + (n or 2))
+        for generators, p in cyclic_generator_sets(rng, ctx.rank, count):
+            assert stallings_graph(generators).cycle_rank() == 1
+            for radius in radii:
+                # Bounds below |p| leave only the identity as a member.
+                for bound in {0, p.length - 1, p.length, radius, 2 * radius + 3}:
+                    if bound < 0:
+                        continue
+                    expected = reference_convexity_scan(generators, ctx, radius, bound)
+                    assert convexity_probe(generators, ctx, radius, bound) == expected, (
+                        [gen.to_text() for gen in generators],
+                        radius,
+                        bound,
+                    )
+
+    @pytest.mark.parametrize(
+        "gens, ctx, radius",
+        [
+            (["x"], F2, 8),
+            (["g2"], ExoticContext.kn(4), 3),
+            (["g2 g3"], ExoticContext.kn(3), 3),
+            (["g1^-1 g2 g3^-1"], ExoticContext.kn(3), 3),
+        ],
+    )
+    def test_two_comparisons_per_unbounded_candidate(self, monkeypatch, gens, ctx, radius):
+        import braidlab.exotic
+
+        calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        generators = [parse_free(g, ctx.rank) for g in gens]
+        witness = convexity_probe(generators, ctx, radius)
+        graph = stallings_graph(generators)
+        # The first call orients the generator: both sides are members.
+        (one, h, _), *rest = calls
+        assert one.is_identity() and subgroup_contains(graph, h)
+        # Every other call has one candidate outside the subgroup.
+        per_candidate = Counter(v if subgroup_contains(graph, u) else u for u, v, _ in rest)
+        unbounded = {g: count for g, count in per_candidate.items() if g != witness.g}
+        assert unbounded and set(unbounded.values()) == {2}
+        assert per_candidate[witness.g] >= 3
+
+    def test_no_member_within_the_bound(self, monkeypatch):
+        # x^100 is longer than the default bound 20, so 1 is the only
+        # member: nothing is compared and no candidate is tested.
+        import braidlab.exotic
+        import braidlab.probe
+
+        compares = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        memberships = count_calls(monkeypatch, braidlab.probe, "subgroup_contains")
+        assert convexity_probe([parse_free("x^100")], F2, 10) is None
+        assert compares == [] and memberships == []
+
+
+class TestCentralizerCriterion:
+    """``_centralizes_sigma2(w)``, read off the runs of w, against
+    ``commutes(embed(w), σ2)`` on Dynnikov coordinates."""
+
+    def test_matches_commutes(self):
+        from braidlab.probe import _centralizes_sigma2
+
+        sigma2 = BraidWord(3, ((2, 1),))
+        c = parse_free("x y^-1 x^-1 y")
+        rng = random.Random(2200)
+        words = [random_free_word(rng, 12) for _ in range(1000)]
+        words += [
+            kn_substitute(random_free_word(rng, 6, rank=n), n)
+            for n in (3, 4, 5)
+            for _ in range(200)
+        ]
+        planted = [c**b for b in range(-3, 4)]
+        # Near misses: a cyclic permutation, a conjugate and a product.
+        near = [parse_free("y^-1 x^-1 y x"), parse_free("x") * c * parse_free("x^-1")]
+        near += [c**b * parse_free("x") for b in (-2, 2)]
+        for word in words + planted + near:
+            assert _centralizes_sigma2(word) == commutes(embed(word), sigma2), word
+        assert all(map(_centralizes_sigma2, planted))
+        assert not any(map(_centralizes_sigma2, near))
 
 
 def reference_braid_word(rng, max_length, strands=3):
