@@ -376,7 +376,7 @@ class SubgroupGraph:
 
     def cycle_rank(self) -> int:
         """First Betti number: edges - vertices + 1 (graphs here are connected)."""
-        return len(self.edges()) - self.num_vertices + 1
+        return sum(map(len, self.fwd)) - self.num_vertices + 1
 
     def __repr__(self) -> str:
         return (

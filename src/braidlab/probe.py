@@ -21,6 +21,7 @@ order or concurrency cannot change a report.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from typing import Callable, Iterator, Sequence
 
@@ -162,11 +163,11 @@ def convexity_probe(
     V vertices and E edges (Kapovich-Myasnikov, *Stallings foldings and
     subgroups of free groups*, 2002):
 
-    - Rank 0 and the whole group F_r return None at once, with no search:
-      F_r leaves no g outside it, and the one member of {1} cannot be both
-      c_low and c_high.  Their graphs are the one vertex with no edge and
-      the one vertex with a loop on every letter; a core graph is that rose
-      exactly when the subgroup is F_r.
+    - The whole group F_r, and any subgroup with no member other than 1
+      within the length bound (rank 0 among them), return None at once,
+      with no search: F_r leaves no g outside it, and the one member 1
+      cannot be both c_low and c_high.  A core graph is the one vertex
+      with a loop on every letter exactly when the subgroup is F_r.
     - Rank >= 2 scans the members for each candidate, in enumeration order,
       and returns (first member below g, first member above g, g).
     - Rank 1, H = <p> with p > 1, walks the sorted powers of p instead.
@@ -174,16 +175,18 @@ def convexity_probe(
       |p^j| = 2|u| + |j| |v| strictly increases with |j|.  So the first
       non-identity member enumerated is p or p^-1, one comparison with 1
       orients it, and p, ..., p^K are the members of positive exponent
-      within the length bound; if the bound is below |p|, 1 is the only
-      member and None returns with no comparison.  In a left order p > 1 gives p^j < p^j p,
+      within the length bound, K = (bound - |p|) // |v| + 1 with
+      |v| = |p^2| - |p|.  In a left order p > 1 gives p^j < p^j p,
       so 1 < p < p^2 < ... < p^K and p^-K < ... < p^-1 < 1.  A candidate
       g > 1 has c_low = 1, only positive powers can lie above it, and they
-      do from the first one above g on.  So one comparison with p^K tells
-      whether any member lies above g, and if one does, the powers from p
-      up give the first, p^j0.  The scan meets 1 first and the positive
-      powers in order of j, so it returns the same witness (1, p^j0, g).
-      A candidate g < 1 mirrors this with p^-1, ..., p^-K.  A candidate
-      that no member bounds costs two comparisons, not one per member.
+      do from the first one above g on, p^j0.  The scan meets 1 first and
+      the positive powers in order of j, so it returns the witness
+      (1, p^j0, g).  The probe finds p^j0 cheapest first: it compares g
+      with p, then with p^K, and scans p^2, ..., p^(K-1) only when p^K
+      lies above g and p does not.  So a candidate that p bounds costs two
+      comparisons and one that no member bounds three (two when K = 1),
+      and p^2, ..., p^(K-1) are built only for a scan.  A candidate g < 1
+      mirrors this with p^-1, p^-K and the powers between.
     """
     from .exotic import exotic_compare
 
@@ -202,11 +205,16 @@ def convexity_probe(
     if bound < 0:
         raise ValueError(f"max_element_length must be nonnegative, got {bound}")
     graph = stallings_graph(list(generators))
-    if graph.num_vertices == 1 and len(graph.fwd[0]) in (0, ctx.rank):
+    if graph.num_vertices == 1 and len(graph.fwd[0]) == ctx.rank:
+        return None
+    elements = subgroup_elements(graph, bound)
+    one = next(elements)
+    shortest = next(elements, None)
+    if shortest is None:
         return None
     if graph.cycle_rank() == 1:
-        return _probe_cyclic(graph, ctx, radius, bound)
-    members = _CachedSeq(subgroup_elements(graph, bound))
+        return _probe_cyclic(graph, ctx, radius, bound, shortest)
+    members = _CachedSeq(itertools.chain((one, shortest), elements))
     for g in ball(ctx.rank, radius):
         if g.is_identity() or subgroup_contains(graph, g):
             continue
@@ -225,34 +233,34 @@ def convexity_probe(
 
 
 def _probe_cyclic(
-    graph: SubgroupGraph, ctx: ExoticContext, radius: int, bound: int
+    graph: SubgroupGraph, ctx: ExoticContext, radius: int, bound: int, shortest: FreeWord
 ) -> ConvexityWitness | None:
     """The rank-1 search of :func:`convexity_probe`, whose docstring shows
-    that it returns the witness of the member scan."""
+    that it returns the witness of the member scan; ``shortest`` is the
+    first non-identity member enumerated."""
     from .exotic import exotic_compare
 
-    members = subgroup_elements(graph, bound)
-    one = next(members)
-    h = next(members, None)
-    if h is None:
-        return None
-    p = h if exotic_compare(one, h, ctx) == LESS else h.inverse()
-    above = []
-    power = p
-    while power.length <= bound:
-        above.append(power)
-        power = power * p
-    below = [q.inverse() for q in above]
+    one = FreeWord(ctx.rank)
+    p = shortest if exotic_compare(one, shortest, ctx) == LESS else shortest.inverse()
+    top = (bound - p.length) // ((p * p).length - p.length) + 1
+    # (p^±1, p^±K) for the candidates on either side of 1, keyed by the
+    # verdict of (g, member) when the member lies beyond g.
+    ends = {LESS: (p, p**top), GREATER: (p.inverse(), p**-top)}
     for g in ball(ctx.rank, radius):
         if g.is_identity() or subgroup_contains(graph, g):
             continue
-        if exotic_compare(one, g, ctx) == LESS:
-            powers, beyond = above, LESS
-        else:
-            powers, beyond = below, GREATER
-        if exotic_compare(g, powers[-1], ctx) != beyond:
-            continue
-        first = next(q for q in powers if exotic_compare(g, q, ctx) == beyond)
+        beyond = LESS if exotic_compare(one, g, ctx) == LESS else GREATER
+        step, last = ends[beyond]
+        first = step
+        if exotic_compare(g, step, ctx) != beyond:
+            if top == 1 or exotic_compare(g, last, ctx) != beyond:
+                continue
+            for _ in range(2, top):
+                first = first * step
+                if exotic_compare(g, first, ctx) == beyond:
+                    break
+            else:
+                first = last
         if beyond == LESS:
             return ConvexityWitness(one, first, g)
         return ConvexityWitness(first, one, g)
@@ -522,12 +530,13 @@ def lemma_suite(
         k = rng.randint(1, 2)
         conjugator = _SIGMA2 ** (6 * k)
         inner = beta * conjugator * beta.inverse() * conjugator.inverse()
-        entry = {"trial": trial, "n": n, "beta": word.to_text(), "k": k}
         if not kn_member(commutator_rewrite(inner), n):
-            return {**entry, "error": "commutator left K_n"}
-        if compare(one, inner) != LESS or compare(inner, beta) != LESS:
-            return {**entry, "error": "sandwich inequality failed"}
-        return None
+            error = "commutator left K_n"
+        elif compare(one, inner) != LESS or compare(inner, beta) != LESS:
+            error = "sandwich inequality failed"
+        else:
+            return None
+        return {"trial": trial, "n": n, "beta": word.to_text(), "k": k, "error": error}
 
     # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
     identities = [
@@ -566,12 +575,13 @@ def lemma_suite(
         v = random_braid_word(rng, 40)
         forward, backward = compare(u, v), compare(v, u)
         opposite = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
-        entry = {"trial": trial, "u": u.to_text(), "v": v.to_text()}
         if backward != opposite[forward]:
-            return {**entry, "error": "asymmetric comparison"}
-        if (forward == EQUAL) != braid_equal(u, v):
-            return {**entry, "error": "equality disagrees with Burau"}
-        return None
+            error = "asymmetric comparison"
+        elif (forward == EQUAL) != braid_equal(u, v):
+            error = "equality disagrees with Burau"
+        else:
+            return None
+        return {"trial": trial, "u": u.to_text(), "v": v.to_text(), "error": error}
 
     def left_invariance(trial: int, rng: random.Random) -> dict | None:
         """(f u)^-1 (f v) freely reduces to u^-1 v, so both sides sign the

@@ -498,6 +498,8 @@ class TestStallings:
         # The degree counts a loop twice: once in fwd and once in bwd.
         degrees = [len(out) + len(inc) for out, inc in zip(graph.fwd, graph.bwd)]
         assert min(degrees[1:], default=2) >= 2, gens
+        # cycle_rank counts the edges without listing them.
+        assert graph.cycle_rank() == len(graph.edges()) - graph.num_vertices + 1
 
     def test_matches_reference_on_random_sets(self):
         rng = random.Random(1010)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 
 import pytest
 
@@ -52,6 +51,22 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_signed_runs(monkeypatch):
+    """Replace ``dehornoy._sign`` by a wrapper that records the number of
+    braid runs of each word it signs: the signed work, as a count."""
+    import braidlab.dehornoy
+
+    sizes = []
+    original = braidlab.dehornoy._sign
+
+    def counting(runs, strands):
+        sizes.append(len(runs))
+        return original(runs, strands)
+
+    monkeypatch.setattr(braidlab.dehornoy, "_sign", counting)
+    return sizes
 
 
 def reference_ball(rank, radius):
@@ -266,6 +281,20 @@ class TestConvexityProbe:
         assert convexity_probe(generators, ctx, 12) is None
         assert compares == [] and memberships == []
 
+    def test_no_second_member_within_the_bound(self, monkeypatch):
+        # Rank 2, but x^5 and y^5 are longer than the bound 4, so 1 is the
+        # only member: no candidate can have both bounds.
+        import braidlab.exotic
+        import braidlab.probe
+
+        generators = [parse_free("x^5"), parse_free("y^5")]
+        expected = reference_convexity_scan(generators, F2, 9, 4)
+        compares = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        memberships = count_calls(monkeypatch, braidlab.probe, "subgroup_contains")
+        assert convexity_probe(generators, F2, 9, max_element_length=4) == expected
+        assert expected is None
+        assert compares == [] and memberships == []
+
     @pytest.mark.parametrize("gens", [["x", "y"], [""], ["x"]])
     def test_negative_radius(self, gens):
         with pytest.raises(ValueError, match="radius must be nonnegative, got -1"):
@@ -356,16 +385,11 @@ class TestCyclicProbe:
                         bound,
                     )
 
-    @pytest.mark.parametrize(
-        "gens, ctx, radius",
-        [
-            (["x"], F2, 8),
-            (["g2"], ExoticContext.kn(4), 3),
-            (["g2 g3"], ExoticContext.kn(3), 3),
-            (["g1^-1 g2 g3^-1"], ExoticContext.kn(3), 3),
-        ],
-    )
-    def test_two_comparisons_per_unbounded_candidate(self, monkeypatch, gens, ctx, radius):
+    @staticmethod
+    def compared_members(monkeypatch, gens, ctx, radius):
+        """Probe <gens> at the default bound and return the witness, p > 1,
+        the largest K with |p^K| within the bound, and the members each
+        candidate was compared with, in call order."""
         import braidlab.exotic
 
         calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
@@ -375,11 +399,76 @@ class TestCyclicProbe:
         # The first call orients the generator: both sides are members.
         (one, h, _), *rest = calls
         assert one.is_identity() and subgroup_contains(graph, h)
+        p = h if exotic_compare(one, h, ctx) == LESS else h.inverse()
+        top = max(j for j in range(1, 2 * radius + 1) if (p**j).length <= 2 * radius)
         # Every other call has one candidate outside the subgroup.
-        per_candidate = Counter(v if subgroup_contains(graph, u) else u for u, v, _ in rest)
-        unbounded = {g: count for g, count in per_candidate.items() if g != witness.g}
-        assert unbounded and set(unbounded.values()) == {2}
-        assert per_candidate[witness.g] >= 3
+        compared = {}
+        for u, v, _ in rest:
+            g, member = (v, u) if subgroup_contains(graph, u) else (u, v)
+            compared.setdefault(g, []).append(member)
+        return witness, p, top, compared
+
+    # Cyclic subgroups <p> with K >= 2 whose witness p^(+/-1) bounds.
+    SHALLOW = [
+        (["x"], F2, 8),
+        (["g2"], ExoticContext.kn(4), 3),
+        (["g2 g3"], ExoticContext.kn(3), 3),
+        (["g1^-1 g2 g3^-1"], ExoticContext.kn(3), 3),
+    ]
+    # Cyclic subgroups whose witness is bounded first by p^2: here K = 2
+    # and K = 5.
+    DEEP = [
+        (["g2 g1 g3^-1"], ExoticContext.kn(3), 3),
+        (["g3 g4^-1"], ExoticContext.kn(4), 5),
+    ]
+
+    @pytest.mark.parametrize("gens, ctx, radius", SHALLOW)
+    def test_two_comparisons_per_unbounded_candidate(self, monkeypatch, gens, ctx, radius):
+        # After the comparison with 1 that orients it, a candidate that no
+        # power bounds is compared with two powers, p then p^K, or p^-1 then
+        # p^-K.  One that p^(+/-1) bounds is never compared with p^(+/-K).
+        witness, p, top, compared = self.compared_members(monkeypatch, gens, ctx, radius)
+        assert top >= 2
+        one = FreeWord(ctx.rank)
+        ends = ([one, p, p**top], [one, p.inverse(), p**-top])
+        unbounded = [members for g, members in compared.items() if g != witness.g]
+        assert unbounded and all(members in ends for members in unbounded)
+        bound = witness.c_high if witness.c_low == one else witness.c_low
+        assert bound in (p, p.inverse())
+        assert compared[witness.g] == [one, bound]
+
+    def test_one_comparison_with_the_only_power(self, monkeypatch):
+        # |p^2| = 6 exceeds the bound 4, so K = 1 and p^K = p is compared
+        # once: x, then the witness x^-1.
+        witness, p, top, compared = self.compared_members(monkeypatch, ["x y^-2"], F2, 2)
+        one = FreeWord(2)
+        assert top == 1 and witness.g == parse_free("x^-1")
+        assert len(compared) == 2
+        assert all(members in ([one, p], [one, p.inverse()]) for members in compared.values())
+
+    @pytest.mark.parametrize("gens, ctx, radius", DEEP)
+    def test_powers_scanned_for_a_deeper_bound(self, monkeypatch, gens, ctx, radius):
+        # p, then p^K, then p^2: the scan runs only after p^K, and at K = 2
+        # p^K is not compared twice; mirrored below 1.
+        witness, p, top, compared = self.compared_members(monkeypatch, gens, ctx, radius)
+        one = FreeWord(ctx.rank)
+        side = 1 if witness.c_low == one else -1
+        bound = witness.c_high if side == 1 else witness.c_low
+        assert bound == p ** (2 * side)
+        scanned = [bound] if top > 2 else []
+        assert compared[witness.g] == [one, p**side, p ** (side * top)] + scanned
+
+    @pytest.mark.parametrize(
+        "gens, ctx, radius, runs",
+        [(*case, runs) for case, runs in zip(SHALLOW + DEEP, (45, 61, 67, 55, 43, 79))],
+    )
+    def test_braid_runs_signed(self, monkeypatch, gens, ctx, radius, runs):
+        # Pinned so that a change to the probe shows its signed work as a
+        # count.  Comparing with p^K before p signed 75, 91, 87, 54, 61
+        # and 79.
+        sizes = count_signed_runs(monkeypatch)
+        convexity_probe([parse_free(g, ctx.rank) for g in gens], ctx, radius)
+        assert sum(sizes) == runs
 
     def test_no_member_within_the_bound(self, monkeypatch):
         # x^100 is longer than the default bound 20, so 1 is the only
