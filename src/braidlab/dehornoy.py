@@ -342,9 +342,12 @@ def cofinal_bound(word: BraidWord, cap: int = 64) -> int:
 
     Searches k = 1, 2, ... up to ``cap``; raises :class:`CofinalCapError`
     beyond it (Δ^2 is cofinal, so a bound always exists for three strands).
+    A ``cap`` below 1 admits no k and raises ValueError.
     """
     if word.strands != 3:
         raise ValueError("cofinal bounds are specific to 3 strands")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     for k in range(1, cap + 1):
         if braid_compare(word, half_twist(2 * k)) == LESS:
             return k

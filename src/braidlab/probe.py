@@ -322,6 +322,8 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
     """
     if top < 1:
         raise ValueError(f"no letter index to draw from: the range is 1..{top}")
+    if max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
     getrandbits = rng.getrandbits
     bits = top.bit_length()
     letters = []

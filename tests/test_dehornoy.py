@@ -299,6 +299,11 @@ class TestCofinalBound:
         with pytest.raises(CofinalCapError):
             cofinal_bound(half_twist(10), cap=3)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_a_domain_error(self, cap):
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}$"):
+            cofinal_bound(parse_braid("s2"), cap=cap)
+
 
 class TestCommutes:
     def test_full_twist_central(self):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import random
+import re
 import sys
 import time
 
@@ -28,28 +29,33 @@ from braidlab import (
 from braidlab.dynnikov import run_coordinates
 
 
+def reference_letter(window, sign: int) -> tuple[int, int, int, int]:
+    """σ_i^sign on the window (x_i, y_i, x_{i+1}, y_{i+1}), with a separate
+    update body for σ_i^-1."""
+    x1, y1, x2, y2 = window
+    if sign > 0:
+        z = x1 - min(y1, 0) - x2 + max(y2, 0)
+        return (
+            x1 + max(y1, 0) + max(max(y2, 0) - z, 0),
+            y2 - max(z, 0),
+            x2 + min(y2, 0) + min(min(y1, 0) + z, 0),
+            y1 + max(z, 0),
+        )
+    z = x1 + min(y1, 0) - x2 - max(y2, 0)
+    return (
+        x1 - max(y1, 0) - max(max(y2, 0) + z, 0),
+        y2 + min(z, 0),
+        x2 - min(y2, 0) - min(min(y1, 0) - z, 0),
+        y1 - min(z, 0),
+    )
+
+
 def reference_coordinates(word: BraidWord) -> tuple[int, ...]:
-    """One update per letter, with a separate update body for σ_i^-1."""
+    """One update per letter, by :func:`reference_letter`."""
     coords = [0, 1] * word.strands
     for index, sign in word.single_letters():
         k = 2 * (index - 1)
-        x1, y1, x2, y2 = coords[k : k + 4]
-        if sign > 0:
-            z = x1 - min(y1, 0) - x2 + max(y2, 0)
-            coords[k : k + 4] = (
-                x1 + max(y1, 0) + max(max(y2, 0) - z, 0),
-                y2 - max(z, 0),
-                x2 + min(y2, 0) + min(min(y1, 0) + z, 0),
-                y1 + max(z, 0),
-            )
-        else:
-            z = x1 + min(y1, 0) - x2 - max(y2, 0)
-            coords[k : k + 4] = (
-                x1 - max(y1, 0) - max(max(y2, 0) + z, 0),
-                y2 + min(z, 0),
-                x2 - min(y2, 0) - min(min(y1, 0) - z, 0),
-                y1 - min(z, 0),
-            )
+        coords[k : k + 4] = reference_letter(coords[k : k + 4], sign)
     return tuple(coords)
 
 
@@ -272,19 +278,33 @@ class TestLongExponents:
         assert time.perf_counter() - start < 0.05
 
 
-def kernel_work(runs, strands: int, start=None) -> list[tuple[int, int, int]]:
+def kernel_lines(*prefixes: str) -> list[int]:
+    """The line number in ``run_coordinates`` of the one source line that
+    starts with each prefix, after its indentation."""
+    source, first = inspect.getsourcelines(run_coordinates)
+    numbers = []
+    for prefix in prefixes:
+        found = [first + k for k, text in enumerate(source) if text.strip().startswith(prefix)]
+        assert len(found) == 1, f"{prefix!r} starts {len(found)} lines of run_coordinates, not one"
+        numbers.extend(found)
+    return numbers
+
+
+def kernel_work(
+    runs, strands: int, start=None
+) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
     """(letter steps, whole jumps, partial jumps) of each run, counted by a
-    line tracer on ``run_coordinates`` itself.
+    line tracer on ``run_coordinates`` itself, and the kernel's final lists
+    (x_k) and (y_k).
 
     ``start`` replaces E by the flat coordinates (x_1, y_1, ..., x_n, y_n):
     the tracer writes them into the kernel's two lists before the first run.
     A kernel that stops jumping fails at once: more than ten counted lines
     per run raise, instead of stepping through 10^9 letters under the tracer.
     """
-    source, first = inspect.getsourcelines(run_coordinates)
-    (loop,), (letter,), (whole, part) = (
-        [first + k for k, text in enumerate(source) if text.strip().startswith(prefix)]
-        for prefix in ("for i, count in runs", "y1m = ", "y1, y2 = y1 -")
+    # A letter step starts by splitting on the sign of y_{i+1}.
+    loop, letter, whole, part = kernel_lines(
+        "for i, count in runs", "if y2 > 0:", "y1, y2 = y1 - count", "y1, y2 = y1 - steps"
     )
     counted = {loop, letter, whole, part}
     runs = list(runs)
@@ -309,7 +329,7 @@ def kernel_work(runs, strands: int, start=None) -> list[tuple[int, int, int]]:
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        run_coordinates(runs, strands)
+        xs, ys = run_coordinates(runs, strands)
     finally:
         sys.settrace(previous)
     # The loop header runs once per run and once more when the runs end.
@@ -320,7 +340,7 @@ def kernel_work(runs, strands: int, start=None) -> list[tuple[int, int, int]]:
         else:
             work[-1][(letter, whole, part).index(line)] += 1
     assert len(work) == len(runs) + 1 and work[-1] == [0, 0, 0]
-    return [tuple(counts) for counts in work[:-1]]
+    return [tuple(counts) for counts in work[:-1]], xs, ys
 
 
 class TestWorkCensus:
@@ -331,25 +351,39 @@ class TestWorkCensus:
     def test_every_window_of_a_box(self):
         # σ_i^-1 runs act as σ_i runs on the window with both x's negated,
         # and the box is symmetric, so positive exponents cover both signs.
+        # Up to exponent 8 the same pass checks each window's value against
+        # one reference update per letter, advanced by one letter per
+        # exponent: the box holds every sign of y_i, y_{i+1} and x_i - x_{i+1}.
         windows = list(itertools.product(range(-6, 7), repeat=4))
         start = [c for window in windows for c in window]
+        expected = windows
         for exponent in (*range(1, 9), 10**3, 10**9):
             runs = [(2 * k + 1, exponent) for k in range(len(windows))]
-            work = kernel_work(runs, 2 * len(windows), start)
-            for window, (steps, whole, part) in zip(windows, work):
+            work, xs, ys = kernel_work(runs, 2 * len(windows), start)
+            if exponent <= 8:
+                expected = [reference_letter(window, 1) for window in expected]
+            for k, (window, (steps, whole, part)) in enumerate(zip(windows, work)):
                 assert steps <= 4 and whole <= 1 and part <= 1, (window, exponent)
                 assert steps + whole + part <= 5, (window, exponent)
+                if exponent <= 8:
+                    final = (xs[2 * k], ys[2 * k], xs[2 * k + 1], ys[2 * k + 1])
+                    assert final == expected[k], (window, exponent)
 
     def test_long_conjugate(self):
-        work = kernel_work(parse_braid("s1^1000000000 s2 s1^-1000000000", 3).letters, 3)
+        work, _, _ = kernel_work(parse_braid("s1^1000000000 s2 s1^-1000000000", 3).letters, 3)
         assert sum(steps for steps, _, _ in work) == 2
         assert sum(whole + part for _, whole, part in work) == 2
 
     def test_start_replaces_e(self):
         # From E, σ1^4 takes one letter step and one whole jump; this window
         # takes the census's four letter steps.
-        assert kernel_work([(1, 4)], 2) == [(1, 1, 0)]
-        assert kernel_work([(1, 4)], 2, (-6, -6, -4, 1)) == [(4, 0, 0)]
+        assert kernel_work([(1, 4)], 2)[0] == [(1, 1, 0)]
+        assert kernel_work([(1, 4)], 2, (-6, -6, -4, 1))[0] == [(4, 0, 0)]
+
+    @pytest.mark.parametrize("prefix, count", [("y1, y2 = y1 -", 2), ("no such line", 0)])
+    def test_a_missing_or_ambiguous_anchor_is_named(self, prefix, count):
+        with pytest.raises(AssertionError, match=re.escape(f"{prefix!r} starts {count} lines")):
+            kernel_lines("for i, count in runs", prefix)
 
 
 class TestTwoListKernel:

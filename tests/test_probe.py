@@ -548,6 +548,13 @@ class TestRandomWords:
         with pytest.raises(ValueError):
             random_free_word(random.Random(1), 5, rank=0)
 
+    @pytest.mark.parametrize("draw", [random_braid_word, random_free_word])
+    def test_negative_max_length_draws_nothing(self, draw):
+        rng = random.Random(1)
+        with pytest.raises(ValueError, match="max_length must be nonnegative, got -1$"):
+            draw(rng, -1)
+        assert rng.getstate() == random.Random(1).getstate()
+
 
 def reference_conradian(ctx, radius):
     """The eager scan: sign every word of the ball, then scan the pairs."""
