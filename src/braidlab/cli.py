@@ -197,8 +197,11 @@ def _cmd_reduce(args, text: str) -> Result:
         {"step": item.step, "handle": dataclasses.asdict(item.handle), "word": item.word.to_text()}
         for item in trace
     ]
-    lines = [json.dumps(step, sort_keys=True) for step in steps] + [reduced.to_text()]
-    return Result({"word": reduced.to_text(), "steps": steps}, "\n".join(lines))
+    payload = {"word": reduced.to_text(), "steps": steps}
+    if args.json:  # no text form: a Result with none prints the JSON
+        return Result(payload)
+    lines = [json.dumps(step, sort_keys=True) for step in steps] + [payload["word"]]
+    return Result(payload, "\n".join(lines))
 
 
 def _cmd_burau(args, text: str) -> Result:

@@ -66,6 +66,20 @@ _SIGMA2 = BraidWord(3, ((2, 1),))
 _CENTRALIZER_RUNS = parse_free("x y^-1 x^-1 y").letters
 _CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
 MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter: 10^5 build in about 1 s
+# The cases of verify's braid-relation-identities check:
+# σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
+_IDENTITIES = tuple(
+    (k, text, BraidWord(3, lhs), BraidWord(3, rhs))
+    for k in range(-5, 6)
+    for text, lhs, rhs in (
+        ("s1^k s2 s1 = s2 s1 s2^k", ((1, k), (2, 1), (1, 1)), ((2, 1), (1, 1), (2, k))),
+        (
+            "s1^-1 s2^k s1 = s2 s1^k s2^-1",
+            ((1, -1), (2, k), (1, 1)),
+            ((2, 1), (1, k), (2, -1)),
+        ),
+    )
+)
 
 
 def ball(rank: int, radius: int) -> Iterator[FreeWord]:
@@ -319,6 +333,10 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
     ``randint`` and ``choice``: ``getrandbits`` of the bit length of the
     range, drawn again while the value is out of range.  So the stream of
     random bits, and every word, is that of the ``randint``/``choice`` draw.
+    The same bits are merged as they are drawn: each letter joins the last
+    run, or cancels one letter of it, or starts a run, exactly as
+    :func:`_words.normalize` reduces the letter list, so no list of letters
+    is built.
     """
     if top < 1:
         raise ValueError(f"no letter index to draw from: the range is 1..{top}")
@@ -326,7 +344,8 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     getrandbits = rng.getrandbits
     bits = top.bit_length()
-    letters = []
+    shared = _words._SHARED_RUNS
+    runs: list[_words.Run] = []
     for _ in range(rng.randint(0, max_length)):
         index = getrandbits(bits)
         while index >= top:
@@ -334,8 +353,15 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
         sign = getrandbits(2)
         while sign >= 2:
             sign = getrandbits(2)
-        letters.append((index + 1, -1 if sign else 1))
-    return _words.normalize(letters)
+        index += 1
+        exponent = -1 if sign else 1
+        if runs and runs[-1][0] == index:
+            exponent += runs.pop()[1]
+            if not exponent:
+                continue
+        run = (index, exponent)
+        runs.append(shared.get(run, run))
+    return tuple(runs)
 
 
 @dataclasses.dataclass
@@ -483,7 +509,10 @@ def lemma_suite(
         return sign_of(word)
 
     def compare(u: BraidWord, v: BraidWord) -> str:
-        return sign(u.inverse() * v).comparison()
+        # u^-1 v as one seam-only concatenation, as in exotic_compare.
+        BraidWord._check_bounds(u.strands, v.strands)
+        runs = _words.concat(_words.invert(u.letters), v.letters)
+        return sign(BraidWord._reduced(u.strands, runs)).comparison()
 
     def sampled(key: str, test: Callable[[int, random.Random], dict | None]):
         # The substream of each trial is made when its case runs, so a
@@ -540,20 +569,6 @@ def lemma_suite(
             return None
         return {"trial": trial, "n": n, "beta": word.to_text(), "k": k, "error": error}
 
-    # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
-    identities = [
-        (k, text, BraidWord(3, lhs), BraidWord(3, rhs))
-        for k in range(-5, 6)
-        for text, lhs, rhs in (
-            ("s1^k s2 s1 = s2 s1 s2^k", ((1, k), (2, 1), (1, 1)), ((2, 1), (1, 1), (2, k))),
-            (
-                "s1^-1 s2^k s1 = s2 s1^k s2^-1",
-                ((1, -1), (2, k), (1, 1)),
-                ((2, 1), (1, k), (2, -1)),
-            ),
-        )
-    ]
-
     def identity(case: tuple[int, str, BraidWord, BraidWord]) -> dict | None:
         k, text, lhs, rhs = case
         return None if braid_equal(lhs, rhs) else {"identity": text, "k": k}
@@ -602,7 +617,7 @@ def lemma_suite(
         ("alternating-shape-positivity", trial_cases, sampled("shape", shape)),
         ("conjugate-sandwich-f2", trial_cases, sampled("sandwich-f2", sandwich_f2)),
         ("conjugate-sandwich-kn", trial_cases, sampled("sandwich-kn", sandwich_kn)),
-        ("braid-relation-identities", identities, identity),
+        ("braid-relation-identities", _IDENTITIES, identity),
         ("half-twist-cofinality", range(1, 5), cofinality),
         ("subword-property", trial_cases, sampled("subword", subword)),
         ("trichotomy", trial_cases, sampled("trichotomy", trichotomy)),

@@ -417,3 +417,111 @@ class TestHugeIndices:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def lift_sign(runs) -> tuple[str, int | None]:
+    """Dehornoy sign of reduced three-strand ``runs``, read from the lifted
+    SL(2, Z) action: a third oracle, independent of handle reduction and of
+    Dynnikov coordinates, kept in the tests only.
+
+    The map σ1 -> [[1, 1], [0, 1]], σ2 -> [[1, 0], [-1, 1]], with the action
+    of each shear on the circle of directions lifted to Homeo+(R), R being
+    the universal cover of the circle, is a homomorphism of B3: both sides
+    of σ1 σ2 σ1 = σ2 σ1 σ2 lift [[0, 1], [-1, 0]], and both turn (1, 0) a
+    quarter turn clockwise.  Two lifts of one matrix differ by whole turns,
+    so these two agree.  σ2 fixes the lifted ray of (0, 1), σ1 moves it
+    clockwise, and every map is increasing.  So σ1-positive words move the
+    ray clockwise, σ1-negative words move it counterclockwise, and the
+    σ1-free braids, the powers of σ2, fix it.  By Dehornoy's trichotomy
+    every braid is of one of these three kinds (Dehornoy-Dynnikov-Rolfsen-
+    Wiest, *Ordering Braids*, 2008).
+
+    The runs act right to left on v = (a, b), from (0, 1).  σ1^k sets
+    a += k b, moving v along a horizontal line, and σ2^k sets b -= k a,
+    moving it along a vertical one.  The lift is the angle of v counted
+    clockwise from (0, 1), as c whole turns plus an angle in (-π, π]; only
+    a σ1 run with b < 0 can cross the cut at (0, -1), clockwise when a goes
+    from a >= 0 to a < 0 and counterclockwise the other way.
+    """
+    a, b, c = 0, 1, 0
+    for index, k in reversed(runs):
+        if index == 1:
+            moved = a + k * b
+            if b < 0 and (a >= 0) != (moved >= 0):
+                c += 1 if a >= 0 else -1
+            a = moved
+        else:
+            b -= k * a
+    if c > 0 or (c == 0 and (a > 0 or a == 0 > b)):
+        return POSITIVE, 1
+    if c < 0 or (c == 0 and a < 0):
+        return NEGATIVE, 1
+    total = sum(k for _, k in runs)
+    if total == 0:
+        return TRIVIAL, None
+    return (POSITIVE if total > 0 else NEGATIVE), 2
+
+
+def _huge_exponent_word(rng: random.Random) -> BraidWord:
+    """Up to 12 runs with exponents log-uniform in 1..10^9."""
+    runs = [
+        (rng.choice((1, 2)), rng.choice((1, -1)) * round(10 ** rng.uniform(0, 9)))
+        for _ in range(rng.randint(0, 12))
+    ]
+    return BraidWord(3, tuple(runs))
+
+
+class TestLiftSign:
+    """The lifted SL(2, Z) sign against dehornoy_sign, kind and main index."""
+
+    def assert_agrees(self, word: BraidWord) -> None:
+        verdict = dehornoy_sign(word)
+        assert lift_sign(word.letters) == (verdict.kind, verdict.main_index), word
+
+    def test_random_words_with_huge_exponents(self):
+        rng = random.Random(130)
+        for _ in range(20_000):
+            self.assert_agrees(_huge_exponent_word(rng))
+        for _ in range(10_000):
+            self.assert_agrees(random_braid_word(rng, 60))
+
+    def test_conjugates_of_a_generator(self):
+        rng = random.Random(131)
+        for _ in range(1000):
+            beta = random_braid_word(rng, 40) if rng.random() < 0.5 else _huge_exponent_word(rng)
+            letter = BraidWord(3, ((rng.choice((1, 2)), rng.choice((1, -1))),))
+            self.assert_agrees(beta * letter * beta.inverse())
+
+    def test_delta_conjugates_of_sigma1(self):
+        for k in range(1, 60):
+            self.assert_agrees(half_twist(-2 * k) * parse_braid("s1") * half_twist(2 * k))
+
+    def test_commutator_fourth_powers(self):
+        for k in [*range(1, 40), 10**6, 10**9]:
+            word = BraidWord(3, ((1, -k), (2, k), (1, k), (2, -k))) ** 4
+            self.assert_agrees(word)
+            self.assert_agrees(word.inverse())
+
+    def test_sigma2_only(self):
+        for s in [*range(-8, 9), -(10**9), 10**9]:
+            self.assert_agrees(BraidWord(3, ((2, s),)))
+
+    def test_relator_words_reduce_to_one(self):
+        # σ1 σ2 σ1 (σ2 σ1 σ2)^-1 and Δ^2 written as (σ1 σ2)^3 against
+        # (σ2 σ1)^3, conjugated and multiplied: trivial braids whose words
+        # are not freely trivial.
+        rng = random.Random(132)
+        relators = [
+            parse_braid("s1 s2 s1 s2^-1 s1^-1 s2^-1"),
+            parse_braid("s1 s2 s1 s2 s1 s2 s1^-1 s2^-1 s1^-1 s2^-1 s1^-1 s2^-1"),
+        ]
+        for _ in range(500):
+            word = BraidWord(3)
+            for _ in range(rng.randint(1, 4)):
+                beta = random_braid_word(rng, 20)
+                relator = rng.choice(relators) ** rng.choice((1, -1))
+                word = word * beta * relator * beta.inverse()
+            if word.is_identity():
+                continue
+            assert lift_sign(word.letters) == (TRIVIAL, None)
+            self.assert_agrees(word)

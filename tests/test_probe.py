@@ -536,11 +536,13 @@ class TestRandomWords:
         # Bound 2 strands or rank 1 leaves one index, whose draw still
         # consumes bits; the streams must end in the same state.
         for bound in bounds:
-            for seed in range(2000):
-                rng, ref = random.Random(seed), random.Random(seed)
-                for _ in range(2):
-                    assert draw(rng, 12, bound) == reference(ref, 12, bound)
-                assert rng.getrandbits(32) == ref.getrandbits(32)
+            for max_length in range(51):
+                for seed in range(20):
+                    rng = random.Random(f"{bound}/{max_length}/{seed}")
+                    ref = random.Random(f"{bound}/{max_length}/{seed}")
+                    for _ in range(2):
+                        assert draw(rng, max_length, bound) == reference(ref, max_length, bound)
+                    assert rng.getstate() == ref.getstate()
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
