@@ -349,10 +349,14 @@ class SubgroupGraph:
 
     Vertices are 0 .. len(fwd) - 1 with the base point at 0; ``fwd[v]``
     maps a letter to the target of the unique outgoing edge at v with that
-    label, ``bwd[v]`` to the source of the unique incoming one.  Vertex
-    numbering is the breadth-first order from the base (edges sorted by
-    label and direction), so equal subgroups yield identical graphs.
-    Instances are immutable after construction.
+    label, ``bwd[v]`` to the source of the unique incoming one.  ``moves[v]``
+    lists the same edges as ``(letter, sign, target)`` steps out of v, sign
+    +1 along an edge and -1 against it, in the move order: by letter, the
+    forward step first.  The canonical numbering is the breadth-first order
+    from the base along the moves in that order, so equal subgroups yield
+    identical graphs, and the walks of :func:`braidlab.probe.subgroup_elements`
+    take the moves in the same order.  Instances are immutable after
+    construction.
     """
 
     base = 0
@@ -363,6 +367,39 @@ class SubgroupGraph:
         self.rank = rank
         self.fwd = tuple(dict(m) for m in fwd)
         self.bwd = tuple(dict(m) for m in bwd)
+        self.moves = tuple(
+            tuple(
+                sorted(
+                    [(letter, 1, v) for letter, v in out.items()]
+                    + [(letter, -1, u) for letter, u in inc.items()],
+                    key=lambda move: (move[0], -move[1]),
+                )
+            )
+            for out, inc in zip(self.fwd, self.bwd)
+        )
+
+    @classmethod
+    def _from_moves(
+        cls, rank: int, moves: tuple[tuple[tuple[int, int, int], ...], ...]
+    ) -> "SubgroupGraph":
+        """Wrap moves that are already in the move order, deriving ``fwd``
+        and ``bwd`` once, with no check and no copy."""
+        fwd, bwd = [], []
+        for row in moves:
+            out, inc = {}, {}
+            for letter, sign, end in row:
+                if sign > 0:
+                    out[letter] = end
+                else:
+                    inc[letter] = end
+            fwd.append(out)
+            bwd.append(inc)
+        graph = object.__new__(cls)
+        graph.rank = rank
+        graph.moves = moves
+        graph.fwd = tuple(fwd)
+        graph.bwd = tuple(bwd)
+        return graph
 
     @property
     def num_vertices(self) -> int:
@@ -441,30 +478,29 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
                         parent[high] = low
     folded = {(parent[u], letter, parent[v]) for u, letter, v in edges}
 
-    # Canonical renumbering: breadth-first from the base, moves ordered by
-    # (letter, direction).
+    # Canonical renumbering: breadth-first from the base, along the moves in
+    # the move order, (letter, 0) forward before (letter, 1) backward.
     adjacency: dict[int, list[tuple[int, int, int]]] = {}
     for u, letter, v in folded:
         adjacency.setdefault(u, []).append((letter, 0, v))
         adjacency.setdefault(v, []).append((letter, 1, u))
     order = {0: 0}
     visits = [0]
+    moves = []
     for current in visits:
-        for _, _, nbr in sorted(adjacency.get(current, ())):
+        row = []
+        for letter, backward, nbr in sorted(adjacency.get(current, ())):
             if nbr not in order:
                 order[nbr] = len(visits)
                 visits.append(nbr)
-
-    count = len(order)
-    fwd: list[dict[int, int]] = [dict() for _ in range(count)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(count)]
-    for u, letter, v in folded:
-        nu, nv = order[u], order[v]
-        if letter in fwd[nu] or letter in bwd[nv]:
-            raise AssertionError("folding left a nondeterministic vertex")
-        fwd[nu][letter] = nv
-        bwd[nv][letter] = nu
-    return SubgroupGraph(rank, fwd, bwd)
+            row.append((letter, -1 if backward else 1, order[nbr]))
+        moves.append(tuple(row))
+    graph = SubgroupGraph._from_moves(rank, tuple(moves))
+    # Each edge is two moves; a vertex with two equally labeled moves in one
+    # direction would keep only one of them in fwd or bwd.
+    if sum(map(len, graph.fwd)) + sum(map(len, graph.bwd)) != 2 * len(folded):
+        raise AssertionError("folding left a nondeterministic vertex")
+    return graph
 
 
 def subgroup_contains(graph: SubgroupGraph, word: FreeWord) -> bool:

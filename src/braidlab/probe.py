@@ -21,6 +21,7 @@ order or concurrency cannot change a report.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 from typing import Callable, Iterator, Sequence
@@ -60,7 +61,6 @@ __all__ = [
     "random_free_word",
 ]
 
-_SIGMA2 = BraidWord(3, ((2, 1),))
 # c = x y^-1 x^-1 y, whose image Δ^2 σ2^-6 generates the centralizer of σ2
 # in [B3, B3]: see _centralizes_sigma2.
 _CENTRALIZER_RUNS = parse_free("x y^-1 x^-1 y").letters
@@ -90,25 +90,32 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     totals 2 * 3^radius - 1 words at rank two.  They are the closed walks of
     the rose (one vertex, one loop per letter), from :func:`subgroup_elements`.
     """
-    loops = {i: 0 for i in range(1, FreeWord._top_index(rank) + 1)}
+    rose = _rose(rank)
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    yield from subgroup_elements(SubgroupGraph(rank, [loops], [loops]), radius)
+    yield from subgroup_elements(rose, radius)
+
+
+@functools.lru_cache(maxsize=64)
+def _rose(rank: int) -> SubgroupGraph:
+    """The one-vertex graph of F_rank, a loop per letter, built once per rank."""
+    top = FreeWord._top_index(rank)
+    loops = tuple((letter, sign, 0) for letter in range(1, top + 1) for sign in (1, -1))
+    return SubgroupGraph._from_moves(rank, (loops,))
 
 
 def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWord]:
     """Subgroup elements of reduced length <= max_length, in length-lex order.
 
     Enumerates non-backtracking closed paths at the base vertex of the
-    folded graph; these spell exactly the reduced words of the subgroup.
-    Starts with the identity.
+    folded graph, taking the moves at each vertex in ``graph.moves`` order;
+    these spell exactly the reduced words of the subgroup.  Starts with the
+    identity.  A negative ``max_length`` raises ValueError.
     """
-    yield FreeWord(graph.rank)
-    moves = []
-    for u in range(graph.num_vertices):
-        options = [(letter, 1, v) for letter, v in graph.fwd[u].items()]
-        options += [(letter, -1, v) for letter, v in graph.bwd[u].items()]
-        moves.append(sorted(options, key=lambda move: (move[0], -move[1])))
+    if max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
+    yield FreeWord._reduced(graph.rank, ())
+    moves = graph.moves
     # Walks of each exact length, depth first.  The stack holds one (prefix,
     # move iterator) pair per letter, so long walks need no recursion.
     for length in range(1, max_length + 1):
@@ -198,9 +205,11 @@ def convexity_probe(
       (1, p^j0, g).  The probe finds p^j0 cheapest first: it compares g
       with p, then with p^K, and scans p^2, ..., p^(K-1) only when p^K
       lies above g and p does not.  So a candidate that p bounds costs two
-      comparisons and one that no member bounds three (two when K = 1),
-      and p^2, ..., p^(K-1) are built only for a scan.  A candidate g < 1
-      mirrors this with p^-1, p^-K and the powers between.
+      comparisons and one that no member bounds three (two when K = 1).
+      p^K is built when a candidate first needs it, and p^2, ..., p^(K-1)
+      only for a scan.  A candidate g < 1 mirrors this with p^-1, p^-K and
+      the powers between; of p and p^-1, the one not enumerated first is
+      also built only when a candidate needs it.
     """
     from .exotic import exotic_compare
 
@@ -254,20 +263,29 @@ def _probe_cyclic(
     first non-identity member enumerated."""
     from .exotic import exotic_compare
 
-    one = FreeWord(ctx.rank)
-    p = shortest if exotic_compare(one, shortest, ctx) == LESS else shortest.inverse()
-    top = (bound - p.length) // ((p * p).length - p.length) + 1
-    # (p^±1, p^±K) for the candidates on either side of 1, keyed by the
-    # verdict of (g, member) when the member lies beyond g.
-    ends = {LESS: (p, p**top), GREATER: (p.inverse(), p**-top)}
+    one = FreeWord._reduced(ctx.rank, ())
+    top = (bound - shortest.length) // ((shortest * shortest).length - shortest.length) + 1
+    # steps and lasts map the verdict of (g, member) for a member beyond g to
+    # p^±1 and p^±K, the ends for the candidates on that side of 1; each is
+    # built when a candidate first needs it.  shortest is p or p^-1, whose
+    # powers have the same lengths.
+    steps = {exotic_compare(one, shortest, ctx): shortest}
+    lasts = {}
     for g in ball(ctx.rank, radius):
         if g.is_identity() or subgroup_contains(graph, g):
             continue
         beyond = LESS if exotic_compare(one, g, ctx) == LESS else GREATER
-        step, last = ends[beyond]
+        step = steps.get(beyond)
+        if step is None:
+            step = steps[beyond] = shortest.inverse()
         first = step
         if exotic_compare(g, step, ctx) != beyond:
-            if top == 1 or exotic_compare(g, last, ctx) != beyond:
+            if top == 1:
+                continue
+            last = lasts.get(beyond)
+            if last is None:
+                last = lasts[beyond] = step**top
+            if exotic_compare(g, last, ctx) != beyond:
                 continue
             for _ in range(2, top):
                 first = first * step
@@ -468,6 +486,12 @@ def _centralizes_sigma2(word: FreeWord) -> bool:
     return runs in (_CENTRALIZER_RUNS * count, _CENTRALIZER_INVERSE_RUNS * count)
 
 
+def _sigma(index: int, exponent: int) -> BraidWord:
+    """σ_index^exponent on three strands, for a nonzero exponent: one run,
+    so already reduced."""
+    return BraidWord._reduced(3, ((index, exponent),))
+
+
 def lemma_suite(
     seed: int,
     trials: int,
@@ -519,7 +543,7 @@ def lemma_suite(
         # report holds one generator at a time, not one per trial.
         return lambda trial: test(trial, random.Random(f"{seed}/{key}/{trial}"))
 
-    one = BraidWord(3)
+    one = BraidWord._reduced(3, ())
 
     def shape(trial: int, rng: random.Random) -> dict | None:
         """σ2^{k_1} σ1^{l_1} ... σ2^{k_m} σ1^{l_m} σ2^{n} σ1 with k_i > 0,
@@ -530,7 +554,8 @@ def lemma_suite(
             runs.append((1, -rng.randint(1, 5)))
         runs.append((2, rng.randint(2, 5)))
         runs.append((1, 1))
-        word = BraidWord(3, tuple(runs))
+        # Indices alternate and no exponent is 0: the runs are reduced.
+        word = BraidWord._reduced(3, tuple(runs))
         verdict = sign(word)
         if verdict.kind != POSITIVE or verdict.main_index != 1:
             return {"trial": trial, "word": word.to_text(), "verdict": str(verdict)}
@@ -544,8 +569,7 @@ def lemma_suite(
             return {"trial": trial, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
         k = rng.randint(1, 4)
-        conjugator = _SIGMA2**k
-        inner = beta * conjugator * beta.inverse() * conjugator.inverse()
+        inner = beta * _sigma(2, k) * beta.inverse() * _sigma(2, -k)
         if compare(one, inner) != LESS or compare(inner, beta) != LESS:
             return {"trial": trial, "beta": word.to_text(), "k": k}
         return None
@@ -559,8 +583,7 @@ def lemma_suite(
             return {"trial": trial, "n": n, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
         k = rng.randint(1, 2)
-        conjugator = _SIGMA2 ** (6 * k)
-        inner = beta * conjugator * beta.inverse() * conjugator.inverse()
+        inner = beta * _sigma(2, 6 * k) * beta.inverse() * _sigma(2, -6 * k)
         if not kn_member(commutator_rewrite(inner), n):
             error = "commutator left K_n"
         elif compare(one, inner) != LESS or compare(inner, beta) != LESS:
@@ -575,15 +598,14 @@ def lemma_suite(
 
     def cofinality(p: int) -> dict | None:
         """Δ^2 < Δ^{4p} σ2^{-12p} = (Δ^{2p} σ2^{-6p})^2."""
-        square = half_twist(4 * p) * BraidWord(3, ((2, -12 * p),))
+        square = half_twist(4 * p) * _sigma(2, -12 * p)
         return None if compare(half_twist(2), square) == LESS else {"p": p}
 
     def subword(trial: int, rng: random.Random) -> dict | None:
         """β σ_k β^-1 is positive."""
         beta = random_braid_word(rng, 40)
         k = rng.choice((1, 2))
-        generator = BraidWord(3, ((k, 1),))
-        if sign(beta * generator * beta.inverse()).kind != POSITIVE:
+        if sign(beta * _sigma(k, 1) * beta.inverse()).kind != POSITIVE:
             return {"trial": trial, "beta": beta.to_text(), "k": k}
         return None
 

@@ -115,3 +115,17 @@ def test_hook_keys_name_wrapped_functions():
     # The tracer also wraps the word classes' constructor check.
     assert callable(braidlab.BraidWord.__post_init__)
     assert callable(braidlab.FreeWord.__post_init__)
+
+
+@pytest.mark.parametrize("name", ["ball", "subgroup_elements"])
+def test_traced_ball_counter_sees_generators(name):
+    # bench/spans.py wraps the functions defined in braidlab.probe and
+    # listed in its __all__, and counts probe.ball_words per word that
+    # probe.ball yields only while ball is a generator function.  A ball, or
+    # a walk under it, that stopped being one would leave the counter at 0
+    # without a word.
+    import braidlab.probe
+
+    fn = getattr(braidlab.probe, name)
+    assert name in braidlab.probe.__all__
+    assert inspect.isgeneratorfunction(fn) and fn.__module__ == "braidlab.probe"

@@ -495,6 +495,9 @@ class TestStallings:
         graph, expected = stallings_graph(gens), reference_stallings(gens)
         assert graph.num_vertices == expected.num_vertices == len(graph.fwd)
         assert graph.fwd == expected.fwd and graph.bwd == expected.bwd
+        # The moves that stallings_graph emits are those the public
+        # constructor derives from fwd and bwd.
+        assert graph.moves == expected.moves
         # The degree counts a loop twice: once in fwd and once in bwd.
         degrees = [len(out) + len(inc) for out, inc in zip(graph.fwd, graph.bwd)]
         assert min(degrees[1:], default=2) >= 2, gens

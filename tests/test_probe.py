@@ -36,6 +36,9 @@ from braidlab import (
     subgroup_contains,
     subgroup_elements,
 )
+from braidlab import _words
+from braidlab.freegroup import SubgroupGraph
+from test_freegroup import random_generator_set
 
 F2 = ExoticContext.f2()
 
@@ -107,6 +110,91 @@ def reference_subgroup_elements(graph, max_length):
         yield from walk(graph.base, (), length)
 
 
+def sorted_walk_elements(graph, max_length):
+    """The reference for the walk over ``graph.moves``: the same iterative
+    deepening, with the moves of every vertex read from ``fwd``/``bwd`` and
+    sorted on each call."""
+    yield FreeWord(graph.rank)
+    moves = []
+    for u in range(graph.num_vertices):
+        options = [(letter, 1, v) for letter, v in graph.fwd[u].items()]
+        options += [(letter, -1, v) for letter, v in graph.bwd[u].items()]
+        moves.append(sorted(options, key=lambda move: (move[0], -move[1])))
+    for length in range(1, max_length + 1):
+        stack = [((), iter(moves[graph.base]))]
+        while stack:
+            prefix, options = stack[-1]
+            for letter, sign, target in options:
+                if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
+                    continue
+                word = _words.append_letter(prefix, letter, sign)
+                if len(stack) < length:
+                    stack.append((word, iter(moves[target])))
+                    break
+                if target == graph.base:
+                    yield FreeWord._reduced(graph.rank, word)
+            else:
+                stack.pop()
+
+
+def public_rose(rank):
+    """The one-vertex graph of F_rank, through the public constructor."""
+    loops = {letter: 0 for letter in range(1, rank + 1)}
+    return SubgroupGraph(rank, [loops], [loops])
+
+
+class TestWalkReference:
+    """The walk over ``graph.moves`` gives the words of the sorted walk."""
+
+    @staticmethod
+    def assert_same_walk(graph, max_length):
+        assert SubgroupGraph(graph.rank, graph.fwd, graph.bwd).moves == graph.moves
+        expected = list(sorted_walk_elements(graph, max_length))
+        assert list(subgroup_elements(graph, max_length)) == expected
+
+    def test_random_folded_graphs(self):
+        rng = random.Random(2501)
+        for _ in range(1_000):
+            self.assert_same_walk(stallings_graph(random_generator_set(rng)), 5)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_kn_bases(self, n):
+        self.assert_same_walk(stallings_graph(kn_basis(n)), 8 if n < 6 else 6)
+
+    @pytest.mark.parametrize(
+        "rank, radius", [(1, 12), (2, 6), (3, 4), (4, 3), (5, 2), (6, 2), (7, 2), (8, 2)]
+    )
+    def test_ball(self, rank, radius):
+        rose = public_rose(rank)
+        assert rose.moves == (tuple((i, s, 0) for i in range(1, rank + 1) for s in (1, -1)),)
+        assert list(ball(rank, radius)) == list(sorted_walk_elements(rose, radius))
+
+    def test_one_rose_per_rank(self, monkeypatch):
+        import braidlab.probe
+
+        built = []
+        from_moves, init = SubgroupGraph._from_moves, SubgroupGraph.__init__
+
+        def counting_from_moves(rank, moves):
+            built.append(rank)
+            return from_moves(rank, moves)
+
+        def counting_init(self, rank, fwd, bwd):
+            built.append(rank)
+            init(self, rank, fwd, bwd)
+
+        monkeypatch.setattr(SubgroupGraph, "_from_moves", staticmethod(counting_from_moves))
+        monkeypatch.setattr(SubgroupGraph, "__init__", counting_init)
+        braidlab.probe._rose.cache_clear()
+        try:
+            for _ in range(3):
+                assert len(list(ball(3, 2))) == 1 + 6 + 30
+                assert len(list(ball(2, 1))) == 5
+            assert built == [3, 2]
+        finally:
+            braidlab.probe._rose.cache_clear()
+
+
 class TestBall:
     @pytest.mark.parametrize(
         "rank, radius",
@@ -168,6 +256,12 @@ class TestSubgroupElements:
             graph = stallings_graph(gens)
             expected = list(reference_subgroup_elements(graph, length))
             assert list(subgroup_elements(graph, length)) == expected
+
+    def test_negative_max_length(self):
+        graph = stallings_graph([parse_free("x")])
+        with pytest.raises(ValueError, match="max_length must be nonnegative, got -1"):
+            list(subgroup_elements(graph, -1))
+        assert list(subgroup_elements(graph, 0)) == [FreeWord(2)]
 
     def test_cyclic(self):
         graph = stallings_graph([parse_free("x")])
@@ -469,6 +563,16 @@ class TestCyclicProbe:
         sizes = count_signed_runs(monkeypatch)
         convexity_probe([parse_free(g, ctx.rank) for g in gens], ctx, radius)
         assert sum(sizes) == runs
+
+    @pytest.mark.parametrize("gens", [["y"], ["y^-1"]])
+    def test_no_power_built_when_p_bounds_the_first_candidate(self, monkeypatch, gens):
+        # <y> and <y^-1> both enumerate y first; 1 < x < y, and x is the
+        # first candidate, so the probe needs neither p^-1 nor p^(+/-K).
+        powers = count_calls(monkeypatch, FreeWord, "__pow__")
+        inverses = count_calls(monkeypatch, FreeWord, "inverse")
+        witness = convexity_probe([parse_free(g) for g in gens], F2, 8)
+        assert witness == ConvexityWitness(FreeWord(2), parse_free("y"), parse_free("x"))
+        assert powers == [] and inverses == []
 
     def test_no_member_within_the_bound(self, monkeypatch):
         # x^100 is longer than the default bound 20, so 1 is the only
