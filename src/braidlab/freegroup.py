@@ -347,78 +347,41 @@ def kn_substitute(word: FreeWord, n: int) -> FreeWord:
 class SubgroupGraph:
     """A folded Stallings graph for a finitely generated subgroup of F_r.
 
-    Vertices are 0 .. len(fwd) - 1 with the base point at 0; ``fwd[v]``
-    maps a letter to the target of the unique outgoing edge at v with that
-    label, ``bwd[v]`` to the source of the unique incoming one.  ``moves[v]``
-    lists the same edges as ``(letter, sign, target)`` steps out of v, sign
-    +1 along an edge and -1 against it, in the move order: by letter, the
-    forward step first.  The canonical numbering is the breadth-first order
-    from the base along the moves in that order, so equal subgroups yield
-    identical graphs, and the walks of :func:`braidlab.probe.subgroup_elements`
-    take the moves in the same order.  Instances are immutable after
-    construction.
+    Vertices are 0 .. len(moves) - 1 with the base point at 0.  ``moves[v]``
+    maps a signed letter to the end of the unique step out of v with that
+    label: +i along an edge labelled g_i, -i against it.  So each edge u -i-> v
+    is two moves, +i at u and -i at v, and a loop is both at one vertex.
+    :func:`stallings_graph` fills each map in the move order 1, -1, 2, -2, ...
+    and numbers the vertices breadth first from the base along the moves in
+    that order, so equal subgroups yield identical graphs, and the walks of
+    :func:`braidlab.probe.subgroup_elements` take the moves in the same
+    order.  Instances are immutable after construction.
     """
 
     base = 0
 
-    def __init__(
-        self, rank: int, fwd: Sequence[dict[int, int]], bwd: Sequence[dict[int, int]]
-    ):
+    def __init__(self, rank: int, moves: tuple[dict[int, int], ...]):
         self.rank = rank
-        self.fwd = tuple(dict(m) for m in fwd)
-        self.bwd = tuple(dict(m) for m in bwd)
-        self.moves = tuple(
-            tuple(
-                sorted(
-                    [(letter, 1, v) for letter, v in out.items()]
-                    + [(letter, -1, u) for letter, u in inc.items()],
-                    key=lambda move: (move[0], -move[1]),
-                )
-            )
-            for out, inc in zip(self.fwd, self.bwd)
-        )
-
-    @classmethod
-    def _from_moves(
-        cls, rank: int, moves: tuple[tuple[tuple[int, int, int], ...], ...]
-    ) -> "SubgroupGraph":
-        """Wrap moves that are already in the move order, deriving ``fwd``
-        and ``bwd`` once, with no check and no copy."""
-        fwd, bwd = [], []
-        for row in moves:
-            out, inc = {}, {}
-            for letter, sign, end in row:
-                if sign > 0:
-                    out[letter] = end
-                else:
-                    inc[letter] = end
-            fwd.append(out)
-            bwd.append(inc)
-        graph = object.__new__(cls)
-        graph.rank = rank
-        graph.moves = moves
-        graph.fwd = tuple(fwd)
-        graph.bwd = tuple(bwd)
-        return graph
+        self.moves = moves
 
     @property
     def num_vertices(self) -> int:
-        return len(self.fwd)
+        return len(self.moves)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (source, letter, target), sorted."""
         return sorted(
-            (u, letter, v) for u, out in enumerate(self.fwd) for letter, v in out.items()
+            (u, key, v) for u, row in enumerate(self.moves) for key, v in row.items() if key > 0
         )
 
     def cycle_rank(self) -> int:
         """First Betti number: edges - vertices + 1 (graphs here are connected)."""
-        return sum(map(len, self.fwd)) - self.num_vertices + 1
+        return sum(map(len, self.moves)) // 2 - self.num_vertices + 1
 
     def __repr__(self) -> str:
         return (
             f"SubgroupGraph(rank={self.rank}, vertices={self.num_vertices}, "
-            f"edges={len(self.edges())})"
+            f"edges={sum(map(len, self.moves)) // 2})"
         )
 
 
@@ -488,29 +451,31 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     visits = [0]
     moves = []
     for current in visits:
-        row = []
+        row = {}
         for letter, backward, nbr in sorted(adjacency.get(current, ())):
             if nbr not in order:
                 order[nbr] = len(visits)
                 visits.append(nbr)
-            row.append((letter, -1 if backward else 1, order[nbr]))
-        moves.append(tuple(row))
-    graph = SubgroupGraph._from_moves(rank, tuple(moves))
+            row[-letter if backward else letter] = order[nbr]
+        moves.append(row)
     # Each edge is two moves; a vertex with two equally labeled moves in one
-    # direction would keep only one of them in fwd or bwd.
-    if sum(map(len, graph.fwd)) + sum(map(len, graph.bwd)) != 2 * len(folded):
+    # direction would keep only one of them in its row.
+    if sum(map(len, moves)) != 2 * len(folded):
         raise AssertionError("folding left a nondeterministic vertex")
-    return graph
+    return SubgroupGraph(rank, tuple(moves))
 
 
 def subgroup_contains(graph: SubgroupGraph, word: FreeWord) -> bool:
-    """Whether the word traces a closed path at the base vertex."""
+    """Whether the word traces a closed path at the base vertex, read run by
+    run along ``graph.moves``."""
     if word.rank != graph.rank:
         raise ValueError(f"rank mismatch: word {word.rank}, graph {graph.rank}")
+    moves = graph.moves
     vertex = graph.base
-    for letter, sign in word.single_letters():
-        table = graph.fwd[vertex] if sign > 0 else graph.bwd[vertex]
-        if letter not in table:
-            return False
-        vertex = table[letter]
+    for letter, exponent in word.letters:
+        key = letter if exponent > 0 else -letter
+        for _ in range(abs(exponent)):
+            vertex = moves[vertex].get(key)
+            if vertex is None:
+                return False
     return vertex == graph.base

@@ -37,7 +37,7 @@ from .dehornoy import (
     dehornoy_sign,
 )
 from .burau import braid_equal
-from .exotic import ExoticContext, commutator_rewrite, embed
+from .exotic import ExoticContext, commutator_rewrite, embed, exotic_compare
 from .freegroup import (
     FreeWord,
     SubgroupGraph,
@@ -98,36 +98,38 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
 
 @functools.lru_cache(maxsize=64)
 def _rose(rank: int) -> SubgroupGraph:
-    """The one-vertex graph of F_rank, a loop per letter, built once per rank."""
+    """The one-vertex graph of F_rank, a loop per letter, built once per rank;
+    its moves are in the order :func:`stallings_graph` gives a free basis."""
     top = FreeWord._top_index(rank)
-    loops = tuple((letter, sign, 0) for letter in range(1, top + 1) for sign in (1, -1))
-    return SubgroupGraph._from_moves(rank, (loops,))
+    return SubgroupGraph(rank, ({key: 0 for i in range(1, top + 1) for key in (i, -i)},))
 
 
 def subgroup_elements(graph: SubgroupGraph, max_length: int) -> Iterator[FreeWord]:
     """Subgroup elements of reduced length <= max_length, in length-lex order.
 
     Enumerates non-backtracking closed paths at the base vertex of the
-    folded graph, taking the moves at each vertex in ``graph.moves`` order;
-    these spell exactly the reduced words of the subgroup.  Starts with the
-    identity.  A negative ``max_length`` raises ValueError.
+    folded graph, taking the moves out of each vertex in the order of its
+    ``graph.moves`` map; these spell exactly the reduced words of the
+    subgroup.  Starts with the identity.  A negative ``max_length`` raises
+    ValueError.
     """
     if max_length < 0:
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     yield FreeWord._reduced(graph.rank, ())
     moves = graph.moves
     # Walks of each exact length, depth first.  The stack holds one (prefix,
-    # move iterator) pair per letter, so long walks need no recursion.
+    # backtracking move, move iterator) triple per letter, so long walks need
+    # no recursion; the empty prefix has no backtracking move (no key is 0).
     for length in range(1, max_length + 1):
-        stack = [((), iter(moves[graph.base]))]
+        stack = [((), 0, iter(moves[graph.base].items()))]
         while stack:
-            prefix, options = stack[-1]
-            for letter, sign, target in options:
-                if prefix and prefix[-1][0] == letter and prefix[-1][1] * sign < 0:
+            prefix, back, options = stack[-1]
+            for key, target in options:
+                if key == back:
                     continue
-                word = _words.append_letter(prefix, letter, sign)
+                word = _words.append_letter(prefix, abs(key), 1 if key > 0 else -1)
                 if len(stack) < length:
-                    stack.append((word, iter(moves[target])))
+                    stack.append((word, -key, iter(moves[target].items())))
                     break
                 if target == graph.base:
                     yield FreeWord._reduced(graph.rank, word)
@@ -211,8 +213,6 @@ def convexity_probe(
       the powers between; of p and p^-1, the one not enumerated first is
       also built only when a candidate needs it.
     """
-    from .exotic import exotic_compare
-
     if not generators:
         raise ValueError("at least one generator word is required")
     for gen in generators:
@@ -228,7 +228,7 @@ def convexity_probe(
     if bound < 0:
         raise ValueError(f"max_element_length must be nonnegative, got {bound}")
     graph = stallings_graph(list(generators))
-    if graph.num_vertices == 1 and len(graph.fwd[0]) == ctx.rank:
+    if graph.num_vertices == 1 and len(graph.moves[0]) == 2 * ctx.rank:
         return None
     elements = subgroup_elements(graph, bound)
     one = next(elements)
@@ -261,8 +261,6 @@ def _probe_cyclic(
     """The rank-1 search of :func:`convexity_probe`, whose docstring shows
     that it returns the witness of the member scan; ``shortest`` is the
     first non-identity member enumerated."""
-    from .exotic import exotic_compare
-
     one = FreeWord._reduced(ctx.rank, ())
     top = (bound - shortest.length) // ((shortest * shortest).length - shortest.length) + 1
     # steps and lasts map the verdict of (g, member) for a member beyond g to
@@ -310,8 +308,6 @@ def conradian_violation_search(
     lazily, in ball order, for the words the scan reaches: a pair found early
     signs a short prefix of the ball, not all of it.
     """
-    from .exotic import exotic_compare
-
     one = FreeWord(ctx.rank)
     positives = _CachedSeq(
         w
@@ -384,9 +380,12 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
 
 @dataclasses.dataclass
 class CheckResult:
-    """Outcome of one named check: sample count, failures, and the total
-    letter count of the words whose signs were computed (a deterministic
-    effort counter)."""
+    """Outcome of one named check: sample count, failures, and ``steps``, a
+    deterministic effort counter.  Each word the check signs through the
+    counting ``sign`` of :func:`lemma_suite` adds 1 + its length.  The
+    rejection draws of the sandwich samplers sign through the uncounted
+    sign function and add nothing; counting them changes every report
+    (ROADMAP items 3 and 10)."""
 
     name: str
     samples: int
@@ -501,9 +500,10 @@ def lemma_suite(
 
     The suite is one table of (report name, cases, test) rows run by one
     loop: a test takes one case and returns a failure dict or None, and a
-    row's ``steps`` counts the words its tests signed.  A sampled check runs
-    its test on ``trials`` cases, each with its own substream
-    ``(seed, key, trial)``.
+    row's ``steps`` adds 1 + length for each word its tests signed, not
+    counting the sandwich samplers' rejection draws (see
+    :class:`CheckResult`).  A sampled check runs its test on ``trials``
+    cases, each with its own substream ``(seed, key, trial)``.
 
     ``_sign_fn`` is a test-only hook replacing the Dehornoy sign computation,
     so deliberately broken comparators can be shown to be caught; leave it

@@ -12,7 +12,6 @@ from braidlab import (
     FreeWord,
     GroupAutomorphism,
     IntMatrix2,
-    SubgroupGraph,
     WordParseError,
     abelianize,
     apply_automorphism,
@@ -55,10 +54,37 @@ def random_kn_element(rng, n, max_length=8):
     return kn_substitute(random_free_word(rng, max_length, rank=n), n)
 
 
+def move_order(key):
+    """The move order 1, -1, 2, -2, ... of signed letters, as a sort key."""
+    return abs(key), key < 0
+
+
+def ordered_moves(rows):
+    """Per-vertex move maps as lists of (signed letter, target), so that two
+    graphs compare equal only with their moves in the same order."""
+    return [list(row.items()) for row in rows]
+
+
+def assert_graph_invariants(graph):
+    """A graph is its rank and one move map per vertex: each row's keys are
+    signed letters of the rank, in the move order, and each edge u -i-> v is
+    exactly two moves, +i at u and -i at v."""
+    assert set(vars(graph)) == {"rank", "moves"}
+    edges = graph.edges()
+    for row in graph.moves:
+        assert list(row) == sorted(row, key=move_order)
+        assert all(1 <= abs(key) <= graph.rank for key in row)
+    for u, letter, v in edges:
+        assert graph.moves[u][letter] == v and graph.moves[v][-letter] == u
+    assert sum(map(len, graph.moves)) == 2 * len(edges)
+
+
 def reference_stallings(generators):
     """The fold-and-prune construction that :func:`stallings_graph` replaced:
     union-find with separate out/in tables, then a pass that prunes non-base
-    vertices of degree < 2, then the canonical breadth-first renumbering."""
+    vertices of degree < 2, then the canonical breadth-first renumbering.
+    Returns the move map of each vertex, sorted here in the move order, and
+    the sorted edges, both from its own numbering."""
     rank = generators[0].rank
     edges = []
     next_vertex = 1
@@ -124,12 +150,12 @@ def reference_stallings(generators):
             if nbr not in order:
                 order[nbr] = len(order)
                 queue.append(nbr)
-    fwd = [{} for _ in order]
-    bwd = [{} for _ in order]
+    rows = [{} for _ in order]
     for u, letter, v in folded:
-        fwd[order[u]][letter] = order[v]
-        bwd[order[v]][letter] = order[u]
-    return SubgroupGraph(rank, fwd, bwd)
+        rows[order[u]][letter] = order[v]
+        rows[order[v]][-letter] = order[u]
+    rows = [{key: row[key] for key in sorted(row, key=move_order)} for row in rows]
+    return rows, sorted((order[u], letter, order[v]) for u, letter, v in folded)
 
 
 def random_generator_set(rng):
@@ -492,14 +518,13 @@ class TestStallings:
 
     @staticmethod
     def assert_matches_reference(gens):
-        graph, expected = stallings_graph(gens), reference_stallings(gens)
-        assert graph.num_vertices == expected.num_vertices == len(graph.fwd)
-        assert graph.fwd == expected.fwd and graph.bwd == expected.bwd
-        # The moves that stallings_graph emits are those the public
-        # constructor derives from fwd and bwd.
-        assert graph.moves == expected.moves
-        # The degree counts a loop twice: once in fwd and once in bwd.
-        degrees = [len(out) + len(inc) for out, inc in zip(graph.fwd, graph.bwd)]
+        graph = stallings_graph(gens)
+        rows, edges = reference_stallings(gens)
+        assert_graph_invariants(graph)
+        assert ordered_moves(graph.moves) == ordered_moves(rows)
+        assert graph.edges() == edges
+        # The degree counts a loop twice: as +i and as -i.
+        degrees = [len(row) for row in graph.moves]
         assert min(degrees[1:], default=2) >= 2, gens
         # cycle_rank counts the edges without listing them.
         assert graph.cycle_rank() == len(graph.edges()) - graph.num_vertices + 1

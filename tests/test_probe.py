@@ -38,7 +38,12 @@ from braidlab import (
 )
 from braidlab import _words
 from braidlab.freegroup import SubgroupGraph
-from test_freegroup import random_generator_set
+from test_freegroup import (
+    assert_graph_invariants,
+    move_order,
+    ordered_moves,
+    random_generator_set,
+)
 
 F2 = ExoticContext.f2()
 
@@ -92,8 +97,8 @@ def reference_ball(rank, radius):
 
 
 def reference_subgroup_elements(graph, max_length):
-    """Closed non-backtracking walks, one letter at a time, looking each
-    target up in ``fwd``/``bwd``."""
+    """Closed non-backtracking walks, one letter at a time in the order
+    g1 < g1^-1 < g2 < ..., looking each target up in ``graph.moves``."""
     yield FreeWord(graph.rank)
 
     def walk(vertex, prefix, remaining):
@@ -102,26 +107,26 @@ def reference_subgroup_elements(graph, max_length):
                 yield FreeWord(graph.rank, prefix)
             return
         for letter in range(1, graph.rank + 1):
-            for sign, table in ((1, graph.fwd[vertex]), (-1, graph.bwd[vertex])):
-                if letter in table and not (prefix and prefix[-1] == (letter, -sign)):
-                    yield from walk(table[letter], prefix + ((letter, sign),), remaining - 1)
+            for sign in (1, -1):
+                target = graph.moves[vertex].get(sign * letter)
+                if target is not None and not (prefix and prefix[-1] == (letter, -sign)):
+                    yield from walk(target, prefix + ((letter, sign),), remaining - 1)
 
     for length in range(1, max_length + 1):
         yield from walk(graph.base, (), length)
 
 
-def sorted_walk_elements(graph, max_length):
+def sorted_walk_elements(rank, rows, max_length):
     """The reference for the walk over ``graph.moves``: the same iterative
-    deepening, with the moves of every vertex read from ``fwd``/``bwd`` and
-    sorted on each call."""
-    yield FreeWord(graph.rank)
+    deepening from vertex 0 over per-vertex maps from signed letters to
+    targets, each sorted here in the move order on every call."""
+    yield FreeWord(rank)
     moves = []
-    for u in range(graph.num_vertices):
-        options = [(letter, 1, v) for letter, v in graph.fwd[u].items()]
-        options += [(letter, -1, v) for letter, v in graph.bwd[u].items()]
-        moves.append(sorted(options, key=lambda move: (move[0], -move[1])))
+    for row in rows:
+        keys = sorted(row, key=move_order)
+        moves.append([(abs(key), 1 if key > 0 else -1, row[key]) for key in keys])
     for length in range(1, max_length + 1):
-        stack = [((), iter(moves[graph.base]))]
+        stack = [((), iter(moves[0]))]
         while stack:
             prefix, options = stack[-1]
             for letter, sign, target in options:
@@ -131,16 +136,17 @@ def sorted_walk_elements(graph, max_length):
                 if len(stack) < length:
                     stack.append((word, iter(moves[target])))
                     break
-                if target == graph.base:
-                    yield FreeWord._reduced(graph.rank, word)
+                if target == 0:
+                    yield FreeWord._reduced(rank, word)
             else:
                 stack.pop()
 
 
-def public_rose(rank):
-    """The one-vertex graph of F_rank, through the public constructor."""
-    loops = {letter: 0 for letter in range(1, rank + 1)}
-    return SubgroupGraph(rank, [loops], [loops])
+def reference_rose(rank):
+    """The move map of the one vertex of the rose of F_rank: a loop per
+    letter, so each signed letter leads back to 0.  The keys are listed in
+    reverse, so the order of the walk is the one its reference sorts."""
+    return [{sign * letter: 0 for letter in range(rank, 0, -1) for sign in (-1, 1)}]
 
 
 class TestWalkReference:
@@ -148,8 +154,8 @@ class TestWalkReference:
 
     @staticmethod
     def assert_same_walk(graph, max_length):
-        assert SubgroupGraph(graph.rank, graph.fwd, graph.bwd).moves == graph.moves
-        expected = list(sorted_walk_elements(graph, max_length))
+        assert_graph_invariants(graph)
+        expected = list(sorted_walk_elements(graph.rank, graph.moves, max_length))
         assert list(subgroup_elements(graph, max_length)) == expected
 
     def test_random_folded_graphs(self):
@@ -165,25 +171,26 @@ class TestWalkReference:
         "rank, radius", [(1, 12), (2, 6), (3, 4), (4, 3), (5, 2), (6, 2), (7, 2), (8, 2)]
     )
     def test_ball(self, rank, radius):
-        rose = public_rose(rank)
-        assert rose.moves == (tuple((i, s, 0) for i in range(1, rank + 1) for s in (1, -1)),)
-        assert list(ball(rank, radius)) == list(sorted_walk_elements(rose, radius))
+        from braidlab.probe import _rose
+
+        # The rose literal is the graph stallings_graph folds from a free
+        # basis, moves in the same order.
+        basis = [FreeWord(rank, ((i, 1),)) for i in range(1, rank + 1)]
+        assert_graph_invariants(_rose(rank))
+        assert ordered_moves(_rose(rank).moves) == ordered_moves(stallings_graph(basis).moves)
+        expected = list(sorted_walk_elements(rank, reference_rose(rank), radius))
+        assert list(ball(rank, radius)) == expected
 
     def test_one_rose_per_rank(self, monkeypatch):
         import braidlab.probe
 
         built = []
-        from_moves, init = SubgroupGraph._from_moves, SubgroupGraph.__init__
+        init = SubgroupGraph.__init__
 
-        def counting_from_moves(rank, moves):
+        def counting_init(self, rank, moves):
             built.append(rank)
-            return from_moves(rank, moves)
+            init(self, rank, moves)
 
-        def counting_init(self, rank, fwd, bwd):
-            built.append(rank)
-            init(self, rank, fwd, bwd)
-
-        monkeypatch.setattr(SubgroupGraph, "_from_moves", staticmethod(counting_from_moves))
         monkeypatch.setattr(SubgroupGraph, "__init__", counting_init)
         braidlab.probe._rose.cache_clear()
         try:
@@ -254,6 +261,7 @@ class TestSubgroupElements:
         cases += [([parse_free(g) for g in gens], 8) for gens in named] + [(kn_basis(3), 8)]
         for gens, length in cases:
             graph = stallings_graph(gens)
+            assert_graph_invariants(graph)
             expected = list(reference_subgroup_elements(graph, length))
             assert list(subgroup_elements(graph, length)) == expected
 
@@ -331,9 +339,9 @@ class TestConvexityProbe:
                 convexity_probe([parse_free(g) for g in gens], F2, 1)
 
     def test_one_comparison_per_member(self, monkeypatch):
-        import braidlab.exotic
+        import braidlab.probe
 
-        calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        calls = count_calls(monkeypatch, braidlab.probe, "exotic_compare")
         generators = [parse_free("x^2"), parse_free("y")]
         witness = convexity_probe(generators, F2, 6)
         assert witness is not None
@@ -366,10 +374,9 @@ class TestConvexityProbe:
     def test_whole_and_trivial_subgroups_return_at_once(self, monkeypatch, gens, ctx):
         # F_r leaves no candidate outside it, and {1} has one member, which
         # cannot be both bounds: no witness exists, so nothing is searched.
-        import braidlab.exotic
         import braidlab.probe
 
-        compares = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        compares = count_calls(monkeypatch, braidlab.probe, "exotic_compare")
         memberships = count_calls(monkeypatch, braidlab.probe, "subgroup_contains")
         generators = [parse_free(g, ctx.rank) for g in gens]
         assert convexity_probe(generators, ctx, 12) is None
@@ -378,12 +385,11 @@ class TestConvexityProbe:
     def test_no_second_member_within_the_bound(self, monkeypatch):
         # Rank 2, but x^5 and y^5 are longer than the bound 4, so 1 is the
         # only member: no candidate can have both bounds.
-        import braidlab.exotic
         import braidlab.probe
 
         generators = [parse_free("x^5"), parse_free("y^5")]
         expected = reference_convexity_scan(generators, F2, 9, 4)
-        compares = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        compares = count_calls(monkeypatch, braidlab.probe, "exotic_compare")
         memberships = count_calls(monkeypatch, braidlab.probe, "subgroup_contains")
         assert convexity_probe(generators, F2, 9, max_element_length=4) == expected
         assert expected is None
@@ -484,9 +490,9 @@ class TestCyclicProbe:
         """Probe <gens> at the default bound and return the witness, p > 1,
         the largest K with |p^K| within the bound, and the members each
         candidate was compared with, in call order."""
-        import braidlab.exotic
+        import braidlab.probe
 
-        calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        calls = count_calls(monkeypatch, braidlab.probe, "exotic_compare")
         generators = [parse_free(g, ctx.rank) for g in gens]
         witness = convexity_probe(generators, ctx, radius)
         graph = stallings_graph(generators)
@@ -577,10 +583,9 @@ class TestCyclicProbe:
     def test_no_member_within_the_bound(self, monkeypatch):
         # x^100 is longer than the default bound 20, so 1 is the only
         # member: nothing is compared and no candidate is tested.
-        import braidlab.exotic
         import braidlab.probe
 
-        compares = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        compares = count_calls(monkeypatch, braidlab.probe, "exotic_compare")
         memberships = count_calls(monkeypatch, braidlab.probe, "subgroup_contains")
         assert convexity_probe([parse_free("x^100")], F2, 10) is None
         assert compares == [] and memberships == []
@@ -690,9 +695,9 @@ class TestConradianSearch:
             assert conradian_violation_search(ctx, radius) == reference_conradian(ctx, radius)
 
     def test_signs_only_what_the_scan_reaches(self, monkeypatch):
-        import braidlab.exotic
+        import braidlab.probe
 
-        calls = count_calls(monkeypatch, braidlab.exotic, "exotic_compare")
+        calls = count_calls(monkeypatch, braidlab.probe, "exotic_compare")
         assert conradian_violation_search(F2, 6) is not None
         # The eager scan made 1,461 calls: a sign for each of the 1,456 words
         # of the ball other than 1, then five pair tests.
