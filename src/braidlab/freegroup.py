@@ -368,12 +368,6 @@ class SubgroupGraph:
     def num_vertices(self) -> int:
         return len(self.moves)
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All edges as (source, letter, target), sorted."""
-        return sorted(
-            (u, key, v) for u, row in enumerate(self.moves) for key, v in row.items() if key > 0
-        )
-
     def cycle_rank(self) -> int:
         """First Betti number: edges - vertices + 1 (graphs here are connected)."""
         return sum(map(len, self.moves)) // 2 - self.num_vertices + 1
@@ -388,14 +382,23 @@ class SubgroupGraph:
 def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     """Build the folded core graph of the subgroup the generators produce.
 
-    Starts from one petal per generator wedged at the base vertex and folds
-    (merging endpoints whenever a vertex carries two equally labeled edges in
-    the same direction) until deterministic.  Nothing dangles: every
-    non-base vertex lies inside the folded path of a freely reduced
-    generator, which enters and leaves it by two different edge ends, or by
-    one loop traversed in one direction (one edge end used both ways would
-    read a letter then its inverse), so its degree is at least 2, a loop
-    counting twice.
+    The graph lives in ``rows``, one move map per vertex as in
+    :class:`SubgroupGraph`, from the first petal to the result.  Each
+    generator is laid as a petal at the base; a move whose signed letter is
+    already taken at its vertex queues the two targets for merging.  Folding
+    is one worklist of pending merges (Touikan, *A fast algorithm for
+    Stallings' folding process*, 2006): a merge of two union-find roots
+    keeps the lower one, so the base stays 0, and moves the higher root's
+    row into the lower one, queuing the targets of every signed letter both
+    rows hold.  Each merge moves one row once, so no edge is swept twice.
+    The vertices are then numbered breadth first from the base along the
+    moves in the move order.
+
+    Nothing dangles: every non-base vertex lies inside the folded path of a
+    freely reduced generator, which enters and leaves it by two different
+    edge ends, or by one loop traversed in one direction (one edge end used
+    both ways would read a letter then its inverse), so its degree is at
+    least 2, a loop counting twice.
     """
     if not generators:
         raise ValueError("at least one generator word is required (it may be trivial)")
@@ -404,64 +407,56 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
         if gen.rank != rank:
             raise ValueError("generators must share a rank")
 
-    edges: list[tuple[int, int, int]] = []
-    next_vertex = 1
+    rows: list[dict[int, int]] = [{}]
+    pending: list[tuple[int, int]] = []
     for gen in generators:
-        letters = list(gen.single_letters())
-        prev = 0
-        for pos, (letter, sign) in enumerate(letters):
-            target = 0 if pos == len(letters) - 1 else next_vertex
-            if target != 0:
-                next_vertex += 1
-            if sign > 0:
-                edges.append((prev, letter, target))
-            else:
-                edges.append((target, letter, prev))
-            prev = target
+        u, left = 0, gen.length
+        for letter, sign in gen.single_letters():
+            left -= 1
+            v = len(rows) if left else 0
+            if v:
+                rows.append({})
+            for a, key, b in ((u, letter * sign, v), (v, -letter * sign, u)):
+                other = rows[a].setdefault(key, b)
+                if other != b:
+                    pending.append((other, b))
+            u = v
 
-    # The lower vertex of a merged pair stays the root, so parent[w] <= w,
-    # the base stays 0 and one increasing sweep points every vertex at its
-    # root.  A merge whose higher end already merged in this pass waits for
-    # the next pass; the first collision of a pass always merges.
-    parent = list(range(next_vertex))
-    changed = True
-    while changed:
-        changed = False
-        for w, p in enumerate(parent):
-            parent[w] = parent[p]
-        seen: dict[tuple[int, int, int], int] = {}
-        for u, letter, v in edges:
-            u, v = parent[u], parent[v]
-            for key, end in (((u, letter, 0), v), ((v, letter, 1), u)):
-                other = seen.setdefault(key, end)
-                if other != end:
-                    changed = True
-                    low, high = sorted((other, end))
-                    if parent[high] == high:
-                        parent[high] = low
-    folded = {(parent[u], letter, parent[v]) for u, letter, v in edges}
+    # A merge keeps the lower root and path halving moves a vertex to its
+    # grandparent, so parent[w] <= w, and after the fold one increasing sweep
+    # points every vertex at its root.
+    parent = list(range(len(rows)))
+    while pending:
+        a, b = pending.pop()
+        while parent[a] != a or parent[b] != b:
+            parent[a], parent[b] = parent[parent[a]], parent[parent[b]]
+            a, b = parent[a], parent[b]
+        low, high = min(a, b), max(a, b)
+        if low != high:
+            parent[high] = low
+            for key, v in rows[high].items():
+                other = rows[low].setdefault(key, v)
+                if other != v:
+                    pending.append((other, v))
+    for w, p in enumerate(parent):
+        parent[w] = parent[p]
 
-    # Canonical renumbering: breadth-first from the base, along the moves in
-    # the move order, (letter, 0) forward before (letter, 1) backward.
-    adjacency: dict[int, list[tuple[int, int, int]]] = {}
-    for u, letter, v in folded:
-        adjacency.setdefault(u, []).append((letter, 0, v))
-        adjacency.setdefault(v, []).append((letter, 1, u))
     order = {0: 0}
     visits = [0]
     moves = []
     for current in visits:
         row = {}
-        for letter, backward, nbr in sorted(adjacency.get(current, ())):
-            if nbr not in order:
-                order[nbr] = len(visits)
-                visits.append(nbr)
-            row[-letter if backward else letter] = order[nbr]
+        for key in sorted(rows[current], key=lambda k: (abs(k), k < 0)):
+            v = parent[rows[current][key]]
+            if v not in order:
+                order[v] = len(visits)
+                visits.append(v)
+            row[key] = order[v]
         moves.append(row)
-    # Each edge is two moves; a vertex with two equally labeled moves in one
-    # direction would keep only one of them in its row.
-    if sum(map(len, moves)) != 2 * len(folded):
-        raise AssertionError("folding left a nondeterministic vertex")
+    # A collision that was never queued leaves a move whose reverse leads
+    # elsewhere.
+    if any(moves[v].get(-key) != u for u, row in enumerate(moves) for key, v in row.items()):
+        raise AssertionError("folding left a move without its reverse")
     return SubgroupGraph(rank, tuple(moves))
 
 

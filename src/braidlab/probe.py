@@ -65,7 +65,7 @@ __all__ = [
 # in [B3, B3]: see _centralizes_sigma2.
 _CENTRALIZER_RUNS = parse_free("x y^-1 x^-1 y").letters
 _CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
-MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter: 10^5 build in about 1 s
+MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter; 10^5 letters fold in about 0.4 s
 # The cases of verify's braid-relation-identities check:
 # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
 _IDENTITIES = tuple(

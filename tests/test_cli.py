@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -395,12 +396,51 @@ class TestHelp:
         assert (code, out, err) == fresh_process(argv)
 
 
-def fresh_process(argv, module="braidlab.cli"):
+def fresh_process(argv, module="braidlab.cli", **options):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, **options
     )
     return child.returncode, child.stdout, child.stderr
+
+
+MEMORY_CAP = 2**30  # bytes of address space for each long-input process
+
+
+def cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+# Long inputs with short answers, as (argv, stdout, exit code, seconds).  Each
+# time bound is at least 10x the time measured on a 2-core VM (0.38 s, 0.15 s
+# and 0.23 s), so a slow shared machine does not fail a row, while an input
+# whose cost grows with its letters rather than its runs still does.
+LONG_INPUTS = [
+    pytest.param(
+        ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
+        '{"conclusive": false, "radius": 1, "witness": null}\n',
+        1,
+        10,
+        id="probe-cascading-fold",
+    ),
+    pytest.param(
+        ["probe-convexity", "--json", "--gens", "x^1000000000"],
+        '{"error": {"message": "generators have more than 100000 letters in total", '
+        '"type": "domain"}}\n',
+        1,
+        5,
+        id="probe-over-letter-limit",
+    ),
+    pytest.param(["sign", "s1^1000000000"], "positive(1)\n", 0, 5, id="sign-long-run"),
+]
+
+
+@pytest.mark.parametrize("argv, out, code, seconds", LONG_INPUTS)
+def test_long_input(argv, out, code, seconds):
+    """Each row answers in a fresh process with its address space capped
+    and within its time bound; a hang fails by ``TimeoutExpired``."""
+    got_code, got_out, _ = fresh_process(argv, timeout=seconds, preexec_fn=cap_memory)
+    assert (got_code, got_out) == (code, out)
 
 
 class TestRunAsModule:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -34,7 +35,8 @@ from braidlab import (
     subgroup_contains,
     substitute,
 )
-from braidlab.freegroup import _schreier_in_basis
+from braidlab.freegroup import SubgroupGraph, _schreier_in_basis
+from test_exotic import line_counts
 
 
 def free_words(max_runs=10, rank=2):
@@ -65,12 +67,20 @@ def ordered_moves(rows):
     return [list(row.items()) for row in rows]
 
 
+def graph_edges(graph):
+    """The edges (source, letter, target) of a graph, sorted: its moves along
+    positive letters."""
+    return sorted(
+        (u, key, v) for u, row in enumerate(graph.moves) for key, v in row.items() if key > 0
+    )
+
+
 def assert_graph_invariants(graph):
     """A graph is its rank and one move map per vertex: each row's keys are
     signed letters of the rank, in the move order, and each edge u -i-> v is
     exactly two moves, +i at u and -i at v."""
     assert set(vars(graph)) == {"rank", "moves"}
-    edges = graph.edges()
+    edges = graph_edges(graph)
     for row in graph.moves:
         assert list(row) == sorted(row, key=move_order)
         assert all(1 <= abs(key) <= graph.rank for key in row)
@@ -158,6 +168,12 @@ def reference_stallings(generators):
     return rows, sorted((order[u], letter, order[v]) for u, letter, v in folded)
 
 
+def cascading_pair(k):
+    """x^k y and x^(k+1) y: their petals fold onto each other in a chain of
+    k merges, each one forcing the next, down to the rose on x and y."""
+    return [FreeWord(2, ((1, k), (2, 1))), FreeWord(2, ((1, k + 1), (2, 1)))]
+
+
 def random_generator_set(rng):
     """1-4 generators of 0-9 uniform letters at rank 1, 2, 3, 5 or 8."""
     rank = rng.choice((1, 2, 3, 5, 8))
@@ -243,6 +259,7 @@ class TestAutomorphisms:
     def test_removed_members(self):
         assert not hasattr(GroupAutomorphism, "compose")
         assert not hasattr(IntMatrix2, "determinant")
+        assert not hasattr(SubgroupGraph, "edges")
 
     def test_sigma1_is_flip_conjugate_of_sigma2(self):
         # The derivation the literal images replace: flip . conj_by_sigma2 . flip.
@@ -522,12 +539,12 @@ class TestStallings:
         rows, edges = reference_stallings(gens)
         assert_graph_invariants(graph)
         assert ordered_moves(graph.moves) == ordered_moves(rows)
-        assert graph.edges() == edges
+        assert graph_edges(graph) == edges
         # The degree counts a loop twice: as +i and as -i.
         degrees = [len(row) for row in graph.moves]
         assert min(degrees[1:], default=2) >= 2, gens
         # cycle_rank counts the edges without listing them.
-        assert graph.cycle_rank() == len(graph.edges()) - graph.num_vertices + 1
+        assert graph.cycle_rank() == len(edges) - graph.num_vertices + 1
 
     def test_matches_reference_on_random_sets(self):
         rng = random.Random(1010)
@@ -538,11 +555,33 @@ class TestStallings:
     def test_matches_reference_on_kn_bases(self, n):
         self.assert_matches_reference(kn_basis(n))
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 37, 300])
+    def test_matches_reference_on_cascading_pairs(self, k):
+        self.assert_matches_reference(cascading_pair(k))
+
+    @pytest.mark.parametrize(
+        "a, b", [(1, 1), (2, 3), (4, 6), (12, 18), (35, 21), (300, 299), (256, 96)]
+    )
+    def test_matches_reference_on_two_powers(self, a, b):
+        # <x^a, x^b> = <x^gcd(a, b)>: the graph is one cycle of gcd(a, b) x-edges.
+        gens = [x_power(a), x_power(b)]
+        self.assert_matches_reference(gens)
+        graph = stallings_graph(gens)
+        assert graph.num_vertices == math.gcd(a, b) and graph.cycle_rank() == 1
+        assert all(list(row) == [1, -1] for row in graph.moves)
+
+    def test_fold_work_is_linear_in_letters(self):
+        # A fold that sweeps every edge once per merge of the chain runs its
+        # sweep body about k^2 times.
+        k = 2000
+        counts = line_counts(stallings_graph, cascading_pair(k), limit=10 * k)
+        assert max(counts.values()) > k  # the tracer saw the fold
+
     def test_deterministic_construction(self):
         gens = [parse_free("x^2"), Y, parse_free("x y x^-1")]
         first = stallings_graph(gens)
         second = stallings_graph(gens)
-        assert first.edges() == second.edges()
+        assert ordered_moves(first.moves) == ordered_moves(second.moves)
 
     @pytest.mark.parametrize(
         "gens",
