@@ -76,8 +76,6 @@ class _QuietParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def exit(self, status=0, message=None):
-        if message:
-            self._print_message(message, sys.stderr)
         raise _Exit(status)
 
 

@@ -185,14 +185,8 @@ def _leftmost_handle(runs: tuple[tuple[int, int], ...]) -> tuple[int, int] | Non
 
 
 def _expanded_span(runs: tuple[tuple[int, int], ...], p: int, q: int) -> tuple[int, int]:
-    prefix = 0
-    for k in range(p):
-        prefix += abs(runs[k][1])
-    start = prefix + abs(runs[p][1]) - 1
-    end = start + 1
-    for k in range(p + 1, q):
-        end += abs(runs[k][1])
-    return start, end
+    start = sum(abs(e) for _, e in runs[: p + 1]) - 1
+    return start, start + 1 + sum(abs(e) for _, e in runs[p + 1 : q])
 
 
 def _apply_handle(
@@ -261,9 +255,9 @@ def dehornoy_sign(word: BraidWord) -> OrderVerdict:
     Otherwise the sign is that of the first nonzero entry of
     (x_1, y_1 - 1, x_2, y_2 - 1, ...) of the Dynnikov coordinates, which
     cost a few updates per run (see :mod:`braidlab.dynnikov`).  On more than
-    three strands the touched indices are first relabeled (see
-    :func:`_relabeled`), so neither a huge generator index nor the strand
-    count costs anything.
+    three strands the touched indices are first relabeled onto 1, 2, ...,
+    with every gap between them shrunk to one untouched strand, so neither a
+    huge generator index nor the strand count costs anything.
     """
     return OrderVerdict(*_sign(word.letters, word.strands))
 
@@ -284,7 +278,27 @@ def _sign(runs: Sequence[_words.Run], strands: int) -> tuple[str, int | None]:
                 break
     else:  # σ_main occurs with one sign only
         return (POSITIVE if positive else NEGATIVE), main
-    back, strands, (runs,) = _relabeled(strands, runs)
+    back = _UNCHANGED
+    if strands > 3:
+        # Send the distinct generator indices onto 1, 2, ..., shrinking every
+        # gap between them to one untouched strand.  Consecutive indices stay
+        # consecutive and a gap stays a gap, so the map sends the subgroup
+        # the indices generate isomorphically onto the one their images
+        # generate: each block of adjacent generators keeps its braid
+        # relations, and distinct blocks still commute.  It is monotone, so
+        # it also maps handles to handles and commutes with handle
+        # reduction: the image has the kind of the word and the image of its
+        # main index, which ``back`` maps back.
+        back = {}
+        labels: dict[int, int] = {}
+        label = previous = 0
+        for index in sorted({index for index, _ in runs}):
+            label += 1 if index == previous + 1 or not labels else 2
+            labels[index] = label
+            back[label] = index
+            previous = index
+        runs = [(labels[index], exponent) for index, exponent in runs]
+        strands = label + 1
     xs, ys = run_coordinates(runs, strands)
     for k in range(strands):
         entry = xs[k] or ys[k] - 1
@@ -293,42 +307,11 @@ def _sign(runs: Sequence[_words.Run], strands: int) -> tuple[str, int | None]:
     return TRIVIAL, None
 
 
-# The map back on three strands or fewer, where _relabeled keeps the indices.
+# The map back on three strands or fewer, where there is no gap to shrink
+# and no large index, so ``_sign`` keeps the indices: building the map anyway
+# took 16% of the time of signing the 200-1600-letter three-strand words of
+# the ``sign-long`` benchmark, measured in-process on a 2-core VM.
 _UNCHANGED = {1: 1, 2: 2, 3: 3}
-
-
-def _relabeled(
-    strands: int, *words: Sequence[_words.Run]
-) -> tuple[dict[int, int], int, list[Sequence[_words.Run]]]:
-    """Relabel words on ``strands`` strands with one map that sends the
-    distinct generator indices onto 1, 2, ..., shrinking every gap between
-    them to one untouched strand; returns the map back from new indices to
-    old, the strand count of the images, and the images.
-
-    Consecutive indices stay consecutive and a gap stays a gap, so the map
-    sends the subgroup the indices generate isomorphically onto the one their
-    images generate: each block of adjacent generators keeps its braid
-    relations, and distinct blocks still commute.  It is monotone, so it
-    also maps handles to handles and commutes with handle reduction: an image
-    has the kind of its word and the image of its main index.
-
-    On three strands or fewer there is no gap to shrink and no large index,
-    so the words come back as they are: building the map anyway took 16% of
-    the time of signing the 200-1600-letter three-strand words of the
-    ``sign-long`` benchmark, measured in-process on a 2-core VM.
-    """
-    if strands <= 3:
-        return _UNCHANGED, strands, list(words)
-    back: dict[int, int] = {}
-    labels: dict[int, int] = {}
-    label = previous = 0
-    for index in sorted({index for runs in words for index, _ in runs}):
-        label += 1 if index == previous + 1 or not labels else 2
-        labels[index] = label
-        back[label] = index
-        previous = index
-    images = [tuple((labels[index], exponent) for index, exponent in runs) for runs in words]
-    return back, label + 1, images
 
 
 def braid_compare(u: BraidWord, v: BraidWord) -> str:
@@ -357,11 +340,9 @@ def cofinal_bound(word: BraidWord, cap: int = 64) -> int:
 def commutes(u: BraidWord, v: BraidWord) -> bool:
     """Whether two braids on the same number of strands commute.
 
-    Decided by comparing the Dynnikov coordinates of u v and v u: the action
-    is faithful, so they agree exactly when the braids do.  Works for every
-    strand count, with a few coordinate updates per run; both products are
-    relabeled by one shared map (:func:`_relabeled`), so they have one
-    strand count.
+    Decided as whether the commutator u v u^-1 v^-1 is trivial, by the sign
+    core of :func:`dehornoy_sign`: the Dynnikov action is faithful, so one
+    coordinate pass answers for every strand count, with a few coordinate
+    updates per run.
     """
-    _, strands, (uv, vu) = _relabeled(u.strands, (u * v).letters, (v * u).letters)
-    return run_coordinates(uv, strands) == run_coordinates(vu, strands)
+    return _sign((u * v * u.inverse() * v.inverse()).letters, u.strands)[0] == TRIVIAL

@@ -384,15 +384,18 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
 
     The graph lives in ``rows``, one move map per vertex as in
     :class:`SubgroupGraph`, from the first petal to the result.  Each
-    generator is laid as a petal at the base; a move whose signed letter is
-    already taken at its vertex queues the two targets for merging.  Folding
-    is one worklist of pending merges (Touikan, *A fast algorithm for
+    generator is laid as a path from the base to a fresh vertex, which is
+    queued for merging into the base; a move whose signed letter is already
+    taken at its vertex queues the two targets for merging too.  Folding is
+    one worklist of pending merges (Touikan, *A fast algorithm for
     Stallings' folding process*, 2006): a merge of two union-find roots
     keeps the lower one, so the base stays 0, and moves the higher root's
     row into the lower one, queuing the targets of every signed letter both
     rows hold.  Each merge moves one row once, so no edge is swept twice.
-    The vertices are then numbered breadth first from the base along the
-    moves in the move order.
+    The roots are then numbered breadth first from the base along the moves
+    in the move order: each root's keys are popped and re-inserted in that
+    order with their renumbered targets, so the roots' rows are the result's
+    ``moves``.
 
     Nothing dangles: every non-base vertex lies inside the folded path of a
     freely reduced generator, which enters and leaves it by two different
@@ -410,17 +413,15 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     rows: list[dict[int, int]] = [{}]
     pending: list[tuple[int, int]] = []
     for gen in generators:
-        u, left = 0, gen.length
+        u = 0
         for letter, sign in gen.single_letters():
-            left -= 1
-            v = len(rows) if left else 0
-            if v:
-                rows.append({})
-            for a, key, b in ((u, letter * sign, v), (v, -letter * sign, u)):
-                other = rows[a].setdefault(key, b)
-                if other != b:
-                    pending.append((other, b))
+            v = len(rows)
+            rows.append({-letter * sign: u})
+            other = rows[u].setdefault(letter * sign, v)
+            if other != v:
+                pending.append((other, v))
             u = v
+        pending.append((0, u))
 
     # A merge keeps the lower root and path halving moves a vertex to its
     # grandparent, so parent[w] <= w, and after the fold one increasing sweep
@@ -443,21 +444,20 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
 
     order = {0: 0}
     visits = [0]
-    moves = []
     for current in visits:
-        row = {}
-        for key in sorted(rows[current], key=lambda k: (abs(k), k < 0)):
-            v = parent[rows[current][key]]
+        row = rows[current]
+        for key in sorted(row, key=lambda k: (abs(k), k < 0)):
+            v = parent[row.pop(key)]
             if v not in order:
                 order[v] = len(visits)
                 visits.append(v)
             row[key] = order[v]
-        moves.append(row)
+    moves = tuple(rows[v] for v in visits)
     # A collision that was never queued leaves a move whose reverse leads
     # elsewhere.
     if any(moves[v].get(-key) != u for u, row in enumerate(moves) for key, v in row.items()):
         raise AssertionError("folding left a move without its reverse")
-    return SubgroupGraph(rank, tuple(moves))
+    return SubgroupGraph(rank, moves)
 
 
 def subgroup_contains(graph: SubgroupGraph, word: FreeWord) -> bool:

@@ -533,8 +533,8 @@ def lemma_suite(
         return sign_of(word)
 
     def compare(u: BraidWord, v: BraidWord) -> str:
-        # u^-1 v as one seam-only concatenation, as in exotic_compare.
-        BraidWord._check_bounds(u.strands, v.strands)
+        # u^-1 v as one seam-only concatenation, as in exotic_compare; every
+        # compared word is built on 3 strands.
         runs = _words.concat(_words.invert(u.letters), v.letters)
         return sign(BraidWord._reduced(u.strands, runs)).comparison()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -360,6 +361,30 @@ class TestCommutes:
         with pytest.raises(ValueError):
             commutes(BraidWord(3, ((1, 1),)), BraidWord(4, ((1, 1),)))
 
+    def test_one_coordinate_pass_per_call(self, monkeypatch):
+        # One commutator u v u^-1 v^-1 is signed, not u v and v u apart.
+        from braidlab import dehornoy
+
+        calls = []
+
+        def counted(runs, strands):
+            calls.append(runs)
+            return run_coordinates(runs, strands)
+
+        monkeypatch.setattr(dehornoy, "run_coordinates", counted)
+        pairs = [
+            ("s1", "s2", 3, False),
+            ("s1 s2 s1", "s1 s2 s1", 3, True),
+            ("s1^2 s2^-1", "s2 s1^-3", 3, False),
+            ("s1 s2 s1 s1 s2 s1", "s2^-1 s1^3", 3, True),
+            ("s1", "s3", 5, True),
+            ("s2 s3^-1", "s3 s4", 5, False),
+        ]
+        for u, v, strands, expected in pairs:
+            calls.clear()
+            assert commutes(parse_braid(u, strands), parse_braid(v, strands)) is expected
+            assert len(calls) <= 1, (u, v)
+
     @pytest.mark.parametrize("strands", [4, 10**6])
     def test_products_touching_different_strands(self, strands):
         # σ3 · σ3^-1 σ1 = σ1 touches two strands, σ3^-1 σ1 · σ3 touches four.
@@ -525,3 +550,21 @@ class TestLiftSign:
                 continue
             assert lift_sign(word.letters) == (TRIVIAL, None)
             self.assert_agrees(word)
+
+
+# Each domain error of the module not pinned above: a call, the exception
+# type and the whole message.
+DOMAIN_ERRORS = {
+    "cofinal-bound-strands": (
+        lambda: cofinal_bound(BraidWord(4, ((1, 1),))),
+        ValueError,
+        "cofinal bounds are specific to 3 strands",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_ERRORS)
+def test_domain_errors(name):
+    call, error, message = DOMAIN_ERRORS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

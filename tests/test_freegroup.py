@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -577,6 +580,23 @@ class TestStallings:
         counts = line_counts(stallings_graph, cascading_pair(k), limit=10 * k)
         assert max(counts.values()) > k  # the tracer saw the fold
 
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="the bound is calibrated on the dict sizes of CPython 3.11",
+    )
+    def test_fold_keeps_one_map_per_vertex(self):
+        # The rows the fold works in are the result's moves: one map per
+        # vertex is about 350 B per letter, a second one about 600.
+        k = 20_000
+        tracemalloc.start()
+        try:
+            graph = stallings_graph([x_power(k)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_vertices == k
+        assert peak < 450 * k
+
     def test_deterministic_construction(self):
         gens = [parse_free("x^2"), Y, parse_free("x y x^-1")]
         first = stallings_graph(gens)
@@ -608,3 +628,80 @@ class TestStallings:
 
         for word in ball(2, 6):
             assert subgroup_contains(graph, word) == (word in enumerated_short)
+
+
+Z3 = FreeWord(3, ((1, 1),))
+RANK3 = tuple(FreeWord(3, ((i, 1),)) for i in (1, 2, 3))
+
+# Each domain error of the module: a call, the exception type and the whole
+# message.
+DOMAIN_ERRORS = {
+    "substitute-too-few-images": (
+        lambda: substitute(X, [X]), ValueError, "need 2 images, got 1"
+    ),
+    "automorphism-without-images": (
+        lambda: GroupAutomorphism((), ()),
+        ValueError,
+        "an automorphism needs at least one generator image",
+    ),
+    "automorphism-mixed-image-ranks": (
+        lambda: GroupAutomorphism((X, Z3), (X, Y)),
+        ValueError,
+        "generator images must live in the same rank",
+    ),
+    "automorphism-inverse-count": (
+        lambda: GroupAutomorphism((X, Y), (X,)),
+        ValueError,
+        "inverse images must match the rank",
+    ),
+    # y under (y, x) is x, but y under (y, y) is y, not x.
+    "automorphism-inverse-against-generator": (
+        lambda: GroupAutomorphism((Y, Y), (Y, X)),
+        ValueError,
+        "stored inverse fails against g1",
+    ),
+    "apply-automorphism-rank": (
+        lambda: apply_automorphism(conj_by_sigma2(), Z3),
+        ValueError,
+        "word rank 3 does not match automorphism rank 2",
+    ),
+    "matrix-negative-power": (
+        lambda: IntMatrix2.identity() ** -1,
+        ValueError,
+        "negative matrix powers are not supported",
+    ),
+    "abelianization-rank": (
+        lambda: automorphism_abelianization(GroupAutomorphism(RANK3, RANK3)),
+        ValueError,
+        "abelianization matrix is only provided for rank 2",
+    ),
+    "kn-member-rank": (
+        lambda: kn_member(Z3, 3), ValueError, "K_n membership is defined for rank-2 words"
+    ),
+    "kn-rewrite-rank": (
+        lambda: kn_rewrite(Z3, 3), ValueError, "K_n rewriting is defined for rank-2 words"
+    ),
+    "kn-substitute-rank": (
+        lambda: kn_substitute(X, 3), ValueError, "expected a rank-3 word, got rank 2"
+    ),
+    "stallings-without-generators": (
+        lambda: stallings_graph([]),
+        ValueError,
+        "at least one generator word is required (it may be trivial)",
+    ),
+    "stallings-mixed-ranks": (
+        lambda: stallings_graph([X, Z3]), ValueError, "generators must share a rank"
+    ),
+    "subgroup-contains-rank": (
+        lambda: subgroup_contains(stallings_graph([X]), Z3),
+        ValueError,
+        "rank mismatch: word 3, graph 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_ERRORS)
+def test_domain_errors(name):
+    call, error, message = DOMAIN_ERRORS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

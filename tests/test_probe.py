@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -798,3 +799,26 @@ class TestLemmaSuite:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             lemma_suite(1, 0)
+
+
+# Each domain error of the module not pinned above: a call, the exception
+# type and the whole message.
+DOMAIN_ERRORS = {
+    "probe-without-generators": (
+        lambda: convexity_probe([], F2, 1),
+        ValueError,
+        "at least one generator word is required",
+    ),
+    "probe-context-rank": (
+        lambda: convexity_probe([FreeWord(3, ((1, 1),))], F2, 1),
+        ValueError,
+        "generator rank 3 does not match context rank 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_ERRORS)
+def test_domain_errors(name):
+    call, error, message = DOMAIN_ERRORS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
