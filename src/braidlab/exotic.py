@@ -48,12 +48,16 @@ _EMBED_RUNS = _words.substitution_table((X_IMAGE.letters, Y_IMAGE.letters))
 class ExoticContext:
     """Which restricted order to compare in: F_2 itself, or K_n inside it.
 
-    ``n`` is None for F_2 and the index n >= 2 of K_n otherwise; the rank of
-    the compared words, the map down to F_2 and the text form all follow
-    from it.
+    ``n`` is None for F_2 and the index n >= 2 of K_n otherwise, checked on
+    construction; the rank of the compared words, the map down to F_2 and
+    the text form all follow from it.
     """
 
     n: int | None = None
+
+    def __post_init__(self):
+        if self.n is not None:
+            _check_n(self.n)
 
     @classmethod
     def f2(cls) -> "ExoticContext":
@@ -61,7 +65,6 @@ class ExoticContext:
 
     @classmethod
     def kn(cls, n: int) -> "ExoticContext":
-        _check_n(n)
         return cls(n)
 
     @property

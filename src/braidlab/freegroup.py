@@ -11,9 +11,8 @@ the words this module provides:
   :mod:`braidlab.exotic`), each named one a literal pair of image tuples,
 * abelianization and 2x2 integer matrices for the induced maps on Z^2,
 * the subgroups K_n = ker(F_2 -> Z_{n-1}, y -> 0, x -> 1): membership, the
-  rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], the
-  Reidemeister-Schreier generator table (from one encoding of the Schreier
-  generators in the basis) and rewriting of members over it, a run a step,
+  rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], and
+  Reidemeister-Schreier rewriting of members over it, a run a step,
 * Stallings subgroup graphs (folded automata) for membership in arbitrary
   finitely generated subgroups.
 
@@ -44,7 +43,6 @@ __all__ = [
     "flip_generators",
     "NAMED_AUTOMORPHISMS",
     "kn_member",
-    "schreier_table",
     "kn_basis",
     "kn_rewrite",
     "kn_substitute",
@@ -277,46 +275,16 @@ def _kn_table(n: int) -> dict[int, tuple[_words.Runs, _words.Runs]]:
     return _words.substitution_table(_words.normalize(runs) for runs in basis)
 
 
-# Basis coordinates of the Schreier generator for (coset i, generator j);
-# entries are (basis_letter, exponent) with letters numbered from 1.
-def _schreier_in_basis(i: int, j: int, n: int) -> tuple[tuple[int, int], ...]:
-    if j == 1:
-        return ((2, 1),) if i == n - 2 else ()
-    if j == 2:
-        return ((2, -1),) if i == 0 else ()
-    if j == 3:
-        return ((1, 1),) if i == 0 else ((i + 2, 1), (2, -1))
-    if i == 0:
-        return ((1, -1),)
-    return ((2, 1), (i + 2, -1))
-
-
-def schreier_table(n: int) -> dict[tuple[int, int], tuple[FreeWord, int]]:
-    """Reidemeister-Schreier table for K_n with transversal 1, x, ..., x^{n-2}.
-
-    Maps ``(i, j)`` with coset index i in 0..n-2 and generator j in 1..4
-    (for x, x^-1, y, y^-1) to ``(h, k)`` where x^i g_j = h x^k with h in K_n.
-    Each h is the basis encoding that :func:`kn_rewrite` emits, substituted
-    back into F_2.
-    """
-    _check_n(n)
-    table: dict[tuple[int, int], tuple[FreeWord, int]] = {}
-    for i in range(n - 1):
-        for j, step in ((1, 1), (2, -1), (3, 0), (4, 0)):
-            h = _words.substitute(_schreier_in_basis(i, j, n), _kn_table(n))
-            table[(i, j)] = (FreeWord._reduced(2, h), (i + step) % (n - 1))
-    return table
-
-
 def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
     """Rewrite a member of K_n over the basis alphabet g1 .. gn.
 
-    Scans the word run by run, tracking the coset representative x^state
-    and emitting Schreier generators in basis coordinates: an x step emits g2
-    only when it wraps from x^{n-2} to x^0, so an x-run is one divmod, and a
-    y-run repeats the generator of its coset (g1^e at the trivial coset).
-    Substituting the basis words back (:func:`kn_substitute`) recovers the
-    input.  Rejects words outside K_n.
+    Scans the word run by run, tracking the coset representative x^i and
+    emitting each Schreier generator in closed form: an x-run is one divmod
+    and emits g2^wraps, one g2 per wrap from x^{n-2} to x^0; a y-run y^e
+    emits g1^e at the trivial coset and, at coset i > 0, where
+    x^i y x^-i = g_{i+2} g2^-1, emits (g_{i+2} g2^-1)^e, written
+    (g2 g_{i+2}^-1)^|e| for e < 0.  Substituting the basis words back
+    (:func:`kn_substitute`) recovers the input.  Rejects words outside K_n.
     """
     _check_n(n)
     if word.rank != 2:
@@ -328,12 +296,14 @@ def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
     for index, exponent in word.letters:
         if index == 1:
             wraps, state = divmod(state + exponent, n - 1)
-            runs.append((2, wraps))  # the constructor drops a zero run
+            runs.append((2, wraps))  # normalize drops a zero run
         elif state == 0:
             runs.append((1, exponent))
+        elif exponent > 0:
+            runs.extend(((state + 2, 1), (2, -1)) * exponent)
         else:
-            runs.extend(_schreier_in_basis(state, 3 if exponent > 0 else 4, n) * abs(exponent))
-    return FreeWord(n, tuple(runs))
+            runs.extend(((2, 1), (state + 2, -1)) * -exponent)
+    return FreeWord._reduced(n, _words.normalize(runs))
 
 
 def kn_substitute(word: FreeWord, n: int) -> FreeWord:

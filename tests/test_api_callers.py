@@ -1,0 +1,67 @@
+"""Every public name of the library has a caller.
+
+A name in the ``__all__`` of a ``braidlab`` module counts as called when a
+source in ``src/braidlab/*.py``, ``bench/*.py`` or ``tests/test_acceptance.py``
+reads it (an ``ast`` Name or Attribute that is not assigned to) or imports
+it, or when the README names it in backticks.  Its definition and its
+``__all__`` entry alone do not count.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+import re
+
+import pytest
+
+import braidlab
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = [
+    *sorted((ROOT / "src" / "braidlab").glob("*.py")),
+    *sorted((ROOT / "bench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+MODULES = [
+    name
+    for _, name, _ in pkgutil.iter_modules(braidlab.__path__)
+    if hasattr(importlib.import_module(f"braidlab.{name}"), "__all__")
+]
+
+
+def used_names(path: pathlib.Path) -> set[str]:
+    """The names ``path`` reads or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def readme_names() -> set[str]:
+    """The identifiers inside backticks in the README."""
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+@pytest.fixture(scope="module")
+def callers() -> set[str]:
+    return set().union(readme_names(), *map(used_names, SOURCES))
+
+
+def test_sources_are_found():
+    assert all(path.is_file() for path in SOURCES) and len(SOURCES) > 10
+    assert {"freegroup", "exotic", "probe"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_caller(module, callers):
+    public = importlib.import_module(f"braidlab.{module}").__all__
+    assert [f"{module}.{name}" for name in public if name not in callers] == []

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import inspect
 import random
+import re
 import sys
 import time
 
@@ -427,3 +428,19 @@ def test_embed_merges_only_at_seams():
         image = embed(word).letters
         assert image == _words.substitute(word.letters, exotic._EMBED_RUNS)
         assert all(run is shared[run] for run in image)
+
+
+# Each domain error of the module not pinned above: a call, the exception
+# type and the whole message.  A context checks its n when it is built,
+# not at its first comparison.
+DOMAIN_ERRORS = {
+    f"context-n-{n}": (lambda n=n: ExoticContext(n), ValueError, f"n must be at least 2, got {n}")
+    for n in (0, 1, -3)
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_ERRORS)
+def test_domain_errors(name):
+    call, error, message = DOMAIN_ERRORS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

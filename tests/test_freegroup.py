@@ -33,12 +33,12 @@ from braidlab import (
     parse_braid,
     parse_free,
     random_free_word,
-    schreier_table,
     stallings_graph,
     subgroup_contains,
     substitute,
 )
-from braidlab.freegroup import SubgroupGraph, _schreier_in_basis
+from braidlab import freegroup
+from braidlab.freegroup import SubgroupGraph
 from test_exotic import line_counts
 
 
@@ -263,6 +263,9 @@ class TestAutomorphisms:
         assert not hasattr(GroupAutomorphism, "compose")
         assert not hasattr(IntMatrix2, "determinant")
         assert not hasattr(SubgroupGraph, "edges")
+        for name in ("_schreier_in_basis", "schreier_table"):
+            assert not hasattr(freegroup, name)
+        assert "schreier_table" not in freegroup.__all__
 
     def test_sigma1_is_flip_conjugate_of_sigma2(self):
         # The derivation the literal images replace: flip . conj_by_sigma2 . flip.
@@ -347,6 +350,34 @@ class TestKnMembership:
             kn_member(X, 1)
 
 
+# The reference that kn_rewrite's closed form is checked against: the
+# Schreier generators encoded in the K_n basis case by case, one (coset i,
+# generator j) pair at a time, with j = 1, 2, 3, 4 for x, x^-1, y, y^-1.
+def schreier_in_basis(i, j, n):
+    if j == 1:
+        return ((2, 1),) if i == n - 2 else ()
+    if j == 2:
+        return ((2, -1),) if i == 0 else ()
+    if j == 3:
+        return ((1, 1),) if i == 0 else ((i + 2, 1), (2, -1))
+    if i == 0:
+        return ((1, -1),)
+    return ((2, 1), (i + 2, -1))
+
+
+def schreier_table(n):
+    """Reidemeister-Schreier table for K_n with transversal 1, x, ..., x^{n-2}:
+    (i, j) -> (h, k) with x^i g_j = h x^k, each h the encoding above
+    substituted back into F_2."""
+    basis = kn_basis(n)
+    table = {}
+    for i in range(n - 1):
+        for j, step in ((1, 1), (2, -1), (3, 0), (4, 0)):
+            h = substitute(FreeWord(n, schreier_in_basis(i, j, n)), basis)
+            table[(i, j)] = (h, (i + step) % (n - 1))
+    return table
+
+
 class TestSchreierTable:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_x_rows(self, n):
@@ -407,12 +438,12 @@ class TestKnBasis:
 
 
 def reference_kn_rewrite(word, n):
-    """The letter-by-letter Schreier scan that the run scan replaced."""
+    """The letter-by-letter Schreier scan over the reference encoding."""
     runs = []
     state = 0
     for index, sign in word.single_letters():
         j = (1 if sign > 0 else 2) if index == 1 else (3 if sign > 0 else 4)
-        runs.extend(_schreier_in_basis(state, j, n))
+        runs.extend(schreier_in_basis(state, j, n))
         if index == 1:
             state = (state + sign) % (n - 1)
     return FreeWord(n, tuple(runs))
@@ -505,6 +536,46 @@ class TestSixthPowerClosure:
             for _ in range(60):
                 word = random_kn_element(rng, 4, max_length=6)
                 assert kn_member(apply_automorphism(phi, word, p), 4)
+
+
+# The named conjugations have inner sixth powers: σ2^6 = embed(C)^-1 Δ² and
+# σ1^6 = embed(D) Δ², and Δ² is central.
+C = parse_free("x y^-1 x^-1 y")
+D = parse_free("y x^-1 y^-1 x")
+
+
+class TestSixthPowerIdentities:
+    def test_braid_identities(self):
+        assert braid_equal(parse_braid("s2^6"), embed(C).inverse() * half_twist(2))
+        assert braid_equal(parse_braid("s1^6"), embed(D) * half_twist(2))
+
+    def test_sixth_powers_are_conjugations(self):
+        phi, psi = conj_by_sigma2(), conj_by_sigma1()
+        rng = random.Random(2901)
+        for _ in range(200):
+            word = random_free_word(rng, 12)
+            assert apply_automorphism(phi, word, 6) == C * word * C.inverse()
+            assert apply_automorphism(psi, word, 6) == D.inverse() * word * D
+
+    def test_flip_is_an_involution(self):
+        flip = flip_generators()
+        assert [flip(image) for image in flip.images] == [X, Y]
+        rng = random.Random(2902)
+        for _ in range(200):
+            word = random_free_word(rng, 12)
+            assert apply_automorphism(flip, word, 2) == word
+
+    @pytest.mark.parametrize("p", [-13, -7, 7, 13])
+    def test_powers_reduce_mod_six(self, p):
+        # φ^p = C^q φ^r C^-q and ψ^p = D^-q ψ^r D^q for p = 6q + r.
+        phi, psi = conj_by_sigma2(), conj_by_sigma1()
+        q, r = divmod(p, 6)
+        rng = random.Random(2903 + p)
+        for _ in range(200):
+            word = random_free_word(rng, 12)
+            inner_phi, inner_psi = (apply_automorphism(a, word, r) for a in (phi, psi))
+            assert apply_automorphism(phi, word, p) == C**q * inner_phi * C**-q
+            assert apply_automorphism(psi, word, p) == D**-q * inner_psi * D**q
 
 
 class TestStallings:
