@@ -85,39 +85,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _QuietParser(prog="braidlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, handler):
+    def add(name, help_text, handler, word=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.set_defaults(handler=handler)
+        if word:
+            p.add_argument("word", nargs="?", default=None)
+            p.add_argument("--stdin", action="store_true", help="read one word per line")
         return p
 
-    p = add("sign", "Dehornoy sign of a braid word", _cmd_sign)
-    p.add_argument("word", nargs="?", default=None)
+    p = add("sign", "Dehornoy sign of a braid word", _cmd_sign, word=True)
     p.add_argument("--strands", type=int, default=3)
-    p.add_argument("--stdin", action="store_true", help="read one word per line")
 
     p = add("compare", "compare two braids in the Dehornoy order", _cmd_compare)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--strands", type=int, default=3)
 
-    p = add("reduce", "handle-reduce a braid word", _cmd_reduce)
-    p.add_argument("word", nargs="?", default=None)
+    p = add("reduce", "handle-reduce a braid word", _cmd_reduce, word=True)
     p.add_argument("--strands", type=int, default=3)
     p.add_argument("--trace", action="store_true", help="print each step as a JSON line")
-    p.add_argument("--stdin", action="store_true")
 
-    p = add("burau", "reduced Burau matrix of a three-strand word (JSON)", _cmd_burau)
-    p.add_argument("word", nargs="?", default=None)
-    p.add_argument("--stdin", action="store_true")
-
-    p = add("embed", "embed a rank-2 free word into [B3, B3]", _cmd_embed)
-    p.add_argument("word", nargs="?", default=None)
-    p.add_argument("--stdin", action="store_true")
-
-    p = add("unembed", "rewrite a zero-exponent-sum braid over {x, y}", _cmd_unembed)
-    p.add_argument("word", nargs="?", default=None)
-    p.add_argument("--stdin", action="store_true")
+    add("burau", "reduced Burau matrix of a three-strand word (JSON)", _cmd_burau, word=True)
+    add("embed", "embed a rank-2 free word into [B3, B3]", _cmd_embed, word=True)
+    add("unembed", "rewrite a zero-exponent-sum braid over {x, y}", _cmd_unembed, word=True)
 
     p = add("aut", "apply a named automorphism of F_2", _cmd_aut)
     p.add_argument("name", choices=sorted(NAMED_AUTOMORPHISMS))

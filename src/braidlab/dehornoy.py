@@ -45,7 +45,6 @@ __all__ = [
     "GREATER",
     "BUDGET_ENV_VAR",
     "BudgetExceededError",
-    "CofinalCapError",
     "Handle",
     "OrderVerdict",
     "TraceStep",
@@ -85,15 +84,6 @@ class BudgetExceededError(RuntimeError):
         )
         self.word = word
         self.steps = steps
-
-
-class CofinalCapError(RuntimeError):
-    """The cofinal-power search hit its cap; raise the cap to continue."""
-
-    def __init__(self, word: BraidWord, cap: int):
-        super().__init__(f"no k <= {cap} with the given word below Δ^(2k)")
-        self.word = word
-        self.cap = cap
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,21 +310,26 @@ def braid_compare(u: BraidWord, v: BraidWord) -> str:
     return dehornoy_sign(u.inverse() * v).comparison()
 
 
-def cofinal_bound(word: BraidWord, cap: int = 64) -> int:
+def cofinal_bound(word: BraidWord) -> int:
     """Least k >= 1 with ``word`` below Δ^(2k) in the Dehornoy ordering.
 
-    Searches k = 1, 2, ... up to ``cap``; raises :class:`CofinalCapError`
-    beyond it (Δ^2 is cofinal, so a bound always exists for three strands).
-    A ``cap`` below 1 admits no k and raises ValueError.
-    """
+    σ_i^-1 < 1 < Δ^2, and σ_i^-1 Δ^2 = Δ A is a nonempty positive braid (Δ = A σ_i),
+    so σ_i < Δ^2; Δ^2 is central, so by left invariance a word of L letters lies below
+    Δ^(2L), and k <= max(1, L).  The search doubles k until the word lies below Δ^(2k),
+    then bisects: at most 2 ceil(log2 k) + 1 comparisons.  Other strand counts: ValueError."""
     if word.strands != 3:
         raise ValueError("cofinal bounds are specific to 3 strands")
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    for k in range(1, cap + 1):
-        if braid_compare(word, half_twist(2 * k)) == LESS:
-            return k
-    raise CofinalCapError(word, cap)
+
+    def below(k: int) -> bool:
+        return braid_compare(word, half_twist(2 * k)) == LESS
+
+    low, high = 0, 1  # the answer is in (low, high]
+    while not below(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if below(middle) else (middle, high)
+    return high
 
 
 def commutes(u: BraidWord, v: BraidWord) -> bool:

@@ -37,11 +37,10 @@ from .dehornoy import (
     dehornoy_sign,
 )
 from .burau import braid_equal
-from .exotic import ExoticContext, commutator_rewrite, embed, exotic_compare
+from .exotic import ExoticContext, embed, exotic_compare
 from .freegroup import (
     FreeWord,
     SubgroupGraph,
-    kn_member,
     kn_substitute,
     parse_free,
     stallings_graph,
@@ -575,8 +574,8 @@ def lemma_suite(
         return None
 
     def sandwich_kn(trial: int, rng: random.Random) -> dict | None:
-        """The K_n version: exponents 6k keep the commutator inside K_n and
-        the sandwich inequalities persist."""
+        """The K_n version: σ2^6 = embed(x y^-1 x^-1 y)^-1 Δ^2 and Δ^2 is central, so the
+        commutator stays in K_n (x-exponent sum 0); the sandwich inequalities persist."""
         n = (3, 4, 5)[trial % 3]
         sampled_base = _sample_positive_commutator_base(rng, 6, sign_of, n=n)
         if sampled_base is None:
@@ -584,12 +583,9 @@ def lemma_suite(
         word, beta = sampled_base
         k = rng.randint(1, 2)
         inner = beta * _sigma(2, 6 * k) * beta.inverse() * _sigma(2, -6 * k)
-        if not kn_member(commutator_rewrite(inner), n):
-            error = "commutator left K_n"
-        elif compare(one, inner) != LESS or compare(inner, beta) != LESS:
-            error = "sandwich inequality failed"
-        else:
+        if compare(one, inner) == LESS and compare(inner, beta) == LESS:
             return None
+        error = "sandwich inequality failed"
         return {"trial": trial, "n": n, "beta": word.to_text(), "k": k, "error": error}
 
     def identity(case: tuple[int, str, BraidWord, BraidWord]) -> dict | None:

@@ -5,12 +5,18 @@ source in ``src/braidlab/*.py``, ``bench/*.py`` or ``tests/test_acceptance.py``
 reads it (an ``ast`` Name or Attribute that is not assigned to) or imports
 it, or when the README names it in backticks.  Its definition and its
 ``__all__`` entry alone do not count.
+
+Likewise every parameter with a default, on a function in a module's
+``__all__``, has a caller: a call in those sources passes it (by keyword, at
+its position, or through ``*args``), or the README names it in backticks.  A
+parameter whose name starts with an underscore is a test hook and exempt.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -51,9 +57,32 @@ def readme_names() -> set[str]:
     return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
+def passed_parameters(paths: list[pathlib.Path]) -> dict[str, tuple[set[str], float]]:
+    """For each function name called in ``paths``: the keywords its calls
+    pass, and the most positions a call fills (unbounded through ``*args``)."""
+    passed: dict[str, tuple[set[str], float]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords, positions = passed.get(name, (set(), 0))
+            keywords.update(keyword.arg for keyword in node.keywords if keyword.arg)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            positions = max(positions, float("inf") if starred else len(node.args))
+            passed[name] = keywords, positions
+    return passed
+
+
 @pytest.fixture(scope="module")
 def callers() -> set[str]:
     return set().union(readme_names(), *map(used_names, SOURCES))
+
+
+@pytest.fixture(scope="module")
+def calls() -> dict[str, tuple[set[str], float]]:
+    return passed_parameters(SOURCES)
 
 
 def test_sources_are_found():
@@ -65,3 +94,27 @@ def test_sources_are_found():
 def test_every_public_name_has_a_caller(module, callers):
     public = importlib.import_module(f"braidlab.{module}").__all__
     assert [f"{module}.{name}" for name in public if name not in callers] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_defaulted_parameter_has_a_caller(module, calls):
+    namespace = importlib.import_module(f"braidlab.{module}")
+    documented = readme_names()
+    uncalled = []
+    for name in namespace.__all__:
+        function = getattr(namespace, name)
+        if not inspect.isfunction(function):
+            continue
+        keywords, positions = calls.get(name, (set(), 0))
+        parameters = inspect.signature(function).parameters.values()
+        for position, parameter in enumerate(parameters):
+            if (
+                parameter.default is inspect.Parameter.empty
+                or parameter.name.startswith("_")
+                or parameter.name in keywords
+                or parameter.name in documented
+                or (parameter.kind != parameter.KEYWORD_ONLY and position < positions)
+            ):
+                continue
+            uncalled.append(f"{module}.{name}({parameter.name})")
+    assert uncalled == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import tracemalloc
@@ -17,7 +18,6 @@ from braidlab import (
     TRIVIAL,
     BraidWord,
     BudgetExceededError,
-    CofinalCapError,
     braid_compare,
     braid_equal,
     cofinal_bound,
@@ -296,14 +296,47 @@ class TestCofinalBound:
         word = half_twist(6)
         assert cofinal_bound(word) == 4  # Δ^6 < Δ^8 but Δ^6 is not below Δ^6
 
-    def test_cap(self):
-        with pytest.raises(CofinalCapError):
-            cofinal_bound(half_twist(10), cap=3)
+    def test_matches_reference_and_letter_bound(self):
+        # Every letter lies below Δ^2, so a word of L letters has k <= max(1, L).
+        rng = random.Random(3100)
+        for trial in range(3000):
+            word = random_braid_word(rng, 30)
+            if trial % 2:
+                word = word * half_twist(rng.randint(-20, 40))
+            k = cofinal_bound(word)
+            assert k == reference_cofinal_bound(word) <= max(1, word.length), word
 
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_cap_below_one_is_a_domain_error(self, cap):
-        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}$"):
-            cofinal_bound(parse_braid("s2"), cap=cap)
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 100])
+    def test_even_half_twist_power(self, m):
+        # Δ^(2m) is below Δ^(2m + 2) and not below itself.
+        word = half_twist(2 * m)
+        assert cofinal_bound(word) == reference_cofinal_bound(word) == m + 1
+        assert m + 1 <= word.length
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 100, 1000, 30000])
+    def test_comparisons_are_logarithmic(self, m, monkeypatch):
+        import braidlab.dehornoy
+
+        calls = 0
+        original = braidlab.dehornoy.braid_compare
+
+        def counting(u, v):
+            nonlocal calls
+            calls += 1
+            return original(u, v)
+
+        monkeypatch.setattr(braidlab.dehornoy, "braid_compare", counting)
+        k = m + 1
+        assert cofinal_bound(half_twist(2 * m)) == k
+        assert calls <= 2 * math.ceil(math.log2(k)) + 1
+
+
+def reference_cofinal_bound(word: BraidWord) -> int:
+    """The least k >= 1 with ``word`` below Δ^(2k), by a linear scan."""
+    k = 1
+    while braid_compare(word, half_twist(2 * k)) != LESS:
+        k += 1
+    return k
 
 
 class TestCommutes:

@@ -19,7 +19,9 @@ from braidlab import (
     ExoticContext,
     FreeWord,
     OrderVerdict,
+    abelianize,
     ball,
+    commutator_rewrite,
     commutes,
     conradian_violation_search,
     convexity_probe,
@@ -28,6 +30,7 @@ from braidlab import (
     exotic_compare,
     exponent_sum,
     kn_basis,
+    kn_member,
     kn_substitute,
     lemma_suite,
     parse_free,
@@ -616,6 +619,26 @@ class TestCentralizerCriterion:
             assert _centralizes_sigma2(word) == commutes(embed(word), sigma2), word
         assert all(map(_centralizes_sigma2, planted))
         assert not any(map(_centralizes_sigma2, near))
+
+
+class TestSandwichKnCommutator:
+    """The ``conjugate-sandwich-kn`` check of ``lemma_suite`` relies on the
+    σ2^(6k) commutators of its bases lying in K_n: σ2^6 = embed(c)^-1 Δ^2
+    with c = x y^-1 x^-1 y and Δ^2 central, so the commutator of β = embed(w)
+    rewrites to w c^-k w^-1 c^k, of x-exponent sum 0."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_commutator_stays_in_kn(self, n):
+        from braidlab.probe import _sample_positive_commutator_base
+
+        rng = random.Random(f"sandwich-kn/{n}")
+        for _ in range(200):
+            word, beta = _sample_positive_commutator_base(rng, 6, dehornoy_sign, n)
+            for k in (1, 2):
+                sigma2 = BraidWord(3, ((2, 6 * k),))
+                rewritten = commutator_rewrite(beta * sigma2 * beta.inverse() * sigma2.inverse())
+                assert kn_member(rewritten, n), (word, k)
+                assert abelianize(rewritten)[0] == 0, (word, k)
 
 
 def reference_braid_word(rng, max_length, strands=3):
