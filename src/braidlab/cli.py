@@ -44,14 +44,15 @@ from .dehornoy import (
     handle_reduce,
     handle_reduce_trace,
 )
-from .exotic import ExoticContext, commutator_rewrite, embed, exotic_compare
-from .freegroup import (
-    NAMED_AUTOMORPHISMS,
-    apply_automorphism,
-    kn_basis,
-    kn_rewrite,
-    parse_free,
+from .exotic import (
+    NAMED_CONJUGATORS,
+    ExoticContext,
+    commutator_rewrite,
+    embed,
+    exotic_compare,
+    named_power,
 )
+from .freegroup import kn_basis, kn_rewrite, parse_free
 from .probe import convexity_probe, lemma_suite
 
 __all__ = ["run", "main"]
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("unembed", "rewrite a zero-exponent-sum braid over {x, y}", _cmd_unembed, word=True)
 
     p = add("aut", "apply a named automorphism of F_2", _cmd_aut)
-    p.add_argument("name", choices=sorted(NAMED_AUTOMORPHISMS))
+    p.add_argument("name", choices=sorted(NAMED_CONJUGATORS))
     p.add_argument("word")
     p.add_argument("--power", type=int, default=1)
 
@@ -208,8 +209,7 @@ def _cmd_unembed(args, text: str) -> Result:
 
 
 def _cmd_aut(args) -> Result:
-    auto = NAMED_AUTOMORPHISMS[args.name]()
-    image = apply_automorphism(auto, parse_free(args.word, 2), args.power).to_text()
+    image = named_power(args.name, parse_free(args.word, 2), args.power).to_text()
     return Result({"word": image}, image)
 
 

@@ -4,8 +4,10 @@ The commutator subgroup [B_3, B_3] (the kernel of the total exponent sum) is
 free of rank two on x = σ1 σ2^-1 and y = σ1^2 σ2^-2.  Intersecting the
 Dehornoy positive cone with it therefore left orders F_2; restricting
 further to the rank-n subgroups K_n orders every finite-rank free group.
-This module provides the embedding, its inverse rewriting, and comparison in
-those restricted orders.
+This module provides the embedding, its inverse rewriting, comparison in
+those restricted orders, and the powers of the named automorphisms of F_2:
+each is the conjugation of [B_3, B_3] by σ2, σ1 or Δ, so a power of one is
+a single conjugation in B_3 followed by a single rewrite.
 
 Comparison works on runs from start to finish, since it is the inner step
 of every probe search: the difference u^-1 v is one seam-only concatenation,
@@ -33,10 +35,17 @@ from __future__ import annotations
 import dataclasses
 
 from . import _words, dehornoy
-from .braid import BraidWord, exponent_sum
+from .braid import BraidWord, exponent_sum, half_twist
 from .freegroup import FreeWord, _check_n, _kn_table, kn_substitute, parse_free
 
-__all__ = ["ExoticContext", "embed", "commutator_rewrite", "exotic_compare"]
+__all__ = [
+    "ExoticContext",
+    "embed",
+    "commutator_rewrite",
+    "exotic_compare",
+    "NAMED_CONJUGATORS",
+    "named_power",
+]
 
 X_IMAGE = BraidWord(3, ((1, 1), (2, -1)))
 Y_IMAGE = BraidWord(3, ((1, 2), (2, -2)))
@@ -184,3 +193,30 @@ def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -
     if ctx.n is not None:
         difference = _words.substitute(difference, _kn_table(ctx.n))
     return dehornoy._COMPARISON[dehornoy._sign(_embed_runs(difference), 3)[0]]
+
+
+# The named automorphisms of F_2, each the conjugation g -> b^-1 g b of
+# [B_3, B_3] by a braid b, as the map from p to b^p.  The automorphisms of
+# freegroup (conj_by_sigma2, conj_by_sigma1, flip_generators) are the same
+# maps as literal image tuples.  Δ^2 is central, so the flip needs only
+# p mod 2, and σ_i^p is a single run whatever p.
+NAMED_CONJUGATORS = {
+    "sigma2": lambda p: BraidWord(3, ((2, p),)),
+    "sigma1": lambda p: BraidWord(3, ((1, p),)),
+    "flip": lambda p: half_twist(p % 2),
+}
+
+
+def named_power(name: str, word: FreeWord, power: int = 1) -> FreeWord:
+    """The ``power``-th power of the named automorphism applied to ``word``.
+
+    With b^p from :data:`NAMED_CONJUGATORS`, the image is the
+    :func:`commutator_rewrite` of b^-p embed(w) b^p: :func:`embed` is
+    injective and the rewrite returns the unique reduced preimage, so one
+    conjugation in B_3 and one rewrite replace |p| substitutions, in time
+    linear in the word, the σ2 letters of b^p and the output.  Raises
+    ``KeyError`` for an unknown name and the ``ValueError`` of :func:`embed`
+    for a word of rank other than 2.
+    """
+    conjugator = NAMED_CONJUGATORS[name](power)
+    return commutator_rewrite(conjugator.inverse() * embed(word) * conjugator)

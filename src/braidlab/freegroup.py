@@ -6,9 +6,11 @@ braid word: run-length encoded, always freely reduced, with validation,
 parsing, products, inverses and powers from the run-word core.  On top of
 the words this module provides:
 
-* automorphisms with verified inverses, among them the conjugation actions
-  that the three-strand braid group induces on its commutator subgroup (see
-  :mod:`braidlab.exotic`), each named one a literal pair of image tuples,
+* automorphisms with verified inverses, applied once by substitution,
+  among them the conjugation actions that the three-strand braid group
+  induces on its commutator subgroup, each named one a literal pair of image
+  tuples (their powers are one conjugation in B_3 and one rewrite, in
+  :func:`braidlab.exotic.named_power`),
 * abelianization and 2x2 integer matrices for the induced maps on Z^2,
 * the subgroups K_n = ker(F_2 -> Z_{n-1}, y -> 0, x -> 1): membership, the
   rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x], and
@@ -35,13 +37,11 @@ __all__ = [
     "abelianize",
     "substitute",
     "GroupAutomorphism",
-    "apply_automorphism",
     "IntMatrix2",
     "automorphism_abelianization",
     "conj_by_sigma2",
     "conj_by_sigma1",
     "flip_generators",
-    "NAMED_AUTOMORPHISMS",
     "kn_member",
     "kn_basis",
     "kn_rewrite",
@@ -151,21 +151,6 @@ class GroupAutomorphism:
     def __call__(self, word: FreeWord) -> FreeWord:
         return substitute(word, self.images)
 
-    def inverted(self) -> "GroupAutomorphism":
-        return GroupAutomorphism(self.inverse_images, self.images)
-
-
-def apply_automorphism(auto: GroupAutomorphism, word: FreeWord, power: int = 1) -> FreeWord:
-    """Apply ``auto`` (or its verified inverse, for negative powers) |power| times."""
-    if word.rank != auto.rank:
-        raise ValueError(f"word rank {word.rank} does not match automorphism rank {auto.rank}")
-    if power < 0:
-        auto = auto.inverted()
-        power = -power
-    for _ in range(power):
-        word = auto(word)
-    return word
-
 
 @dataclasses.dataclass(frozen=True)
 class IntMatrix2:
@@ -230,13 +215,6 @@ def conj_by_sigma1() -> GroupAutomorphism:
         (parse_free("xYx"), parse_free("xxYx")),
         (parse_free("yX"), parse_free("yXXyX")),
     )
-
-
-NAMED_AUTOMORPHISMS = {
-    "sigma2": conj_by_sigma2,
-    "sigma1": conj_by_sigma1,
-    "flip": flip_generators,
-}
 
 
 def _check_n(n: int) -> None:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import braidlab
+from braidlab import _words, conj_by_sigma2, exotic, parse_free
 from braidlab.cli import run
 
 SRC = Path(braidlab.__file__).resolve().parents[1]
@@ -204,6 +205,26 @@ class TestAut:
     def test_inverse_power(self, capsys):
         code, out, _ = invoke(capsys, "aut", "sigma2", "x y^-1 x", "--power", "-1")
         assert code == 0 and out == "x\n"
+
+    @pytest.mark.parametrize("name", ["sigma2", "sigma1", "flip"])
+    @pytest.mark.parametrize("power", [1, 600])
+    def test_one_rewrite_and_no_substitution(self, capsys, monkeypatch, name, power):
+        """A power is one conjugation in B_3 and one rewrite, whatever p."""
+        calls = {"substitute": 0, "commutator_rewrite": 0}
+
+        def counted(module, attribute):
+            function = getattr(module, attribute)
+
+            def wrapper(*args):
+                calls[attribute] += 1
+                return function(*args)
+
+            monkeypatch.setattr(module, attribute, wrapper)
+
+        counted(_words, "substitute")
+        counted(exotic, "commutator_rewrite")
+        code, _, _ = invoke(capsys, "aut", name, "x y^-1", "--power", str(power))
+        assert code == 0 and calls == {"substitute": 0, "commutator_rewrite": 1}
 
 
 class TestKn:
@@ -412,9 +433,9 @@ def cap_memory():
 
 
 # Long inputs with short answers, as (argv, stdout, exit code, seconds).  Each
-# time bound is at least 10x the time measured on a 2-core VM (0.38 s, 0.15 s
-# and 0.23 s), so a slow shared machine does not fail a row, while an input
-# whose cost grows with its letters rather than its runs still does.
+# time bound is at least 10x the time measured on a 2-core VM (0.38 s, 0.15 s,
+# 0.23 s and 0.14 s), so a slow shared machine does not fail a row, while an
+# input whose cost grows with its letters rather than its runs still does.
 LONG_INPUTS = [
     pytest.param(
         ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
@@ -432,6 +453,8 @@ LONG_INPUTS = [
         id="probe-over-letter-limit",
     ),
     pytest.param(["sign", "s1^1000000000"], "positive(1)\n", 0, 5, id="sign-long-run"),
+    # Δ^2 is central, so the flip's power needs only p mod 2.
+    pytest.param(["aut", "flip", "x", "--power", "1000000000"], "x\n", 0, 5, id="aut-flip-huge"),
 ]
 
 
@@ -441,6 +464,17 @@ def test_long_input(argv, out, code, seconds):
     and within its time bound; a hang fails by ``TimeoutExpired``."""
     got_code, got_out, _ = fresh_process(argv, timeout=seconds, preexec_fn=cap_memory)
     assert (got_code, got_out) == (code, out)
+
+
+def test_long_automorphism_power():
+    """``aut sigma2 x --power 20000`` in a fresh capped process (0.17 s
+    measured, bound 5 s) against the sixth-power identity: φ^6(w) = C w C^-1
+    with C = x y^-1 x^-1 y, and 20000 = 6 * 3333 + 2."""
+    phi, c = conj_by_sigma2(), parse_free("x y^-1 x^-1 y")
+    expected = c**3333 * phi(phi(parse_free("x"))) * c**-3333
+    argv = ["aut", "sigma2", "x", "--power", "20000"]
+    got = fresh_process(argv, timeout=5, preexec_fn=cap_memory)
+    assert got == (0, expected.to_text() + "\n", "")
 
 
 class TestRunAsModule:

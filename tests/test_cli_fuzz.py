@@ -13,7 +13,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from braidlab.cli import run
-from braidlab.freegroup import NAMED_AUTOMORPHISMS
+from braidlab.exotic import NAMED_CONJUGATORS
 
 MALFORMED = ["s0", "s9", "s1^", "^2", "s1^x", "s-1", "q", "x^", "g0", "g9", "(", "1", "z^2"]
 
@@ -54,6 +54,18 @@ N = st.integers(-1, 8)
 CTX = _option("--ctx", st.sampled_from(["f2", "kn:x"] + [f"kn:{n}" for n in range(1, 9)]))
 STRANDS = st.one_of(st.just([]), _option("--strands", st.sampled_from([0, 1, 2, 3, 4, HUGE])))
 
+
+def _aut_args(name):
+    """The name, a word and a power up to 300, or ±10^9 for the flip, whose
+    power needs only p mod 2."""
+    power = st.integers(-300, 300)
+    if name == "flip":
+        power = st.one_of(power, st.sampled_from([-(10**9), 10**9]))
+    return st.tuples(_arg(st.just(name)), _arg(FREE), _option("--power", power)).map(
+        lambda parts: [arg for part in parts for arg in part]
+    )
+
+
 # Per command: the parts of its argv, and its stdin word when it takes --stdin.
 COMMANDS = {
     "sign": ([STRANDS], BRAID),
@@ -63,11 +75,7 @@ COMMANDS = {
     "embed": ([], FREE),
     "unembed": ([], BRAID),
     "aut": (
-        [
-            _arg(st.sampled_from(sorted(NAMED_AUTOMORPHISMS) + ["bogus"])),
-            _arg(FREE),
-            _option("--power", st.integers(-6, 6)),
-        ],
+        [st.sampled_from(sorted(NAMED_CONJUGATORS) + ["bogus"]).flatmap(_aut_args)],
         None,
     ),
     "kn-basis": ([_arg(N)], None),

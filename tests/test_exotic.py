@@ -20,6 +20,7 @@ from braidlab import (
     BraidWord,
     ExoticContext,
     FreeWord,
+    GroupAutomorphism,
     braid_equal,
     commutator_rewrite,
     conj_by_sigma1,
@@ -34,6 +35,7 @@ from braidlab import (
     kn_member,
     kn_rewrite,
     kn_substitute,
+    named_power,
     parse_braid,
     parse_free,
     random_braid_word,
@@ -49,7 +51,7 @@ Y = parse_free("y")
 # application of g -> σ1^-1 g σ1 (or its inverse) per step, and shared
 # across calls so that the reference stays affordable on long runs.
 _PSI = conj_by_sigma1()
-_PSI_INV = _PSI.inverted()
+_PSI_INV = GroupAutomorphism(_PSI.inverse_images, _PSI.images)
 _CONJUGATES = {0: X}
 
 
@@ -437,6 +439,11 @@ DOMAIN_ERRORS = {
     f"context-n-{n}": (lambda n=n: ExoticContext(n), ValueError, f"n must be at least 2, got {n}")
     for n in (0, 1, -3)
 }
+DOMAIN_ERRORS["named-power-rank"] = (
+    lambda: named_power("sigma2", FreeWord(3, ((1, 1),))),
+    ValueError,
+    "the commutator embedding is defined on rank-2 words",
+)
 
 
 @pytest.mark.parametrize("name", DOMAIN_ERRORS)

@@ -227,6 +227,8 @@ class TestPublicNames:
             ("expand",),
             ("letter", "length"),
             ("split", "terms"),
+            ("apply", "automorphism"),
+            ("NAMED", "AUTOMORPHISMS"),
         ]
     }
 
