@@ -149,6 +149,8 @@ class GroupAutomorphism:
         return len(self.images)
 
     def __call__(self, word: FreeWord) -> FreeWord:
+        if word.rank != self.rank:
+            raise ValueError(f"word rank {word.rank} does not match automorphism rank {self.rank}")
         return substitute(word, self.images)
 
 

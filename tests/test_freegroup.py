@@ -766,6 +766,11 @@ DOMAIN_ERRORS = {
         ValueError,
         "stored inverse fails against g1",
     ),
+    "apply-automorphism-rank": (
+        lambda: conj_by_sigma2()(Z3),
+        ValueError,
+        "word rank 3 does not match automorphism rank 2",
+    ),
     "matrix-negative-power": (
         lambda: IntMatrix2.identity() ** -1,
         ValueError,
