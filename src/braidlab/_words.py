@@ -92,6 +92,17 @@ def append_letter(runs: Runs, letter: int, sign: int) -> Runs:
     return runs + (_SHARED_RUNS.get(run, run),)
 
 
+def length(pairs: Iterable[Run]) -> int:
+    """Number of single letters of a run sequence (sum of |exponent|)."""
+    # A plain loop: on the words that verify signs (13.6 runs on average)
+    # it took 0.63 µs a word, against 0.99 µs for sum(map(...)) and 1.30 µs
+    # for sum() over a generator (CPython 3.11, 2-core VM).
+    total = 0
+    for _, exponent in pairs:
+        total += exponent if exponent > 0 else -exponent
+    return total
+
+
 def power(pairs: Sequence[Run], k: int) -> tuple[Run, ...]:
     base = invert(pairs) if k < 0 else tuple(pairs)
     return normalize(base * abs(k))
@@ -214,13 +225,7 @@ class RunWord:
     @property
     def length(self) -> int:
         """Number of single letters (sum of |exponent| over runs)."""
-        # A plain loop: on the words that verify signs (13.6 runs on average)
-        # it took 0.63 µs a word, against 0.99 µs for sum(map(...)) and 1.30 µs
-        # for sum() over a generator (CPython 3.11, 2-core VM).
-        total = 0
-        for _, exponent in self.letters:
-            total += exponent if exponent > 0 else -exponent
-        return total
+        return length(self.letters)
 
     def is_identity(self) -> bool:
         return not self.letters

@@ -412,14 +412,32 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
 
 def subgroup_contains(graph: SubgroupGraph, word: FreeWord) -> bool:
     """Whether the word traces a closed path at the base vertex, read run by
-    run along ``graph.moves``."""
+    run along ``graph.moves``.
+
+    A run longer than the vertex count costs at most twice that many steps.
+    The walk along one signed letter is a function of the vertex, so within
+    the vertex count it falls off or comes back to a vertex it has visited;
+    from there it repeats with the period between the two visits, and only
+    the remaining letters modulo that period are walked.  Shorter runs are
+    walked letter by letter.
+    """
     if word.rank != graph.rank:
         raise ValueError(f"rank mismatch: word {word.rank}, graph {graph.rank}")
     moves = graph.moves
     vertex = graph.base
     for letter, exponent in word.letters:
         key = letter if exponent > 0 else -letter
-        for _ in range(abs(exponent)):
+        count = abs(exponent)
+        if count > len(moves):
+            left = {}  # the letters left when the walk was at each vertex
+            while vertex not in left:
+                left[vertex] = count
+                vertex = moves[vertex].get(key)
+                if vertex is None:
+                    return False
+                count -= 1
+            count %= left[vertex] - count
+        for _ in range(count):
             vertex = moves[vertex].get(key)
             if vertex is None:
                 return False

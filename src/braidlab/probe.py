@@ -26,22 +26,15 @@ import itertools
 import random
 from typing import Callable, Iterator, Sequence
 
-from . import _words
+from . import _words, dehornoy
 from .braid import BraidWord, half_twist
-from .dehornoy import (
-    EQUAL,
-    GREATER,
-    LESS,
-    OrderVerdict,
-    POSITIVE,
-    dehornoy_sign,
-)
+from .dehornoy import _COMPARISON, EQUAL, GREATER, LESS, OrderVerdict, POSITIVE
 from .burau import braid_equal
-from .exotic import ExoticContext, embed, exotic_compare
+from .exotic import ExoticContext, _embed_runs, exotic_compare
 from .freegroup import (
     FreeWord,
     SubgroupGraph,
-    kn_substitute,
+    _kn_table,
     parse_free,
     stallings_graph,
     subgroup_contains,
@@ -64,6 +57,11 @@ __all__ = [
 # in [B3, B3]: see _centralizes_sigma2.
 _CENTRALIZER_RUNS = parse_free("x y^-1 x^-1 y").letters
 _CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
+# The signature of dehornoy._sign: reduced runs and a strand count to the
+# kind and main index of the braid.
+_SignCore = Callable[[Sequence[_words.Run], int], tuple[str, int | None]]
+_DELTA_SQUARED = half_twist(2).letters
+_OPPOSITE = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
 MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter; 10^5 letters fold in about 0.4 s
 # The cases of verify's braid-relation-identities check:
 # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
@@ -380,11 +378,13 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
 @dataclasses.dataclass
 class CheckResult:
     """Outcome of one named check: sample count, failures, and ``steps``, a
-    deterministic effort counter.  Each word the check signs through the
-    counting ``sign`` of :func:`lemma_suite` adds 1 + its length.  The
-    rejection draws of the sandwich samplers sign through the uncounted
-    sign function and add nothing; counting them changes every report
-    (ROADMAP items 3 and 10)."""
+    deterministic effort counter.  Each run sequence the check signs through
+    the counting ``sign`` of :func:`lemma_suite` adds 1 + its letter count;
+    ``sign`` reads the runs with the sign core of
+    :func:`~braidlab.dehornoy.dehornoy_sign`, and only the ``_sign_fn`` test
+    hook still receives a :class:`BraidWord`.  The rejection draws of the
+    sandwich samplers sign through the uncounted sign function and add
+    nothing; counting them changes every report (ROADMAP items 3 and 10)."""
 
     name: str
     samples: int
@@ -442,31 +442,35 @@ class ExperimentReport:
 def _sample_positive_commutator_base(
     rng: random.Random,
     max_length: int,
-    sign_of: Callable[[BraidWord], OrderVerdict],
+    sign_of: _SignCore,
     n: int | None = None,
-) -> tuple[FreeWord, BraidWord] | None:
+) -> tuple[_words.Runs, _words.Runs] | None:
     """Rejection-sample a 1-positive element of [B3, B3] (or K_n) that does
-    not commute with σ2; None after 1,000 draws (with the Dehornoy sign,
-    100,000 sampled bases took at most 22 draws each)."""
+    not commute with σ2, as the runs of its rank-2 word and of its image
+    under :func:`~braidlab.exotic.embed`; None after 1,000 draws (with the
+    Dehornoy sign, 100,000 sampled bases took at most 22 draws each).
+
+    A draw stays runs from start to finish: a K_n draw is substituted down
+    to F_2 with the cached basis table, the image comes from the run loop of
+    embed, and ``sign_of`` has the signature of the sign core.  The words
+    are those of :func:`random_free_word`,
+    :func:`~braidlab.freegroup.kn_substitute` and embed on the same
+    substream.
+    """
     for _ in range(1_000):
         if n is None:
-            word = random_free_word(rng, max_length)
+            word = _random_runs(rng, max_length, 2)
         else:
-            word = kn_substitute(random_free_word(rng, max_length, rank=n), n)
-        braid = embed(word)
-        if braid.is_identity():
+            word = _words.substitute(_random_runs(rng, max_length, n), _kn_table(n))
+        braid = _embed_runs(word)
+        if sign_of(braid, 3) != (POSITIVE, 1) or _centralizes_sigma2(word):
             continue
-        verdict = sign_of(braid)
-        if verdict.kind != POSITIVE or verdict.main_index != 1:
-            continue
-        if _centralizes_sigma2(word):
-            continue
-        return word, braid
+        return word, tuple(braid)
     return None
 
 
-def _centralizes_sigma2(word: FreeWord) -> bool:
-    """Whether embed(word) commutes with σ2, for a rank-2 word; exact.
+def _centralizes_sigma2(runs: _words.Runs) -> bool:
+    """Whether embed of the reduced rank-2 ``runs`` commutes with σ2; exact.
 
     The centralizer of σ1 in B3 is <σ1, Δ^2> (Fenn-Rolfsen-Zhu,
     *Centralisers in the braid group and singular braid monoid*, 1996), and
@@ -479,15 +483,12 @@ def _centralizes_sigma2(word: FreeWord) -> bool:
     times, or c^-1 written -b times, with no merge at the seams: its runs
     are those of c, or of c^-1, repeated.
     """
-    runs = word.letters
     count = len(runs) // 4
     return runs in (_CENTRALIZER_RUNS * count, _CENTRALIZER_INVERSE_RUNS * count)
 
 
-def _sigma(index: int, exponent: int) -> BraidWord:
-    """σ_index^exponent on three strands, for a nonzero exponent: one run,
-    so already reduced."""
-    return BraidWord._reduced(3, ((index, exponent),))
+def _braid_text(runs: _words.Runs) -> str:
+    return BraidWord._reduced(3, runs).to_text()
 
 
 def lemma_suite(
@@ -504,11 +505,21 @@ def lemma_suite(
     :class:`CheckResult`).  A sampled check runs its test on ``trials``
     cases, each with its own substream ``(seed, key, trial)``.
 
+    Every check works on run tuples from the draw to the verdict, as
+    :func:`~braidlab.exotic.exotic_compare` does: words are drawn by
+    :func:`_random_runs`, products and inverses are seam-only
+    :mod:`braidlab._words` operations, u is compared with v by the sign of
+    the one concatenation u^-1 v, and signs come from the sign core of
+    :func:`~braidlab.dehornoy.dehornoy_sign`.  A word object is built only
+    for a failure's text and for the Burau oracle of ``trichotomy``.
+
     ``_sign_fn`` is a test-only hook replacing the Dehornoy sign computation,
     so deliberately broken comparators can be shown to be caught; leave it
-    None for real runs.  Failures are recorded in the report, never raised.
-    At seed 1 and 25 trials these mutants fail the eight checks, in report
-    order, this many times:
+    None for real runs.  It still receives a :class:`BraidWord` and returns
+    an :class:`OrderVerdict`: the runs are wrapped for it only when it is
+    given.  Failures are recorded in the report, never raised.  At seed 1
+    and 25 trials these mutants fail the eight checks, in report order, this
+    many times:
 
     - the negated sign: 25 25 25 0 4 25 0 0;
     - the sign of the first run of the main index: 20 0 0 0 0 11 9 0;
@@ -523,26 +534,32 @@ def lemma_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    sign_of = _sign_fn if _sign_fn is not None else dehornoy_sign
+    sign_of: _SignCore = dehornoy._sign
+    if _sign_fn is not None:  # the hook signs words: wrap the runs, unwrap the verdict
+
+        def sign_of(runs: Sequence[_words.Run], strands: int) -> tuple[str, int | None]:
+            return dataclasses.astuple(_sign_fn(BraidWord._reduced(strands, tuple(runs))))
+
     steps = 0
 
-    def sign(word: BraidWord) -> OrderVerdict:
+    def sign(runs: Sequence[_words.Run]) -> tuple[str, int | None]:
         nonlocal steps
-        steps += 1 + word.length
-        return sign_of(word)
+        steps += 1 + _words.length(runs)
+        return sign_of(runs, 3)
 
-    def compare(u: BraidWord, v: BraidWord) -> str:
-        # u^-1 v as one seam-only concatenation, as in exotic_compare; every
-        # compared word is built on 3 strands.
-        runs = _words.concat(_words.invert(u.letters), v.letters)
-        return sign(BraidWord._reduced(u.strands, runs)).comparison()
+    def compare(u: _words.Runs, v: _words.Runs) -> str:
+        # u^-1 v as one seam-only concatenation, as in exotic_compare.
+        return _COMPARISON[sign(_words.concat(_words.invert(u), v))[0]]
 
     def sampled(key: str, test: Callable[[int, random.Random], dict | None]):
         # The substream of each trial is made when its case runs, so a
         # report holds one generator at a time, not one per trial.
         return lambda trial: test(trial, random.Random(f"{seed}/{key}/{trial}"))
 
-    one = BraidWord._reduced(3, ())
+    def commutator(beta: _words.Runs, k: int) -> _words.Runs:
+        """β σ2^k β^-1 σ2^-k."""
+        inner = _words.concat(_words.concat(beta, ((2, k),)), _words.invert(beta))
+        return _words.concat(inner, ((2, -k),))
 
     def shape(trial: int, rng: random.Random) -> dict | None:
         """σ2^{k_1} σ1^{l_1} ... σ2^{k_m} σ1^{l_m} σ2^{n} σ1 with k_i > 0,
@@ -554,10 +571,10 @@ def lemma_suite(
         runs.append((2, rng.randint(2, 5)))
         runs.append((1, 1))
         # Indices alternate and no exponent is 0: the runs are reduced.
-        word = BraidWord._reduced(3, tuple(runs))
-        verdict = sign(word)
-        if verdict.kind != POSITIVE or verdict.main_index != 1:
-            return {"trial": trial, "word": word.to_text(), "verdict": str(verdict)}
+        verdict = sign(runs)
+        if verdict != (POSITIVE, 1):
+            text = _braid_text(tuple(runs))
+            return {"trial": trial, "word": text, "verdict": str(OrderVerdict(*verdict))}
         return None
 
     def sandwich_f2(trial: int, rng: random.Random) -> dict | None:
@@ -568,9 +585,9 @@ def lemma_suite(
             return {"trial": trial, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
         k = rng.randint(1, 4)
-        inner = beta * _sigma(2, k) * beta.inverse() * _sigma(2, -k)
-        if compare(one, inner) != LESS or compare(inner, beta) != LESS:
-            return {"trial": trial, "beta": word.to_text(), "k": k}
+        inner = commutator(beta, k)
+        if compare((), inner) != LESS or compare(inner, beta) != LESS:
+            return {"trial": trial, "beta": FreeWord._reduced(2, word).to_text(), "k": k}
         return None
 
     def sandwich_kn(trial: int, rng: random.Random) -> dict | None:
@@ -582,11 +599,11 @@ def lemma_suite(
             return {"trial": trial, "n": n, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
         k = rng.randint(1, 2)
-        inner = beta * _sigma(2, 6 * k) * beta.inverse() * _sigma(2, -6 * k)
-        if compare(one, inner) == LESS and compare(inner, beta) == LESS:
+        inner = commutator(beta, 6 * k)
+        if compare((), inner) == LESS and compare(inner, beta) == LESS:
             return None
-        error = "sandwich inequality failed"
-        return {"trial": trial, "n": n, "beta": word.to_text(), "k": k, "error": error}
+        text = FreeWord._reduced(2, word).to_text()
+        return {"trial": trial, "n": n, "beta": text, "k": k, "error": "sandwich inequality failed"}
 
     def identity(case: tuple[int, str, BraidWord, BraidWord]) -> dict | None:
         k, text, lhs, rhs = case
@@ -594,40 +611,41 @@ def lemma_suite(
 
     def cofinality(p: int) -> dict | None:
         """Δ^2 < Δ^{4p} σ2^{-12p} = (Δ^{2p} σ2^{-6p})^2."""
-        square = half_twist(4 * p) * _sigma(2, -12 * p)
-        return None if compare(half_twist(2), square) == LESS else {"p": p}
+        square = _words.concat(_words.power(_DELTA_SQUARED, 2 * p), ((2, -12 * p),))
+        return None if compare(_DELTA_SQUARED, square) == LESS else {"p": p}
 
     def subword(trial: int, rng: random.Random) -> dict | None:
         """β σ_k β^-1 is positive."""
-        beta = random_braid_word(rng, 40)
+        beta = _random_runs(rng, 40, 2)
         k = rng.choice((1, 2))
-        if sign(beta * _sigma(k, 1) * beta.inverse()).kind != POSITIVE:
-            return {"trial": trial, "beta": beta.to_text(), "k": k}
+        conjugate = _words.concat(_words.concat(beta, ((k, 1),)), _words.invert(beta))
+        if sign(conjugate)[0] != POSITIVE:
+            return {"trial": trial, "beta": _braid_text(beta), "k": k}
         return None
 
     def trichotomy(trial: int, rng: random.Random) -> dict | None:
-        u = random_braid_word(rng, 40)
-        v = random_braid_word(rng, 40)
+        u = _random_runs(rng, 40, 2)
+        v = _random_runs(rng, 40, 2)
         forward, backward = compare(u, v), compare(v, u)
-        opposite = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
-        if backward != opposite[forward]:
+        if backward != _OPPOSITE[forward]:
             error = "asymmetric comparison"
-        elif (forward == EQUAL) != braid_equal(u, v):
+        elif (forward == EQUAL) != braid_equal(BraidWord._reduced(3, u), BraidWord._reduced(3, v)):
             error = "equality disagrees with Burau"
         else:
             return None
-        return {"trial": trial, "u": u.to_text(), "v": v.to_text(), "error": error}
+        return {"trial": trial, "u": _braid_text(u), "v": _braid_text(v), "error": error}
 
     def left_invariance(trial: int, rng: random.Random) -> dict | None:
         """(f u)^-1 (f v) freely reduces to u^-1 v, so both sides sign the
         same word: an order defined by a positive cone is left-invariant by
         definition, and this check only tests that comparison is
         deterministic."""
-        f = random_braid_word(rng, 40)
-        u = random_braid_word(rng, 40)
-        v = random_braid_word(rng, 40)
-        if compare(u, v) != compare(f * u, f * v):
-            return {"trial": trial, "f": f.to_text(), "u": u.to_text(), "v": v.to_text()}
+        f = _random_runs(rng, 40, 2)
+        u = _random_runs(rng, 40, 2)
+        v = _random_runs(rng, 40, 2)
+        if compare(u, v) != compare(_words.concat(f, u), _words.concat(f, v)):
+            texts = {"f": _braid_text(f), "u": _braid_text(u), "v": _braid_text(v)}
+            return {"trial": trial, **texts}
         return None
 
     trial_cases = range(trials)
@@ -647,3 +665,4 @@ def lemma_suite(
         failures = [failure for failure in map(test, cases) if failure is not None]
         checks.append(CheckResult(name, len(cases), failures, steps))
     return ExperimentReport(seed, trials, checks)
+

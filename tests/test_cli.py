@@ -432,10 +432,15 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
+REWRITE_LIMIT_ERROR = (
+    '{"error": {"message": "commutator rewriting takes at most 10000000 braid letters, '
+    'got 2000000000", "type": "domain"}}\n'
+)
 # Long inputs with short answers, as (argv, stdout, exit code, seconds).  Each
 # time bound is at least 10x the time measured on a 2-core VM (0.38 s, 0.15 s,
-# 0.23 s and 0.14 s), so a slow shared machine does not fail a row, while an
-# input whose cost grows with its letters rather than its runs still does.
+# 0.23 s, 0.14 s, 0.13 s and 0.10 s), so a slow shared machine does not fail a
+# row, while an input whose cost grows with its letters rather than its runs
+# still does.
 LONG_INPUTS = [
     pytest.param(
         ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
@@ -455,6 +460,21 @@ LONG_INPUTS = [
     pytest.param(["sign", "s1^1000000000"], "positive(1)\n", 0, 5, id="sign-long-run"),
     # Δ^2 is central, so the flip's power needs only p mod 2.
     pytest.param(["aut", "flip", "x", "--power", "1000000000"], "x\n", 0, 5, id="aut-flip-huge"),
+    # A rewrite is as long as its input, so a long input is a domain error.
+    pytest.param(
+        ["aut", "--json", "sigma2", "x", "--power", "1000000000"],
+        REWRITE_LIMIT_ERROR,
+        1,
+        5,
+        id="aut-sigma2-huge",
+    ),
+    pytest.param(
+        ["unembed", "--json", "s2^1000000000 s1^-1000000000"],
+        REWRITE_LIMIT_ERROR,
+        1,
+        5,
+        id="unembed-huge",
+    ),
 ]
 
 

@@ -439,6 +439,12 @@ DOMAIN_ERRORS = {
     f"context-n-{n}": (lambda n=n: ExoticContext(n), ValueError, f"n must be at least 2, got {n}")
     for n in (0, 1, -3)
 }
+# One letter over the limit, checked before the scan.
+DOMAIN_ERRORS["rewrite-letter-limit"] = (
+    lambda: commutator_rewrite(BraidWord(3, ((2, 5_000_001), (1, -5_000_000), (2, -1)))),
+    ValueError,
+    "commutator rewriting takes at most 10000000 braid letters, got 10000002",
+)
 DOMAIN_ERRORS["named-power-rank"] = (
     lambda: named_power("sigma2", FreeWord(3, ((1, 1),))),
     ValueError,

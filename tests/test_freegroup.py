@@ -636,6 +636,77 @@ class TestStallings:
         assert not subgroup_contains(graph, Y)
         assert graph.cycle_rank() == 1
 
+    @pytest.mark.parametrize(
+        "gens, word, member",
+        [
+            (["x^2"], "x^1000000000", True),
+            (["x^2"], "x^1000000001", False),
+            (["x^-3"], "x^-999999999", True),
+            # x from the base: 0 -> 1 -> 2, then no x-move; the walk falls off.
+            (["x^2 y"], "x^1000000000", False),
+            # The walk along x starts off the base, at the end of y.
+            (["y x^3 y^-1"], "y x^3000000000 y^-1", True),
+            (["y x^3 y^-1"], "y x^1000000000 y^-1", False),
+            (["x^2", "y x^5 y^-1"], "x^1000000000 y x^-1000000000 y^-1", True),
+        ],
+    )
+    def test_long_runs(self, gens, word, member):
+        # A billion-letter run walks at most one cycle of its key: no line of
+        # the membership test runs more than a few times per vertex.
+        graph = stallings_graph([parse_free(g) for g in gens])
+        line_counts(subgroup_contains, graph, parse_free(word), limit=100)
+        assert subgroup_contains(graph, parse_free(word)) is member
+
+    @staticmethod
+    def letter_walk(graph, word):
+        """Membership read one letter at a time: the reference of the
+        membership test's cycle shortcut."""
+        vertex = graph.base
+        for letter, sign in word.single_letters():
+            vertex = graph.moves[vertex].get(letter * sign)
+            if vertex is None:
+                return False
+        return vertex == graph.base
+
+    def test_long_runs_on_any_move_maps(self):
+        # The shortcut needs no folding: on random move maps, where a walk
+        # may enter a cycle that does not pass through its start, it reads
+        # what the letter walk reads.
+        rng = random.Random(3031)
+        for _ in range(500):
+            size = rng.randint(1, 6)
+            moves = tuple(
+                {key: rng.randrange(size) for key in (1, -1, 2, -2) if rng.random() < 0.8}
+                for _ in range(size)
+            )
+            graph = SubgroupGraph(2, moves)
+            for _ in range(20):
+                runs = [(rng.randint(1, 2), rng.randint(-40, 40)) for _ in range(3)]
+                word = FreeWord(2, tuple(runs))
+                assert subgroup_contains(graph, word) == self.letter_walk(graph, word)
+
+    def test_long_runs_match_letter_walk(self):
+        # Runs longer than the vertex count take the cycle shortcut; the
+        # letter-by-letter walk is the reference.
+        walk = self.letter_walk
+        rng = random.Random(3030)
+        long_runs = 0
+        for _ in range(2_000):
+            gens = random_generator_set(rng)
+            graph = stallings_graph(gens)
+            rank = gens[0].rank
+            for _ in range(5):
+                # A member conjugated by a long run, or a random run word.
+                runs = [(rng.randint(1, rank), rng.choice((1, -1)) * rng.randint(1, 60))]
+                runs += [(rng.randint(1, rank), rng.randint(-60, 60)) for _ in range(3)]
+                word = FreeWord(rank, tuple(runs))
+                if rng.random() < 0.5:
+                    middle = gens[rng.randrange(len(gens))]
+                    word = word * middle * word.inverse()
+                long_runs += any(abs(e) > graph.num_vertices for _, e in word.letters)
+                assert subgroup_contains(graph, word) == walk(graph, word), (gens, word)
+        assert long_runs > 5_000
+
     def test_trivial_subgroup(self):
         graph = stallings_graph([FreeWord(2)])
         assert graph.num_vertices == 1

@@ -40,7 +40,7 @@ from braidlab import (
     subgroup_contains,
     subgroup_elements,
 )
-from braidlab import _words
+from braidlab import _words, dehornoy
 from braidlab.freegroup import SubgroupGraph
 from test_freegroup import (
     assert_graph_invariants,
@@ -616,9 +616,9 @@ class TestCentralizerCriterion:
         near = [parse_free("y^-1 x^-1 y x"), parse_free("x") * c * parse_free("x^-1")]
         near += [c**b * parse_free("x") for b in (-2, 2)]
         for word in words + planted + near:
-            assert _centralizes_sigma2(word) == commutes(embed(word), sigma2), word
-        assert all(map(_centralizes_sigma2, planted))
-        assert not any(map(_centralizes_sigma2, near))
+            assert _centralizes_sigma2(word.letters) == commutes(embed(word), sigma2), word
+        assert all(_centralizes_sigma2(word.letters) for word in planted)
+        assert not any(_centralizes_sigma2(word.letters) for word in near)
 
 
 class TestSandwichKnCommutator:
@@ -633,12 +633,53 @@ class TestSandwichKnCommutator:
 
         rng = random.Random(f"sandwich-kn/{n}")
         for _ in range(200):
-            word, beta = _sample_positive_commutator_base(rng, 6, dehornoy_sign, n)
+            word, runs = _sample_positive_commutator_base(rng, 6, dehornoy._sign, n)
+            beta = BraidWord(3, runs)
             for k in (1, 2):
                 sigma2 = BraidWord(3, ((2, 6 * k),))
                 rewritten = commutator_rewrite(beta * sigma2 * beta.inverse() * sigma2.inverse())
                 assert kn_member(rewritten, n), (word, k)
                 assert abelianize(rewritten)[0] == 0, (word, k)
+
+
+def reference_positive_commutator_base(rng, max_length, n=None):
+    """The object path that ``_sample_positive_commutator_base`` replaced:
+    word objects drawn, substituted, embedded and signed, with the
+    centralizer test done on the braids by ``commutes``."""
+    sigma2 = BraidWord(3, ((2, 1),))
+    for _ in range(1_000):
+        if n is None:
+            word = random_free_word(rng, max_length)
+        else:
+            word = kn_substitute(random_free_word(rng, max_length, rank=n), n)
+        braid = embed(word)
+        if braid.is_identity():
+            continue
+        verdict = dehornoy_sign(braid)
+        if verdict.kind != POSITIVE or verdict.main_index != 1:
+            continue
+        if commutes(braid, sigma2):
+            continue
+        return word, braid
+    return None
+
+
+class TestSamplerRuns:
+    """The run-level sandwich sampler against the object path it replaced:
+    the same free word, the same braid runs and the same stream state on
+    every substream."""
+
+    @pytest.mark.parametrize("n, max_length", [(None, 12), (3, 6), (4, 6), (5, 6)])
+    def test_matches_object_path(self, n, max_length):
+        from braidlab.probe import _sample_positive_commutator_base
+
+        for trial in range(2_000):
+            rng = random.Random(f"sampler/{n}/{trial}")
+            ref = random.Random(f"sampler/{n}/{trial}")
+            word, beta = _sample_positive_commutator_base(rng, max_length, dehornoy._sign, n)
+            ref_word, ref_beta = reference_positive_commutator_base(ref, max_length, n)
+            assert (word, beta) == (ref_word.letters, ref_beta.letters), (n, trial)
+            assert rng.getstate() == ref.getstate()
 
 
 def reference_braid_word(rng, max_length, strands=3):
