@@ -145,9 +145,11 @@ _TWIST_STEPS = (_words.invert(_TWIST_STEP), _TWIST_STEP)
 
 # The most braid letters commutator_rewrite takes.  Its output is linear in
 # the input, at most six free letters per braid letter, so a longer input is
-# bounded by its output size: `aut sigma2 x --power 1000000` (2 * 10^6
-# letters) took 1.5 s and an 81 MB peak and printed 4.7 MB (2-core VM).
-MAX_REWRITE_LETTERS = 10_000_000
+# bounded by its output size.  At this limit `unembed "s2^500000
+# s1^-500000"` took 0.8-1.0 s with a 49 MB peak in a fresh process (2-core
+# VM), 0.34 s of it in the rewrite; at 10^7 letters it took 5.3 s with a
+# 348 MB peak, past the 5 s bound of the long-input tests.
+MAX_REWRITE_LETTERS = 1_000_000
 
 
 def commutator_rewrite(braid: BraidWord) -> FreeWord:

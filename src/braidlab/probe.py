@@ -665,4 +665,3 @@ def lemma_suite(
         failures = [failure for failure in map(test, cases) if failure is not None]
         checks.append(CheckResult(name, len(cases), failures, steps))
     return ExperimentReport(seed, trials, checks)
-

@@ -433,7 +433,7 @@ def cap_memory():
 
 
 REWRITE_LIMIT_ERROR = (
-    '{"error": {"message": "commutator rewriting takes at most 10000000 braid letters, '
+    '{"error": {"message": "commutator rewriting takes at most 1000000 braid letters, '
     'got 2000000000", "type": "domain"}}\n'
 )
 # Long inputs with short answers, as (argv, stdout, exit code, seconds).  Each

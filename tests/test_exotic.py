@@ -132,6 +132,11 @@ class TestCommutatorRewrite:
         with pytest.raises(ValueError):
             commutator_rewrite(BraidWord(4))
 
+    def test_takes_the_letter_limit(self):
+        half = exotic.MAX_REWRITE_LETTERS // 2
+        word = commutator_rewrite(BraidWord(3, ((2, half), (1, -half))))
+        assert 0 < word.length <= 6 * exotic.MAX_REWRITE_LETTERS
+
     def test_round_trip_from_free_words(self):
         # Rewriting an embedded word recovers it verbatim (free equality).
         rng = random.Random(43)
@@ -439,11 +444,11 @@ DOMAIN_ERRORS = {
     f"context-n-{n}": (lambda n=n: ExoticContext(n), ValueError, f"n must be at least 2, got {n}")
     for n in (0, 1, -3)
 }
-# One letter over the limit, checked before the scan.
+# The shortest zero-sum braid over the limit, refused before the scan.
 DOMAIN_ERRORS["rewrite-letter-limit"] = (
-    lambda: commutator_rewrite(BraidWord(3, ((2, 5_000_001), (1, -5_000_000), (2, -1)))),
+    lambda: commutator_rewrite(BraidWord(3, ((2, 500_001), (1, -500_000), (2, -1)))),
     ValueError,
-    "commutator rewriting takes at most 10000000 braid letters, got 10000002",
+    "commutator rewriting takes at most 1000000 braid letters, got 1000002",
 )
 DOMAIN_ERRORS["named-power-rank"] = (
     lambda: named_power("sigma2", FreeWord(3, ((1, 1),))),

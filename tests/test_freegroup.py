@@ -39,7 +39,7 @@ from braidlab import (
     substitute,
 )
 from braidlab import freegroup
-from braidlab.freegroup import SubgroupGraph
+from braidlab.freegroup import _CYCLE_WALK_AFTER, SubgroupGraph
 from test_exotic import line_counts
 
 
@@ -681,13 +681,13 @@ class TestStallings:
             )
             graph = SubgroupGraph(2, moves)
             for _ in range(20):
-                runs = [(rng.randint(1, 2), rng.randint(-40, 40)) for _ in range(3)]
+                runs = [(rng.randint(1, 2), rng.randint(-100, 100)) for _ in range(3)]
                 word = FreeWord(2, tuple(runs))
                 assert subgroup_contains(graph, word) == self.letter_walk(graph, word)
 
     def test_long_runs_match_letter_walk(self):
-        # Runs longer than the vertex count take the cycle shortcut; the
-        # letter-by-letter walk is the reference.
+        # Runs longer than _CYCLE_WALK_AFTER times the vertex count take the
+        # cycle shortcut; the letter-by-letter walk is the reference.
         walk = self.letter_walk
         rng = random.Random(3030)
         long_runs = 0
@@ -695,15 +695,17 @@ class TestStallings:
             gens = random_generator_set(rng)
             graph = stallings_graph(gens)
             rank = gens[0].rank
+            top = 10 * graph.num_vertices + 10
             for _ in range(5):
                 # A member conjugated by a long run, or a random run word.
-                runs = [(rng.randint(1, rank), rng.choice((1, -1)) * rng.randint(1, 60))]
-                runs += [(rng.randint(1, rank), rng.randint(-60, 60)) for _ in range(3)]
+                runs = [(rng.randint(1, rank), rng.choice((1, -1)) * rng.randint(1, top))]
+                runs += [(rng.randint(1, rank), rng.randint(-top, top)) for _ in range(3)]
                 word = FreeWord(rank, tuple(runs))
                 if rng.random() < 0.5:
                     middle = gens[rng.randrange(len(gens))]
                     word = word * middle * word.inverse()
-                long_runs += any(abs(e) > graph.num_vertices for _, e in word.letters)
+                shortcut = _CYCLE_WALK_AFTER * graph.num_vertices
+                long_runs += any(abs(e) > shortcut for _, e in word.letters)
                 assert subgroup_contains(graph, word) == walk(graph, word), (gens, word)
         assert long_runs > 5_000
 
