@@ -126,11 +126,6 @@ class OrderVerdict:
         """LESS, EQUAL or GREATER for u against v, when this is the sign of u^-1 v."""
         return _COMPARISON[self.kind]
 
-    def negated(self) -> "OrderVerdict":
-        if self.kind == TRIVIAL:
-            return self
-        return OrderVerdict(NEGATIVE if self.kind == POSITIVE else POSITIVE, self.main_index)
-
     def __str__(self) -> str:
         if self.kind == TRIVIAL:
             return TRIVIAL

@@ -92,6 +92,11 @@ class ExoticContext:
         return "f2" if self.n is None else f"kn:{self.n}"
 
 
+# The most free letters embed takes, two braid runs each: `embed y^500000`
+# took 0.50-0.54 s and 100 MB in a fresh process capped at 1 GiB (2-core VM).
+MAX_EMBED_LETTERS = 500_000
+
+
 def embed(word: FreeWord) -> BraidWord:
     """Image of a rank-2 word under x -> σ1 σ2^-1, y -> σ1^2 σ2^-2.
 
@@ -108,9 +113,13 @@ def embed(word: FreeWord) -> BraidWord:
       y^-1 x gives σ1^-2 σ1 = σ1^-1;
     - no merge is zero, and none cascades: every image has two runs, so the
       merged run sits between runs of the other generator.
+
+    A word of more than ``MAX_EMBED_LETTERS`` letters raises ValueError.
     """
     if word.rank != 2:
         raise ValueError("the commutator embedding is defined on rank-2 words")
+    if word.length > MAX_EMBED_LETTERS:
+        raise ValueError(f"embed takes at most {MAX_EMBED_LETTERS} letters, got {word.length}")
     return BraidWord._reduced(3, tuple(_embed_runs(word.letters)))
 
 

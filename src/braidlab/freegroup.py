@@ -255,6 +255,12 @@ def _kn_table(n: int) -> dict[int, tuple[_words.Runs, _words.Runs]]:
     return _words.substitution_table(_words.normalize(runs) for runs in basis)
 
 
+# The most runs kn_rewrite emits for y-runs off the trivial coset, two per
+# letter: `kn-rewrite 3 "x y^500000 x^-1"` took 0.57-0.65 s and 97 MB in a
+# fresh process capped at 1 GiB (2-core VM).  Every other run emits one run.
+MAX_KN_REWRITE_RUNS = 1_000_000
+
+
 def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
     """Rewrite a member of K_n over the basis alphabet g1 .. gn.
 
@@ -264,7 +270,8 @@ def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
     emits g1^e at the trivial coset and, at coset i > 0, where
     x^i y x^-i = g_{i+2} g2^-1, emits (g_{i+2} g2^-1)^e, written
     (g2 g_{i+2}^-1)^|e| for e < 0.  Substituting the basis words back
-    (:func:`kn_substitute`) recovers the input.  Rejects words outside K_n.
+    (:func:`kn_substitute`) recovers the input.  Rejects words outside K_n,
+    and stops before y-runs emit more than ``MAX_KN_REWRITE_RUNS`` runs.
     """
     _check_n(n)
     if word.rank != 2:
@@ -272,17 +279,21 @@ def kn_rewrite(word: FreeWord, n: int) -> FreeWord:
     if not kn_member(word, n):
         raise ValueError(f"word is not a member of K_{n}")
     runs: list[tuple[int, int]] = []
-    state = 0
+    state = emitted = 0
     for index, exponent in word.letters:
         if index == 1:
             wraps, state = divmod(state + exponent, n - 1)
             runs.append((2, wraps))  # normalize drops a zero run
         elif state == 0:
             runs.append((1, exponent))
-        elif exponent > 0:
-            runs.extend(((state + 2, 1), (2, -1)) * exponent)
         else:
-            runs.extend(((2, 1), (state + 2, -1)) * -exponent)
+            emitted += 2 * abs(exponent)
+            if emitted > MAX_KN_REWRITE_RUNS:
+                raise ValueError(
+                    f"kn_rewrite emits at most {MAX_KN_REWRITE_RUNS} runs, reached {emitted}"
+                )
+            pair = ((state + 2, 1), (2, -1)) if exponent > 0 else ((2, 1), (state + 2, -1))
+            runs.extend(pair * abs(exponent))
     return FreeWord._reduced(n, _words.normalize(runs))
 
 
@@ -410,44 +421,31 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     return SubgroupGraph(rank, moves)
 
 
-# A run takes the cycle walk of subgroup_contains when it is longer than this
-# many times the vertex count.  The cycle walk fills a dict, so it is slower
-# per step than the letter loop (0.51 against 0.45 us for x^2 in <x>); at 8x
-# it walks at most a quarter of the letters the loop would.
-_CYCLE_WALK_AFTER = 8
-
-
 def subgroup_contains(graph: SubgroupGraph, word: FreeWord) -> bool:
     """Whether the word traces a closed path at the base vertex, read run by
     run along ``graph.moves``.
 
-    A run longer than ``_CYCLE_WALK_AFTER`` times the vertex count costs at
-    most twice that many steps.  The walk along one signed letter is a
-    function of the vertex, so within the vertex count it falls off or comes
-    back to a vertex it has visited; from there it repeats with the period
-    between the two visits, and only the remaining letters modulo that
-    period are walked.  Shorter runs, the short ball words of a convexity
-    probe among them, are walked letter by letter.
+    Each run is walked letter by letter.  In a folded graph a signed letter
+    moves by a partial injection (the fold's self-check asserts it), so the
+    walk falls off or comes back to its start within the vertex count; back
+    after ``walked`` letters, it walks only the rest modulo ``walked``, and a
+    run costs at most about twice the vertex count.  A move map that is not
+    injective is still read correctly, with no shortcut.
     """
     if word.rank != graph.rank:
         raise ValueError(f"rank mismatch: word {word.rank}, graph {graph.rank}")
     moves = graph.moves
     vertex = graph.base
-    long_run = _CYCLE_WALK_AFTER * len(moves)
     for letter, exponent in word.letters:
         key = letter if exponent > 0 else -letter
         count = abs(exponent)
-        if count > long_run:
-            left = {}  # the letters left when the walk was at each vertex
-            while vertex not in left:
-                left[vertex] = count
-                vertex = moves[vertex].get(key)
-                if vertex is None:
-                    return False
-                count -= 1
-            count %= left[vertex] - count
-        for _ in range(count):
+        start = vertex
+        for walked in range(1, count + 1):
             vertex = moves[vertex].get(key)
             if vertex is None:
                 return False
+            if vertex == start:
+                for _ in range((count - walked) % walked):
+                    vertex = moves[vertex][key]
+                break
     return vertex == graph.base

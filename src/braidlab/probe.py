@@ -57,8 +57,8 @@ __all__ = [
 # in [B3, B3]: see _centralizes_sigma2.
 _CENTRALIZER_RUNS = parse_free("x y^-1 x^-1 y").letters
 _CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
-# The signature of dehornoy._sign: reduced runs and a strand count to the
-# kind and main index of the braid.
+# The type of dehornoy._sign, and of lemma_suite's _sign_fn hook: reduced
+# runs and a strand count to the kind and main index of the braid.
 _SignCore = Callable[[Sequence[_words.Run], int], tuple[str, int | None]]
 _DELTA_SQUARED = half_twist(2).letters
 _OPPOSITE = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
@@ -381,10 +381,10 @@ class CheckResult:
     deterministic effort counter.  Each run sequence the check signs through
     the counting ``sign`` of :func:`lemma_suite` adds 1 + its letter count;
     ``sign`` reads the runs with the sign core of
-    :func:`~braidlab.dehornoy.dehornoy_sign`, and only the ``_sign_fn`` test
-    hook still receives a :class:`BraidWord`.  The rejection draws of the
-    sandwich samplers sign through the uncounted sign function and add
-    nothing; counting them changes every report (ROADMAP items 3 and 10)."""
+    :func:`~braidlab.dehornoy.dehornoy_sign`, or with the ``_sign_fn`` test
+    hook, which has the same type.  The rejection draws of the sandwich
+    samplers sign through the uncounted sign function and add nothing;
+    counting them changes every report (ROADMAP items 3 and 10)."""
 
     name: str
     samples: int
@@ -452,10 +452,10 @@ def _sample_positive_commutator_base(
 
     A draw stays runs from start to finish: a K_n draw is substituted down
     to F_2 with the cached basis table, the image comes from the run loop of
-    embed, and ``sign_of`` has the signature of the sign core.  The words
-    are those of :func:`random_free_word`,
-    :func:`~braidlab.freegroup.kn_substitute` and embed on the same
-    substream.
+    embed, and ``sign_of`` is the sign core or ``lemma_suite``'s
+    ``_sign_fn`` hook, which has its type.  The words are those of
+    :func:`random_free_word`, :func:`~braidlab.freegroup.kn_substitute` and
+    embed on the same substream.
     """
     for _ in range(1_000):
         if n is None:
@@ -494,7 +494,7 @@ def _braid_text(runs: _words.Runs) -> str:
 def lemma_suite(
     seed: int,
     trials: int,
-    _sign_fn: Callable[[BraidWord], OrderVerdict] | None = None,
+    _sign_fn: _SignCore | None = None,
 ) -> ExperimentReport:
     """Run the seeded verification suite and report every failure.
 
@@ -513,13 +513,12 @@ def lemma_suite(
     :func:`~braidlab.dehornoy.dehornoy_sign`.  A word object is built only
     for a failure's text and for the Burau oracle of ``trichotomy``.
 
-    ``_sign_fn`` is a test-only hook replacing the Dehornoy sign computation,
-    so deliberately broken comparators can be shown to be caught; leave it
-    None for real runs.  It still receives a :class:`BraidWord` and returns
-    an :class:`OrderVerdict`: the runs are wrapped for it only when it is
-    given.  Failures are recorded in the report, never raised.  At seed 1
-    and 25 trials these mutants fail the eight checks, in report order, this
-    many times:
+    ``_sign_fn`` is a test-only hook replacing the sign core, so
+    deliberately broken comparators can be shown to be caught; leave it None
+    for real runs.  It has the type of the sign core: reduced runs and a
+    strand count to the kind and main index.  Failures are recorded in the
+    report, never raised.  At seed 1 and 25 trials these mutants fail the
+    eight checks, in report order, this many times:
 
     - the negated sign: 25 25 25 0 4 25 0 0;
     - the sign of the first run of the main index: 20 0 0 0 0 11 9 0;
@@ -534,12 +533,7 @@ def lemma_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    sign_of: _SignCore = dehornoy._sign
-    if _sign_fn is not None:  # the hook signs words: wrap the runs, unwrap the verdict
-
-        def sign_of(runs: Sequence[_words.Run], strands: int) -> tuple[str, int | None]:
-            return dataclasses.astuple(_sign_fn(BraidWord._reduced(strands, tuple(runs))))
-
+    sign_of = dehornoy._sign if _sign_fn is None else _sign_fn
     steps = 0
 
     def sign(runs: Sequence[_words.Run]) -> tuple[str, int | None]:

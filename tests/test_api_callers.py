@@ -10,6 +10,11 @@ Likewise every parameter with a default, on a function in a module's
 ``__all__``, has a caller: a call in those sources passes it (by keyword, at
 its position, or through ``*args``), or the README names it in backticks.  A
 parameter whose name starts with an underscore is a test hook and exempt.
+
+Likewise every public method and property of a class in a module's
+``__all__``, its ``braidlab`` base classes included, has a caller: a source
+reads it.  The README does not count here, since it lists the members of
+the classes it describes.  Private and dunder names are exempt.
 """
 
 from __future__ import annotations
@@ -81,6 +86,11 @@ def callers() -> set[str]:
 
 
 @pytest.fixture(scope="module")
+def source_callers() -> set[str]:
+    return set().union(*map(used_names, SOURCES))
+
+
+@pytest.fixture(scope="module")
 def calls() -> dict[str, tuple[set[str], float]]:
     return passed_parameters(SOURCES)
 
@@ -118,3 +128,24 @@ def test_every_defaulted_parameter_has_a_caller(module, calls):
                 continue
             uncalled.append(f"{module}.{name}({parameter.name})")
     assert uncalled == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_member_has_a_caller(module, source_callers):
+    namespace = importlib.import_module(f"braidlab.{module}")
+    uncalled = set()
+    for name in namespace.__all__:
+        value = getattr(namespace, name)
+        if not inspect.isclass(value):
+            continue
+        for owner in value.__mro__:
+            if not owner.__module__.startswith("braidlab."):
+                continue
+            for member, attribute in vars(owner).items():
+                if member.startswith("_") or member in source_callers:
+                    continue
+                if inspect.isfunction(attribute) or isinstance(
+                    attribute, (property, classmethod, staticmethod)
+                ):
+                    uncalled.add(f"{owner.__module__}.{owner.__qualname__}.{member}")
+    assert sorted(uncalled) == []

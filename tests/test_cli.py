@@ -438,9 +438,9 @@ REWRITE_LIMIT_ERROR = (
 )
 # Long inputs with short answers, as (argv, stdout, exit code, seconds).  Each
 # time bound is at least 10x the time measured on a 2-core VM (0.38 s, 0.15 s,
-# 0.23 s, 0.14 s, 0.13 s and 0.10 s), so a slow shared machine does not fail a
-# row, while an input whose cost grows with its letters rather than its runs
-# still does.
+# 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s and 0.65 s),
+# so a slow shared machine does not fail a row, while an input whose cost
+# grows with its letters rather than its runs still does.
 LONG_INPUTS = [
     pytest.param(
         ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
@@ -474,6 +474,46 @@ LONG_INPUTS = [
         1,
         5,
         id="unembed-huge",
+    ),
+    # An image or a rewrite past its output limit is a domain error.
+    pytest.param(
+        ["embed", "--json", "x^1000000000"],
+        '{"error": {"message": "embed takes at most 500000 letters, got 1000000000", '
+        '"type": "domain"}}\n',
+        1,
+        5,
+        id="embed-huge",
+    ),
+    pytest.param(
+        ["kn-rewrite", "--json", "3", "x y^1000000000 x^-1"],
+        '{"error": {"message": "kn_rewrite emits at most 1000000 runs, reached 2000000000", '
+        '"type": "domain"}}\n',
+        1,
+        5,
+        id="kn-rewrite-huge",
+    ),
+    # An x-run emits one run, however long.
+    pytest.param(
+        ["kn-rewrite", "--json", "3", "x^1000000000"],
+        '{"word": "g2^500000000"}\n',
+        0,
+        5,
+        id="kn-rewrite-long-x-run",
+    ),
+    # The largest outputs the limits accept.
+    pytest.param(
+        ["embed", "--json", "y^500000"],
+        '{"word": "' + " ".join(["s1^2 s2^-2"] * 500_000) + '"}\n',
+        0,
+        10,
+        id="embed-at-limit",
+    ),
+    pytest.param(
+        ["kn-rewrite", "--json", "3", "x y^500000 x^-1"],
+        '{"word": "' + " ".join(["g3 g2^-1"] * 500_000) + '"}\n',
+        0,
+        10,
+        id="kn-rewrite-at-limit",
     ),
 ]
 

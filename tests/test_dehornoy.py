@@ -18,6 +18,7 @@ from braidlab import (
     TRIVIAL,
     BraidWord,
     BudgetExceededError,
+    OrderVerdict,
     braid_compare,
     braid_equal,
     cofinal_bound,
@@ -208,10 +209,13 @@ class TestSign:
             assert lowest_index_signs(reduced) == {kind == POSITIVE}
 
     def test_antisymmetry(self):
+        opposite = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE, TRIVIAL: TRIVIAL}
         rng = random.Random(105)
         for _ in range(100):
             word = random_braid_word(rng, 60)
-            assert dehornoy_sign(word.inverse()) == dehornoy_sign(word).negated()
+            verdict = dehornoy_sign(word)
+            expected = OrderVerdict(opposite[verdict.kind], verdict.main_index)
+            assert dehornoy_sign(word.inverse()) == expected
 
     def test_cone_closure(self):
         rng = random.Random(106)

@@ -450,6 +450,11 @@ DOMAIN_ERRORS["rewrite-letter-limit"] = (
     ValueError,
     "commutator rewriting takes at most 1000000 braid letters, got 1000002",
 )
+DOMAIN_ERRORS["embed-letter-limit"] = (
+    lambda: embed(FreeWord(2, ((1, 500_001),))),
+    ValueError,
+    "embed takes at most 500000 letters, got 500001",
+)
 DOMAIN_ERRORS["named-power-rank"] = (
     lambda: named_power("sigma2", FreeWord(3, ((1, 1),))),
     ValueError,

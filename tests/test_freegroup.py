@@ -39,7 +39,7 @@ from braidlab import (
     substitute,
 )
 from braidlab import freegroup
-from braidlab.freegroup import _CYCLE_WALK_AFTER, SubgroupGraph
+from braidlab.freegroup import SubgroupGraph
 from test_exotic import line_counts
 
 
@@ -657,10 +657,53 @@ class TestStallings:
         line_counts(subgroup_contains, graph, parse_free(word), limit=100)
         assert subgroup_contains(graph, parse_free(word)) is member
 
+    # In <y x^5 y^-1, x^2 y> the x-moves at the end of y form a cycle of
+    # period 5, and the x-walk from the base falls off after two letters,
+    # where y leads back to the base.  The runs are one short of the period,
+    # the period, one past it and multiples of it.
+    @pytest.mark.parametrize(
+        "word, member",
+        [
+            ("y x^4 y^-1", False),
+            ("y x^5 y^-1", True),
+            ("y x^6 y^-1", False),
+            ("y x^10 y^-1", True),
+            ("y x^-4 y^-1", False),
+            ("y x^-5 y^-1", True),
+            ("y x^-6 y^-1", False),
+            ("y x^-15 y^-1", True),
+            ("y x^1000000000 y^-1", True),
+            ("y x^1000000001 y^-1", False),
+            ("x^2 y", True),
+            ("x^4 y", False),
+            ("x^5 y", False),
+            ("x^6 y", False),
+            ("x^10 y", False),
+            ("x^1000000000 y", False),
+        ],
+    )
+    def test_runs_at_the_period(self, word, member):
+        graph = stallings_graph([parse_free("y x^5 y^-1"), parse_free("x^2 y")])
+        word = parse_free(word)
+        assert subgroup_contains(graph, word) is member
+        if word.length < 100:
+            assert self.letter_walk(graph, word) is member
+
+    def test_each_letter_moves_injectively(self):
+        # The premise of the membership walk: in a folded graph no two moves
+        # with one signed letter reach one vertex, so a walk along one letter
+        # falls off or comes back to its start.
+        rng = random.Random(3032)
+        for _ in range(2_000):
+            graph = stallings_graph(random_generator_set(rng))
+            for key in {key for row in graph.moves for key in row}:
+                targets = [row[key] for row in graph.moves if key in row]
+                assert len(targets) == len(set(targets))
+
     @staticmethod
     def letter_walk(graph, word):
         """Membership read one letter at a time: the reference of the
-        membership test's cycle shortcut."""
+        membership test's return-to-start shortcut."""
         vertex = graph.base
         for letter, sign in word.single_letters():
             vertex = graph.moves[vertex].get(letter * sign)
@@ -670,8 +713,8 @@ class TestStallings:
 
     def test_long_runs_on_any_move_maps(self):
         # The shortcut needs no folding: on random move maps, where a walk
-        # may enter a cycle that does not pass through its start, it reads
-        # what the letter walk reads.
+        # may enter a cycle that does not pass through its start and so
+        # walks every letter, it reads what the letter walk reads.
         rng = random.Random(3031)
         for _ in range(500):
             size = rng.randint(1, 6)
@@ -686,8 +729,9 @@ class TestStallings:
                 assert subgroup_contains(graph, word) == self.letter_walk(graph, word)
 
     def test_long_runs_match_letter_walk(self):
-        # Runs longer than _CYCLE_WALK_AFTER times the vertex count take the
-        # cycle shortcut; the letter-by-letter walk is the reference.
+        # A run longer than the vertex count falls off or comes back to its
+        # start, and then takes the shortcut; the letter-by-letter walk is
+        # the reference.
         walk = self.letter_walk
         rng = random.Random(3030)
         long_runs = 0
@@ -704,8 +748,7 @@ class TestStallings:
                 if rng.random() < 0.5:
                     middle = gens[rng.randrange(len(gens))]
                     word = word * middle * word.inverse()
-                shortcut = _CYCLE_WALK_AFTER * graph.num_vertices
-                long_runs += any(abs(e) > shortcut for _, e in word.letters)
+                long_runs += any(abs(e) > graph.num_vertices for _, e in word.letters)
                 assert subgroup_contains(graph, word) == walk(graph, word), (gens, word)
         assert long_runs > 5_000
 
@@ -859,6 +902,12 @@ DOMAIN_ERRORS = {
     ),
     "kn-rewrite-rank": (
         lambda: kn_rewrite(Z3, 3), ValueError, "K_n rewriting is defined for rank-2 words"
+    ),
+    # x leaves the trivial coset, where y^500001 would emit 1000002 runs.
+    "kn-rewrite-run-limit": (
+        lambda: kn_rewrite(parse_free("x y^500001 x^-1"), 3),
+        ValueError,
+        "kn_rewrite emits at most 1000000 runs, reached 1000002",
     ),
     "kn-substitute-rank": (
         lambda: kn_substitute(X, 3), ValueError, "expected a rank-3 word, got rank 2"

@@ -18,7 +18,6 @@ from braidlab import (
     ConvexityWitness,
     ExoticContext,
     FreeWord,
-    OrderVerdict,
     abelianize,
     ball,
     commutator_rewrite,
@@ -28,7 +27,6 @@ from braidlab import (
     dehornoy_sign,
     embed,
     exotic_compare,
-    exponent_sum,
     kn_basis,
     kn_member,
     kn_substitute,
@@ -787,33 +785,38 @@ def run_sign(pick):
     """The main index of the true sign, with the sign of the exponent of
     one run of that index: ``pick`` chooses it from the runs in order."""
 
-    def sign(word):
-        verdict = dehornoy_sign(word)
-        if verdict.kind == TRIVIAL:
-            return verdict
-        exponent = pick([e for i, e in word.letters if i == verdict.main_index])
-        return OrderVerdict(POSITIVE if exponent > 0 else NEGATIVE, verdict.main_index)
+    def sign(runs, strands):
+        kind, main_index = dehornoy._sign(runs, strands)
+        if kind == TRIVIAL:
+            return kind, main_index
+        exponent = pick([e for i, e in runs if i == main_index])
+        return (POSITIVE if exponent > 0 else NEGATIVE), main_index
 
     return sign
 
 
-def exponent_sum_sign(word):
-    total = exponent_sum(word)
+def negated_sign(runs, strands):
+    kind, main_index = dehornoy._sign(runs, strands)
+    return {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE, TRIVIAL: TRIVIAL}[kind], main_index
+
+
+def exponent_sum_sign(runs, strands):
+    total = sum(e for _, e in runs)
     if total == 0:
-        return OrderVerdict(TRIVIAL)
-    return OrderVerdict(POSITIVE if total > 0 else NEGATIVE, 1)
+        return TRIVIAL, None
+    return (POSITIVE if total > 0 else NEGATIVE), 1
 
 
-# Broken sign functions for ``lemma_suite``'s ``_sign_fn`` hook.
+# Broken sign functions for ``lemma_suite``'s ``_sign_fn`` hook, which has
+# the type of the sign core: reduced runs and a strand count to the kind and
+# main index.
 SIGN_MUTANTS = {
-    "negated": lambda word: dehornoy_sign(word).negated(),
+    "negated": negated_sign,
     "first-run": run_sign(lambda exponents: exponents[0]),
     "last-run": run_sign(lambda exponents: exponents[-1]),
     "exponent-sum": exponent_sum_sign,
     # σ1 and σ2 swapped before signing.
-    "relabelled": lambda word: dehornoy_sign(
-        BraidWord(3, tuple((3 - i, e) for i, e in word.letters))
-    ),
+    "relabelled": lambda runs, strands: dehornoy._sign([(3 - i, e) for i, e in runs], strands),
 }
 
 
