@@ -11,7 +11,7 @@ the last run, and :func:`power` and :func:`substitute` end in a single call
 to :func:`normalize`.  Two merges live outside this module: in
 :func:`braidlab.exotic.embed`, whose docstring proves that its images meet
 with at most one merge per seam, and in :func:`braidlab.probe._random_runs`,
-which merges each drawn letter into the last run as :func:`normalize` would.
+which merges each drawn letter into the open run as :func:`normalize` would.
 
 :class:`RunWord` is the one base of :class:`~braidlab.braid.BraidWord` and
 :class:`~braidlab.freegroup.FreeWord`: products, inverses, powers and
@@ -27,6 +27,12 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 Run = tuple[int, int]
 Runs = tuple[Run, ...]
 _W = TypeVar("_W", bound="RunWord")
+
+# The most characters of text :meth:`RunWord._parse` reads.  Parsing costs
+# about 2 µs and 83 bytes a run, so one 45 MB line of 10^7 runs took 23.5 s
+# and 992 MB; the limit admits the longest word the CLI prints, embed's image
+# of y^500000 at embed's letter limit (5,499,999 characters).
+MAX_TEXT_LENGTH = 2**23
 
 _INT_RE = re.compile(r"[1-9][0-9]*\Z")
 _SINT_RE = re.compile(r"-?[1-9][0-9]*\Z")
@@ -44,6 +50,9 @@ class WordParseError(ValueError):
 # rather than copies of their own: runs with index <= 8 and |exponent| <= 8
 # are 98.7% of the 218,870 runs in one pass of the sign-long benchmark.
 _SHARED_RUNS = {(i, e): (i, e) for i in range(1, 9) for e in range(-8, 9) if e}
+# Each shared run to its shared inverse, so that :func:`invert` builds only
+# the other runs.
+_SHARED_INVERSES = {run: _SHARED_RUNS[run[0], -run[1]] for run in _SHARED_RUNS.values()}
 
 
 def normalize(pairs: Iterable[Run]) -> tuple[Run, ...]:
@@ -63,11 +72,8 @@ def normalize(pairs: Iterable[Run]) -> tuple[Run, ...]:
 
 def invert(pairs: Sequence[Run]) -> tuple[Run, ...]:
     """Reverse the runs and negate every exponent; reduced in, reduced out."""
-    out: list[Run] = []
-    for index, exponent in reversed(pairs):
-        run = (index, -exponent)
-        out.append(_SHARED_RUNS.get(run, run))
-    return tuple(out)
+    inverses = _SHARED_INVERSES
+    return tuple([inverses.get(run) or (run[0], -run[1]) for run in reversed(pairs)])
 
 
 def concat(left: tuple[Run, ...], right: tuple[Run, ...]) -> tuple[Run, ...]:
@@ -186,9 +192,14 @@ class RunWord:
         and checked in text order, so the :class:`WordParseError` raised is
         that of the first bad term, with its byte offset: a malformed
         exponent, head or index, or an index out of range, whose message is
-        the constructor's.
+        the constructor's.  Text of more than ``MAX_TEXT_LENGTH`` characters
+        raises ``ValueError`` before it is read.
         """
         top = cls._top_index(bound)
+        if len(text) > MAX_TEXT_LENGTH:
+            raise ValueError(
+                f"word text takes at most {MAX_TEXT_LENGTH} characters, got {len(text)}"
+            )
         squeezed = "".join(text.split())
         compact = bool(squeezed) and set(squeezed) <= cls._COMPACT.keys()
         runs = []

@@ -71,7 +71,8 @@ def parse_braid(text: str, strands: int = 3) -> BraidWord:
     Whitespace-insensitive.  Raises :class:`WordParseError` with the byte
     offset of the offending token on malformed input or an out-of-range
     generator index.  A strand count below 2 raises the constructor's
-    ``ValueError`` before the text is read.
+    ``ValueError`` before the text is read; text of more than
+    ``_words.MAX_TEXT_LENGTH`` characters raises ``ValueError`` unread.
     """
     return BraidWord._parse(text, strands)
 

@@ -5,7 +5,9 @@ and σ_i appears with positive exponents only; the positive cone of the
 Dehornoy ordering consists of the braids admitting an i-positive
 representative for some i.  Signs and commutation are decided here from
 Dynnikov coordinates (:mod:`braidlab.dynnikov`), for every strand count,
-with a number of coordinate updates linear in the runs of the word.
+with a number of coordinate updates linear in the runs of the word.  The
+cofinal bound of a three-strand word is read off the lifted SL(2, Z) action
+of :func:`_lift`, in one pass and with no comparison.
 
 A *handle* is a subword σ_i^e v σ_i^{-e} (e = +/-1) whose interior v uses
 only generator indices > i.  Handle reduction removes handles while
@@ -33,7 +35,7 @@ import os
 from typing import Sequence
 
 from . import _words
-from .braid import BraidWord, half_twist
+from .braid import BraidWord, exponent_sum
 from .dynnikov import run_coordinates
 
 __all__ = [
@@ -305,26 +307,72 @@ def braid_compare(u: BraidWord, v: BraidWord) -> str:
     return dehornoy_sign(u.inverse() * v).comparison()
 
 
-def cofinal_bound(word: BraidWord) -> int:
-    """Least k >= 1 with ``word`` below Δ^(2k) in the Dehornoy ordering.
+def _lift(runs: Sequence[_words.Run]) -> tuple[int, int, int]:
+    """The lifted SL(2, Z) action of reduced three-strand ``runs`` on (0, 1):
+    the image (a, b) and its whole turns c.
 
-    σ_i^-1 < 1 < Δ^2, and σ_i^-1 Δ^2 = Δ A is a nonempty positive braid (Δ = A σ_i),
-    so σ_i < Δ^2; Δ^2 is central, so by left invariance a word of L letters lies below
-    Δ^(2L), and k <= max(1, L).  The search doubles k until the word lies below Δ^(2k),
-    then bisects: at most 2 ceil(log2 k) + 1 comparisons.  Other strand counts: ValueError."""
+    The map σ1 -> [[1, 1], [0, 1]], σ2 -> [[1, 0], [-1, 1]], with the action
+    of each shear on the circle of directions lifted to Homeo+(R), R being
+    the universal cover of the circle, is a homomorphism of B3: both sides
+    of σ1 σ2 σ1 = σ2 σ1 σ2 lift [[0, 1], [-1, 0]], and both turn (1, 0) a
+    quarter turn clockwise.  Two lifts of one matrix differ by whole turns,
+    so these two agree.  σ2 fixes the lifted ray of (0, 1), σ1 moves it
+    clockwise, and every map is increasing.  So σ1-positive words move the
+    ray clockwise, σ1-negative words move it counterclockwise, and the
+    σ1-free braids, the powers of σ2, fix it.  By Dehornoy's trichotomy
+    every braid is of one of these three kinds (Dehornoy-Dynnikov-Rolfsen-
+    Wiest, *Ordering Braids*, 2008).
+
+    The runs act right to left on v = (a, b), from (0, 1).  σ1^k sets
+    a += k b, moving v along a horizontal line, and σ2^k sets b -= k a,
+    moving it along a vertical one.  The lift is the angle Θ of v counted
+    clockwise from (0, 1), as c whole turns plus an angle φ in (-π, π]; only
+    a σ1 run with b < 0 can cross the cut at (0, -1), clockwise when a goes
+    from a >= 0 to a < 0 and counterclockwise the other way.  So the braid
+    is 1-positive exactly when Θ > 0 (c > 0, or c = 0 with a > 0 or with
+    a = 0 > b), 1-negative when Θ < 0, and a power of σ2 when Θ = 0.
+    """
+    a, b, c = 0, 1, 0
+    for index, k in reversed(runs):
+        if index == 1:
+            moved = a + k * b
+            if b < 0 and (a >= 0) != (moved >= 0):
+                c += 1 if a >= 0 else -1
+            a = moved
+        else:
+            b -= k * a
+    return a, b, c
+
+
+def cofinal_bound(word: BraidWord) -> int:
+    """Least k >= 1 with ``word`` below Δ^(2k) in the Dehornoy ordering, from
+    one pass of :func:`_lift` over the inverse word and no comparison.
+
+    Δ^2 = (σ1 σ2)^3 maps to -I, and its lift takes (0, 1) to (0, -1) with
+    c = 0: it is the translation by a half turn, π, which commutes with
+    every lift.  Δ^2 is central, so β < Δ^(2k) exactly when β^-1 Δ^(2k) > 1,
+    whose angle is Θ + kπ, Θ the angle of β^-1.  With Θ = 2πc + φ, φ in
+    (-π, π]:
+
+    - φ in (0, π) (a > 0): Θ + kπ > 0 from k = -2c on;
+    - φ in (-π, 0) (a < 0): from k = -2c + 1 on;
+    - φ = 0 (a = 0 < b) or φ = π (a = 0 > b): Θ + kπ > 0 from k0 + 1 on,
+      k0 = -2c or -2c - 1, and at k0 itself β^-1 Δ^(2k0) is a power of σ2,
+      σ2^(6 k0 - e) with e the exponent sum of β, which is above 1 exactly
+      when 6 k0 > e.
+
+    The answer is the first such k, or 1 if that is below 1.  Other strand
+    counts raise ValueError."""
     if word.strands != 3:
         raise ValueError("cofinal bounds are specific to 3 strands")
-
-    def below(k: int) -> bool:
-        return braid_compare(word, half_twist(2 * k)) == LESS
-
-    low, high = 0, 1  # the answer is in (low, high]
-    while not below(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        middle = (low + high) // 2
-        low, high = (low, middle) if below(middle) else (middle, high)
-    return high
+    a, b, c = _lift(_words.invert(word.letters))
+    if a:
+        k = -2 * c + (a < 0)
+    else:
+        k = -2 * c - (b < 0)
+        if 6 * k <= exponent_sum(word):
+            k += 1
+    return max(1, k)
 
 
 def commutes(u: BraidWord, v: BraidWord) -> bool:

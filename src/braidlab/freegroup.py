@@ -88,7 +88,8 @@ def parse_free(text: str, rank: int = 2) -> FreeWord:
     Raises :class:`~braidlab._words.WordParseError` with the byte offset of
     the offending token on malformed input or an out-of-range letter.  A
     rank below 1 raises the constructor's ``ValueError`` before the text is
-    read.
+    read; text of more than ``_words.MAX_TEXT_LENGTH`` characters raises
+    ``ValueError`` unread.
     """
     return FreeWord._parse(text, rank)
 

@@ -340,36 +340,49 @@ def random_free_word(rng: random.Random, max_length: int, rank: int = 2) -> Free
 def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
     """Reduced runs of a word of uniform letters with indices in 1..top.
 
-    Each index and each sign is drawn as ``Random._randbelow`` draws behind
-    ``randint`` and ``choice``: ``getrandbits`` of the bit length of the
-    range, drawn again while the value is out of range.  So the stream of
-    random bits, and every word, is that of the ``randint``/``choice`` draw.
-    The same bits are merged as they are drawn: each letter joins the last
-    run, or cancels one letter of it, or starts a run, exactly as
-    :func:`_words.normalize` reduces the letter list, so no list of letters
-    is built.
+    The length, each index and each sign are drawn as ``Random._randbelow``
+    draws behind ``randint`` and ``choice``: ``getrandbits`` of the bit
+    length of the range, drawn again while the value is out of range.  So
+    the stream of random bits, and every word, is that of the
+    ``randint``/``choice`` draw.  The same bits are merged as they are
+    drawn, exactly as :func:`_words.normalize` reduces the letter list: the
+    open run is two locals, a letter joins it, or cancels one letter of it,
+    or closes it and opens a run of its own, and a cancelled run reopens the
+    run before it.  So a run tuple is built only when a run closes, and no
+    list of letters is built.
     """
     if top < 1:
         raise ValueError(f"no letter index to draw from: the range is 1..{top}")
     if max_length < 0:
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     getrandbits = rng.getrandbits
+    lengths = max_length + 1
+    length_bits = lengths.bit_length()
+    length = getrandbits(length_bits)
+    while length >= lengths:
+        length = getrandbits(length_bits)
     bits = top.bit_length()
     shared = _words._SHARED_RUNS
     runs: list[_words.Run] = []
-    for _ in range(rng.randint(0, max_length)):
-        index = getrandbits(bits)
-        while index >= top:
-            index = getrandbits(bits)
+    index = exponent = 0  # the open run; index 0 while none is open
+    for _ in range(length):
+        letter = getrandbits(bits)
+        while letter >= top:
+            letter = getrandbits(bits)
         sign = getrandbits(2)
         while sign >= 2:
             sign = getrandbits(2)
-        index += 1
-        exponent = -1 if sign else 1
-        if runs and runs[-1][0] == index:
-            exponent += runs.pop()[1]
+        letter += 1
+        if letter == index:
+            exponent += -1 if sign else 1
             if not exponent:
-                continue
+                index, exponent = runs.pop() if runs else (0, 0)
+            continue
+        if index:
+            run = (index, exponent)
+            runs.append(shared.get(run, run))
+        index, exponent = letter, -1 if sign else 1
+    if index:
         run = (index, exponent)
         runs.append(shared.get(run, run))
     return tuple(runs)
@@ -481,10 +494,16 @@ def _centralizes_sigma2(runs: _words.Runs) -> bool:
     exactly when word = c^b for some integer b.  c is cyclically reduced (it
     starts with x and ends with y), so the reduced word c^b is c written b
     times, or c^-1 written -b times, with no merge at the seams: its runs
-    are those of c, or of c^-1, repeated.
+    are those of c, or of c^-1, repeated.  Its first four runs are those of
+    c or of c^-1 unless b = 0, so only a word that starts so is compared
+    with the repeated runs.
     """
-    count = len(runs) // 4
-    return runs in (_CENTRALIZER_RUNS * count, _CENTRALIZER_INVERSE_RUNS * count)
+    head = runs[:4]
+    if head == _CENTRALIZER_RUNS:
+        return runs == _CENTRALIZER_RUNS * (len(runs) // 4)
+    if head == _CENTRALIZER_INVERSE_RUNS:
+        return runs == _CENTRALIZER_INVERSE_RUNS * (len(runs) // 4)
+    return not runs
 
 
 def _braid_text(runs: _words.Runs) -> str:

@@ -432,24 +432,30 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
+def long_input(argv, out, code, seconds, id, stdin=None):
+    """A ``LONG_INPUTS`` row; ``stdin``, if given, makes the text to feed."""
+    return pytest.param(argv, out, code, seconds, stdin, id=id)
+
+
 REWRITE_LIMIT_ERROR = (
     '{"error": {"message": "commutator rewriting takes at most 1000000 braid letters, '
     'got 2000000000", "type": "domain"}}\n'
 )
-# Long inputs with short answers, as (argv, stdout, exit code, seconds).  Each
-# time bound is at least 10x the time measured on a 2-core VM (0.38 s, 0.15 s,
-# 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s and 0.65 s),
-# so a slow shared machine does not fail a row, while an input whose cost
-# grows with its letters rather than its runs still does.
+# Long inputs with short answers, as (argv, stdout, exit code, seconds, stdin).
+# Each time bound is at least 10x the time measured on a 2-core VM (0.38 s,
+# 0.15 s, 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s,
+# 0.65 s, 1.8 s and 0.25 s), so a slow shared machine does not fail a row,
+# while an input whose cost grows with its letters rather than its runs still
+# does.
 LONG_INPUTS = [
-    pytest.param(
+    long_input(
         ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
         '{"conclusive": false, "radius": 1, "witness": null}\n',
         1,
         10,
         id="probe-cascading-fold",
     ),
-    pytest.param(
+    long_input(
         ["probe-convexity", "--json", "--gens", "x^1000000000"],
         '{"error": {"message": "generators have more than 100000 letters in total", '
         '"type": "domain"}}\n',
@@ -457,18 +463,18 @@ LONG_INPUTS = [
         5,
         id="probe-over-letter-limit",
     ),
-    pytest.param(["sign", "s1^1000000000"], "positive(1)\n", 0, 5, id="sign-long-run"),
+    long_input(["sign", "s1^1000000000"], "positive(1)\n", 0, 5, id="sign-long-run"),
     # Δ^2 is central, so the flip's power needs only p mod 2.
-    pytest.param(["aut", "flip", "x", "--power", "1000000000"], "x\n", 0, 5, id="aut-flip-huge"),
+    long_input(["aut", "flip", "x", "--power", "1000000000"], "x\n", 0, 5, id="aut-flip-huge"),
     # A rewrite is as long as its input, so a long input is a domain error.
-    pytest.param(
+    long_input(
         ["aut", "--json", "sigma2", "x", "--power", "1000000000"],
         REWRITE_LIMIT_ERROR,
         1,
         5,
         id="aut-sigma2-huge",
     ),
-    pytest.param(
+    long_input(
         ["unembed", "--json", "s2^1000000000 s1^-1000000000"],
         REWRITE_LIMIT_ERROR,
         1,
@@ -476,7 +482,7 @@ LONG_INPUTS = [
         id="unembed-huge",
     ),
     # An image or a rewrite past its output limit is a domain error.
-    pytest.param(
+    long_input(
         ["embed", "--json", "x^1000000000"],
         '{"error": {"message": "embed takes at most 500000 letters, got 1000000000", '
         '"type": "domain"}}\n',
@@ -484,7 +490,7 @@ LONG_INPUTS = [
         5,
         id="embed-huge",
     ),
-    pytest.param(
+    long_input(
         ["kn-rewrite", "--json", "3", "x y^1000000000 x^-1"],
         '{"error": {"message": "kn_rewrite emits at most 1000000 runs, reached 2000000000", '
         '"type": "domain"}}\n',
@@ -493,7 +499,7 @@ LONG_INPUTS = [
         id="kn-rewrite-huge",
     ),
     # An x-run emits one run, however long.
-    pytest.param(
+    long_input(
         ["kn-rewrite", "--json", "3", "x^1000000000"],
         '{"word": "g2^500000000"}\n',
         0,
@@ -501,28 +507,49 @@ LONG_INPUTS = [
         id="kn-rewrite-long-x-run",
     ),
     # The largest outputs the limits accept.
-    pytest.param(
+    long_input(
         ["embed", "--json", "y^500000"],
         '{"word": "' + " ".join(["s1^2 s2^-2"] * 500_000) + '"}\n',
         0,
         10,
         id="embed-at-limit",
     ),
-    pytest.param(
+    long_input(
         ["kn-rewrite", "--json", "3", "x y^500000 x^-1"],
         '{"word": "' + " ".join(["g3 g2^-1"] * 500_000) + '"}\n',
         0,
         10,
         id="kn-rewrite-at-limit",
     ),
+    # Word text on --stdin: the longest word the CLI prints, padded to the
+    # text limit, is read; the 45 MB line of 10^7 runs that took 23.5 s and
+    # 992 MB is refused before it is parsed.
+    long_input(
+        ["sign", "--stdin"],
+        "positive(1)\n",
+        0,
+        30,
+        id="sign-stdin-at-text-limit",
+        stdin=lambda: " ".join(["s1^2 s2^-2"] * 500_000).ljust(_words.MAX_TEXT_LENGTH) + "\n",
+    ),
+    long_input(
+        ["unembed", "--json", "--stdin"],
+        '{"error": {"line": 1, "message": "word text takes at most 8388608 characters, '
+        'got 44999999", "type": "domain"}}\n',
+        1,
+        5,
+        id="unembed-stdin-over-text-limit",
+        stdin=lambda: " ".join(["s2 s1^-1"] * 5_000_000) + "\n",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, out, code, seconds", LONG_INPUTS)
-def test_long_input(argv, out, code, seconds):
+@pytest.mark.parametrize("argv, out, code, seconds, stdin", LONG_INPUTS)
+def test_long_input(argv, out, code, seconds, stdin):
     """Each row answers in a fresh process with its address space capped
     and within its time bound; a hang fails by ``TimeoutExpired``."""
-    got_code, got_out, _ = fresh_process(argv, timeout=seconds, preexec_fn=cap_memory)
+    text = stdin() if stdin else None
+    got_code, got_out, _ = fresh_process(argv, input=text, timeout=seconds, preexec_fn=cap_memory)
     assert (got_code, got_out) == (code, out)
 
 

@@ -23,6 +23,7 @@ from braidlab import (
     braid_equal,
     cofinal_bound,
     commutes,
+    dehornoy,
     dehornoy_sign,
     half_twist,
     handle_reduce,
@@ -309,6 +310,23 @@ class TestCofinalBound:
                 word = word * half_twist(rng.randint(-20, 40))
             k = cofinal_bound(word)
             assert k == reference_cofinal_bound(word) <= max(1, word.length), word
+            assert k == doubling_cofinal_bound(word)[0], word
+
+    def test_both_ties(self):
+        # β = Δ^(2j) σ2^m: β^-1 Δ^(2k) = σ2^-m Δ^(2(k - j)), whose lifted angle
+        # (k - j)π is 0 at k = j, with φ = 0 for even j and φ = π for odd j.
+        # There the tie is broken by the sign of -m.
+        phis = set()
+        for j in range(-6, 31):
+            for m in range(-8, 9):
+                word = half_twist(2 * j) * BraidWord(3, ((2, m),))
+                a, b, _ = dehornoy._lift(word.inverse().letters)
+                assert a == 0, word
+                phis.add(b > 0)
+                k = cofinal_bound(word)
+                assert k == max(1, j if m < 0 else j + 1), word
+                assert k == reference_cofinal_bound(word) == doubling_cofinal_bound(word)[0]
+        assert phis == {True, False}
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 100])
     def test_even_half_twist_power(self, m):
@@ -319,20 +337,17 @@ class TestCofinalBound:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 100, 1000, 30000])
     def test_comparisons_are_logarithmic(self, m, monkeypatch):
-        import braidlab.dehornoy
-
-        calls = 0
-        original = braidlab.dehornoy.braid_compare
-
-        def counting(u, v):
-            nonlocal calls
-            calls += 1
-            return original(u, v)
-
-        monkeypatch.setattr(braidlab.dehornoy, "braid_compare", counting)
+        # The closed form compares nothing and signs nothing; the doubling
+        # search it replaced made at most 2 ceil(log2 k) + 1 comparisons.
+        signs = []
+        monkeypatch.setattr(dehornoy, "braid_compare", lambda u, v: signs.append((u, v)))
+        monkeypatch.setattr(dehornoy, "_sign", lambda runs, strands: signs.append(runs))
         k = m + 1
         assert cofinal_bound(half_twist(2 * m)) == k
-        assert calls <= 2 * math.ceil(math.log2(k)) + 1
+        assert signs == []
+        monkeypatch.undo()
+        found, comparisons = doubling_cofinal_bound(half_twist(2 * m))
+        assert found == k and comparisons <= 2 * math.ceil(math.log2(k)) + 1
 
 
 def reference_cofinal_bound(word: BraidWord) -> int:
@@ -341,6 +356,27 @@ def reference_cofinal_bound(word: BraidWord) -> int:
     while braid_compare(word, half_twist(2 * k)) != LESS:
         k += 1
     return k
+
+
+def doubling_cofinal_bound(word: BraidWord) -> tuple[int, int]:
+    """The least k >= 1 with ``word`` below Δ^(2k), and the comparisons made,
+    by the search the closed form replaced: double k until the word lies
+    below Δ^(2k), then bisect.  k <= max(1, L) for a word of L letters, so
+    this needs at most 2 ceil(log2 k) + 1 comparisons."""
+    comparisons = 0
+
+    def below(k: int) -> bool:
+        nonlocal comparisons
+        comparisons += 1
+        return braid_compare(word, half_twist(2 * k)) == LESS
+
+    low, high = 0, 1  # the answer is in (low, high]
+    while not below(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if below(middle) else (middle, high)
+    return high, comparisons
 
 
 class TestCommutes:
@@ -483,37 +519,9 @@ class TestHugeIndices:
 
 def lift_sign(runs) -> tuple[str, int | None]:
     """Dehornoy sign of reduced three-strand ``runs``, read from the lifted
-    SL(2, Z) action: a third oracle, independent of handle reduction and of
-    Dynnikov coordinates, kept in the tests only.
-
-    The map σ1 -> [[1, 1], [0, 1]], σ2 -> [[1, 0], [-1, 1]], with the action
-    of each shear on the circle of directions lifted to Homeo+(R), R being
-    the universal cover of the circle, is a homomorphism of B3: both sides
-    of σ1 σ2 σ1 = σ2 σ1 σ2 lift [[0, 1], [-1, 0]], and both turn (1, 0) a
-    quarter turn clockwise.  Two lifts of one matrix differ by whole turns,
-    so these two agree.  σ2 fixes the lifted ray of (0, 1), σ1 moves it
-    clockwise, and every map is increasing.  So σ1-positive words move the
-    ray clockwise, σ1-negative words move it counterclockwise, and the
-    σ1-free braids, the powers of σ2, fix it.  By Dehornoy's trichotomy
-    every braid is of one of these three kinds (Dehornoy-Dynnikov-Rolfsen-
-    Wiest, *Ordering Braids*, 2008).
-
-    The runs act right to left on v = (a, b), from (0, 1).  σ1^k sets
-    a += k b, moving v along a horizontal line, and σ2^k sets b -= k a,
-    moving it along a vertical one.  The lift is the angle of v counted
-    clockwise from (0, 1), as c whole turns plus an angle in (-π, π]; only
-    a σ1 run with b < 0 can cross the cut at (0, -1), clockwise when a goes
-    from a >= 0 to a < 0 and counterclockwise the other way.
-    """
-    a, b, c = 0, 1, 0
-    for index, k in reversed(runs):
-        if index == 1:
-            moved = a + k * b
-            if b < 0 and (a >= 0) != (moved >= 0):
-                c += 1 if a >= 0 else -1
-            a = moved
-        else:
-            b -= k * a
+    SL(2, Z) action of ``dehornoy._lift``, whose docstring proves it: a third
+    oracle, independent of handle reduction and of Dynnikov coordinates."""
+    a, b, c = dehornoy._lift(runs)
     if c > 0 or (c == 0 and (a > 0 or a == 0 > b)):
         return POSITIVE, 1
     if c < 0 or (c == 0 and a < 0):

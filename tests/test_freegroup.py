@@ -912,6 +912,12 @@ DOMAIN_ERRORS = {
     "kn-substitute-rank": (
         lambda: kn_substitute(X, 3), ValueError, "expected a rank-3 word, got rank 2"
     ),
+    # One character over the text limit, refused before the text is read.
+    "parse-text-limit": (
+        lambda: parse_free("x" * 8_388_609),
+        ValueError,
+        "word text takes at most 8388608 characters, got 8388609",
+    ),
     "stallings-without-generators": (
         lambda: stallings_graph([]),
         ValueError,

@@ -618,6 +618,32 @@ class TestCentralizerCriterion:
         assert all(_centralizes_sigma2(word.letters) for word in planted)
         assert not any(_centralizes_sigma2(word.letters) for word in near)
 
+    def test_head_then_repeats(self):
+        """The first four runs are read before the repeated runs are built:
+        1, the powers c^b, words that start with c or c^-1 and differ later
+        (at a multiple of four runs or not), and short words."""
+        from braidlab.probe import _centralizes_sigma2
+
+        sigma2 = BraidWord(3, ((2, 1),))
+        c = parse_free("x y^-1 x^-1 y")
+        powers = [c**b for b in range(-5, 6)]
+        # Tails that keep c^b's runs and add runs: c^b x^2, c^b c with its
+        # last run y^2, c^-b y^-1 x y x^-2, ...
+        after_c = ["x^2", "x y", "x y^-1 x^-1 y^2", "x y^-1 x^-1 y x"]
+        after_inverse = ["y^-2", "y^-1 x y x^-2", "y^-1 x y x^-1 y", "y^-1 x^2"]
+        later = [c**b * parse_free(t) for b in range(1, 4) for t in after_c]
+        later += [c**-b * parse_free(t) for b in range(1, 4) for t in after_inverse]
+        short = [
+            parse_free(t) for t in ("x", "x y^-1", "x y^-1 x^-1", "y^-1 x y", "x y^-1 x^-1 y^2")
+        ]
+        for word in powers + later + short:
+            assert _centralizes_sigma2(word.letters) == commutes(embed(word), sigma2), word
+        assert [_centralizes_sigma2(word.letters) for word in powers] == [True] * 11
+        assert not any(_centralizes_sigma2(word.letters) for word in later + short)
+        heads = {word.letters[:4] for word in later}
+        assert heads == {c.letters, c.inverse().letters}
+        assert {len(word.letters) % 4 for word in later + short} == {0, 1, 2, 3}
+
 
 class TestSandwichKnCommutator:
     """The ``conjugate-sandwich-kn`` check of ``lemma_suite`` relies on the

@@ -108,6 +108,39 @@ class TestConcat:
         assert _words.concat(left, right) == expected
 
 
+class TestInvert:
+    """``invert`` sends each shared run to its shared inverse object and
+    builds only the other runs."""
+
+    def test_shared_runs_go_to_shared_inverses(self):
+        shared = _words._SHARED_RUNS
+        assert len(shared) == 128
+        for run in shared.values():
+            inverse = shared[run[0], -run[1]]
+            # The run itself, and an equal tuple that is not the shared one.
+            assert _words.invert((run,))[0] is inverse
+            assert _words.invert((tuple(list(run)),))[0] is inverse
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(-20, 20).filter(lambda e: e != 0)),
+            max_size=12,
+        )
+    )
+    def test_matches_reference(self, pairs):
+        pairs = _words.normalize(pairs)
+        result = _words.invert(pairs)
+        assert result == inverted(pairs)
+        assert all(run is _words._SHARED_RUNS.get(run, run) for run in result)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((9, 1),), ((1, 9),), ((1, -9), (9, -1)), ((12, 20), (3, -8), (1, 10**12))],
+    )
+    def test_unshared_runs(self, pairs):
+        assert _words.invert(pairs) == inverted(pairs)
+
+
 class TestBraidOperations:
     @given(braid_words)
     def test_inverse(self, word):
@@ -298,6 +331,16 @@ class TestOneValidation:
             parse("s1 x", bound)
         assert str(built.value) == str(parsed.value) == message
         assert not isinstance(parsed.value, WordParseError)
+
+    @pytest.mark.parametrize("parse, head", [(parse_braid, "s1"), (parse_free, "x")])
+    def test_text_limit(self, parse, head):
+        limit = _words.MAX_TEXT_LENGTH
+        assert parse(head.ljust(limit)).letters == ((1, 1),)
+        with pytest.raises(ValueError) as refused:
+            parse(head.ljust(limit + 1))
+        message = f"word text takes at most {limit} characters, got {limit + 1}"
+        assert str(refused.value) == message
+        assert not isinstance(refused.value, WordParseError)
 
     @pytest.mark.parametrize(
         "cls, parse, text, bound, index, offset, message",
