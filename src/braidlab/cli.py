@@ -10,9 +10,9 @@ property fails or a domain error occurs (budget exhausted, no witness
 found), 2 on usage or word-parse errors.  With ``--json`` standard output is
 a single JSON document on every path, errors included (one per input word
 under ``--stdin``, see below); ``--help`` is the one path that prints text.
-The environment variable ``BRAIDLAB_BUDGET`` overrides the step budget of
-``reduce`` (an absolute step count); signs and comparisons come from
-Dynnikov coordinates and need no budget.
+The environment variable ``BRAIDLAB_BUDGET``, read here and nowhere in the
+library, sets the step budget of ``reduce`` (an absolute step count); signs
+and comparisons come from Dynnikov coordinates and need no budget.
 
 Single-word commands accept ``--stdin`` to process one word per input line;
 with ``--json`` they write JSON Lines, one document per input word, and at
@@ -20,9 +20,10 @@ the first line that fails they write its error document and stop.  That
 document, and the message on standard error, name the 1-based input line.
 
 Each ``_cmd_*`` handler is a function of its arguments (and of one word,
-for the single-word commands) that returns a :class:`Result` and prints
-nothing.  :func:`run` alone reads ``--stdin``, renders a result as text or
-JSON, and reports usage and domain errors, from argparse and handlers alike.
+for the single-word commands, and of ``BRAIDLAB_BUDGET`` for ``reduce``)
+that returns a :class:`Result` and prints nothing.  :func:`run` alone reads
+``--stdin``, renders a result as text or JSON, and reports usage and domain
+errors, from argparse and handlers alike.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from typing import NamedTuple, Sequence
 
-from ._words import _INT_RE, WordParseError
+from ._words import _INT_RE, MAX_TEXT_LENGTH, WordParseError
 from .braid import parse_braid
 from .burau import burau_matrix
 from .dehornoy import (
@@ -66,18 +68,12 @@ class _UsageError(Exception):
     pass
 
 
-class _Exit(Exception):
-    """argparse is done early (``--help``); the argument is the exit code."""
-
-
 class _QuietParser(argparse.ArgumentParser):
-    """argparse that raises instead of calling sys.exit, so ``run`` stays total."""
+    """argparse whose errors raise :class:`_UsageError` instead of exiting, so
+    ``run`` reports them; ``--help`` still ends in argparse's ``SystemExit``."""
 
     def error(self, message):
         raise _UsageError(message)
-
-    def exit(self, status=0, message=None):
-        raise _Exit(status)
 
 
 @functools.cache
@@ -179,10 +175,15 @@ def _cmd_compare(args) -> Result:
 
 def _cmd_reduce(args, text: str) -> Result:
     word = parse_braid(text, args.strands)
+    env = os.environ.get("BRAIDLAB_BUDGET")
+    try:
+        budget = None if env is None else int(env)
+    except ValueError:
+        raise ValueError(f"BRAIDLAB_BUDGET must be an integer, got {env!r}") from None
     if not args.trace:
-        reduced = handle_reduce(word).to_text()
+        reduced = handle_reduce(word, budget=budget).to_text()
         return Result({"word": reduced}, reduced)
-    reduced, trace = handle_reduce_trace(word)
+    reduced, trace = handle_reduce_trace(word, budget=budget)
     steps = [
         {"step": item.step, "handle": dataclasses.asdict(item.handle), "word": item.word.to_text()}
         for item in trace
@@ -274,13 +275,16 @@ def run(argv: Sequence[str]) -> int:
             return _print(args.handler(args, args.word), as_json)
         if not args.stdin:
             raise _UsageError("a word argument is required (or use --stdin)")
-        for number, text in enumerate(sys.stdin, 1):
+        # A line is read to at most MAX_TEXT_LENGTH + 2 characters, so a longer
+        # one is refused by the parser, with the count read, at bounded memory.
+        lines = iter(lambda: sys.stdin.readline(MAX_TEXT_LENGTH + 2), "")
+        for number, text in enumerate(lines, 1):
             line = number  # set only while its word is handled: a failed read names no line
             _print(args.handler(args, text.rstrip("\n")), as_json)
             line = None
         return OK
-    except _Exit as exc:
-        return exc.args[0]
+    except SystemExit as exc:  # argparse is done early: --help
+        return exc.code
     except (_UsageError, BudgetExceededError, ValueError) as exc:
         usage = isinstance(exc, (_UsageError, WordParseError))
         error = {"type": "usage" if usage else "domain", "message": str(exc)}

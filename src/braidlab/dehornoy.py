@@ -31,7 +31,6 @@ budget guards every reduction; exceeding it raises
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Sequence
 
 from . import _words
@@ -45,7 +44,6 @@ __all__ = [
     "LESS",
     "EQUAL",
     "GREATER",
-    "BUDGET_ENV_VAR",
     "BudgetExceededError",
     "Handle",
     "OrderVerdict",
@@ -69,7 +67,6 @@ GREATER = "greater"
 # The verdict on u against v for each kind of sign of u^-1 v.
 _COMPARISON = {POSITIVE: LESS, NEGATIVE: GREATER, TRIVIAL: EQUAL}
 
-BUDGET_ENV_VAR = "BRAIDLAB_BUDGET"
 _STEPS_PER_LETTER = 1_000_000
 
 
@@ -124,10 +121,6 @@ class OrderVerdict:
     def is_trivial(self) -> bool:
         return self.kind == TRIVIAL
 
-    def comparison(self) -> str:
-        """LESS, EQUAL or GREATER for u against v, when this is the sign of u^-1 v."""
-        return _COMPARISON[self.kind]
-
     def __str__(self) -> str:
         if self.kind == TRIVIAL:
             return TRIVIAL
@@ -143,11 +136,7 @@ class TraceStep:
 
 def _resolve_budget(length: int, budget: int | None) -> int:
     if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        try:
-            budget = _STEPS_PER_LETTER * max(1, length) if env is None else int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+        budget = _STEPS_PER_LETTER * max(1, length)
     if budget >= 0:
         return budget
     raise ValueError(f"the step budget must be nonnegative, got {budget}")
@@ -217,10 +206,8 @@ def _reduce(word: BraidWord, budget: int | None, trace: list[TraceStep] | None) 
 def handle_reduce(word: BraidWord, budget: int | None = None) -> BraidWord:
     """Fully handle-free word representing the same braid.
 
-    The default budget is 10^6 steps per input letter; the environment
-    variable ``BRAIDLAB_BUDGET`` (an absolute step count) overrides it, and
-    an explicit ``budget`` argument overrides both.  A negative budget
-    raises :class:`ValueError`.
+    ``budget`` is an absolute step count; ``None`` means 10^6 steps per
+    input letter.  A negative budget raises :class:`ValueError`.
     """
     return _reduce(word, budget, None)
 
@@ -304,7 +291,7 @@ _UNCHANGED = {1: 1, 2: 2, 3: 3}
 def braid_compare(u: BraidWord, v: BraidWord) -> str:
     """Compare two braids in the Dehornoy ordering: u < v iff u^{-1} v is
     Dehornoy-positive; words on different strand counts raise ValueError."""
-    return dehornoy_sign(u.inverse() * v).comparison()
+    return _COMPARISON[_sign((u.inverse() * v).letters, u.strands)[0]]
 
 
 def _lift(runs: Sequence[_words.Run]) -> tuple[int, int, int]:

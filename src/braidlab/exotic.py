@@ -57,9 +57,9 @@ _EMBED_RUNS = _words.substitution_table((X_IMAGE.letters, Y_IMAGE.letters))
 class ExoticContext:
     """Which restricted order to compare in: F_2 itself, or K_n inside it.
 
-    ``n`` is None for F_2 and the index n >= 2 of K_n otherwise, checked on
-    construction; the rank of the compared words, the map down to F_2 and
-    the text form all follow from it.
+    ``n`` is None for F_2 and the index of K_n otherwise, from 2 to
+    ``freegroup.MAX_KN_INDEX`` and checked on construction; the rank of the
+    compared words, the map down to F_2 and the text form all follow from it.
     """
 
     n: int | None = None

@@ -220,9 +220,17 @@ def conj_by_sigma1() -> GroupAutomorphism:
     )
 
 
+# The largest n of K_n.  Its basis table holds n words, about 0.84 KB per n:
+# `kn-basis --json 100000` took 0.58 s and 105 MB in a fresh process capped
+# at 1 GiB, and n = 3·10^6 ran out of memory there after about 8 s.
+MAX_KN_INDEX = 100_000
+
+
 def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    if n > MAX_KN_INDEX:
+        raise ValueError(f"n must be at most {MAX_KN_INDEX}, got {n}")
 
 
 def kn_member(word: FreeWord, n: int) -> bool:
@@ -341,8 +349,15 @@ class SubgroupGraph:
         )
 
 
+MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter; 10^5 letters fold in about 0.4 s
+
+
 def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     """Build the folded core graph of the subgroup the generators produce.
+
+    Generators of more than ``MAX_GENERATOR_LETTERS`` letters in total raise
+    ValueError before any vertex is laid: the graph starts with one vertex
+    per letter.
 
     The graph lives in ``rows``, one move map per vertex as in
     :class:`SubgroupGraph`, from the first petal to the result.  Each
@@ -371,6 +386,8 @@ def stallings_graph(generators: Sequence[FreeWord]) -> SubgroupGraph:
     for gen in generators:
         if gen.rank != rank:
             raise ValueError("generators must share a rank")
+    if sum(gen.length for gen in generators) > MAX_GENERATOR_LETTERS:
+        raise ValueError(f"generators have more than {MAX_GENERATOR_LETTERS} letters in total")
 
     rows: list[dict[int, int]] = [{}]
     pending: list[tuple[int, int]] = []

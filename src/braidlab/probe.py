@@ -62,7 +62,6 @@ _CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
 _SignCore = Callable[[Sequence[_words.Run], int], tuple[str, int | None]]
 _DELTA_SQUARED = half_twist(2).letters
 _OPPOSITE = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
-MAX_GENERATOR_LETTERS = 100_000  # a graph vertex per letter; 10^5 letters fold in about 0.4 s
 # The cases of verify's braid-relation-identities check:
 # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
 _IDENTITIES = tuple(
@@ -175,9 +174,9 @@ def convexity_probe(
     enumeration order); bounds run over subgroup elements of reduced length
     up to ``max_element_length`` (default 2 * radius).  Returns the first
     witness found, or None when the radius is exhausted; None is
-    inconclusive and never proves convexity.  Generators of more than
-    ``MAX_GENERATOR_LETTERS`` letters in total, a negative radius or a
-    negative ``max_element_length`` raise ValueError.
+    inconclusive and never proves convexity.  A negative radius or a
+    negative ``max_element_length`` raises ValueError, as do generators that
+    :func:`~braidlab.freegroup.stallings_graph` refuses for their length.
 
     The search depends on the rank E - V + 1 of the folded graph, which has
     V vertices and E edges (Kapovich-Myasnikov, *Stallings foldings and
@@ -217,8 +216,6 @@ def convexity_probe(
             raise ValueError(
                 f"generator rank {gen.rank} does not match context rank {ctx.rank}"
             )
-    if sum(gen.length for gen in generators) > MAX_GENERATOR_LETTERS:
-        raise ValueError(f"generators have more than {MAX_GENERATOR_LETTERS} letters in total")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     bound = 2 * radius if max_element_length is None else max_element_length

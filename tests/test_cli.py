@@ -114,6 +114,18 @@ class TestReduce:
         code, out, _ = invoke(capsys, "sign", "s1 s2 s1^-1")
         assert code == 0 and out == "positive(1)\n"
 
+    def test_non_integer_budget_env_is_one_json_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDLAB_BUDGET", "not-a-number")
+        code, out, err = invoke(capsys, "reduce", "--json", "s1 s2 s1^-1")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "type": "domain",
+                "message": "BRAIDLAB_BUDGET must be an integer, got 'not-a-number'",
+            }
+        }
+        assert err == "error: BRAIDLAB_BUDGET must be an integer, got 'not-a-number'\n"
+
 
 class TestBurau:
     def test_identity_matrix(self, capsys):
@@ -243,6 +255,15 @@ class TestKn:
     def test_rewrite_rejects_non_member(self, capsys):
         code, _, err = invoke(capsys, "kn-rewrite", "3", "x")
         assert code == 1 and "not a member" in err
+
+    def test_rewrite_checks_the_index_first(self, capsys):
+        # One rule for n: past the index limit, before membership.
+        code, out, _ = invoke(capsys, "kn-rewrite", "--json", "3000000", "x")
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "domain",
+            "message": "n must be at most 100000, got 3000000",
+        }
 
 
 class TestExoticCompare:
@@ -417,10 +438,10 @@ class TestHelp:
         assert (code, out, err) == fresh_process(argv)
 
 
-def fresh_process(argv, module="braidlab.cli", **options):
+def fresh_process(argv, launch=("-m", "braidlab.cli"), **options):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, **options
+        [sys.executable, *launch, *argv], capture_output=True, text=True, env=env, **options
     )
     return child.returncode, child.stdout, child.stderr
 
@@ -432,9 +453,24 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def long_input(argv, out, code, seconds, id, stdin=None):
-    """A ``LONG_INPUTS`` row; ``stdin``, if given, makes the text to feed."""
-    return pytest.param(argv, out, code, seconds, stdin, id=id)
+# The command line, which at exit writes its peak resident set in kB as the
+# last word of standard error.  That is VmHWM, which exec starts afresh;
+# ru_maxrss keeps the resident set the child had as a fork of the test
+# process, so it reads the test process's size for any small command.
+METERED_CLI = (
+    "import atexit, re, runpy, sys\n"
+    "def peak():\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        print(re.search(r'VmHWM:\\s*(\\d+)', status.read())[1], file=sys.stderr)\n"
+    "atexit.register(peak)\n"
+    "runpy.run_module('braidlab.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def long_input(argv, out, code, seconds, id, stdin=None, peak_mb=None):
+    """A ``LONG_INPUTS`` row; ``stdin``, if given, makes the text to feed,
+    and ``peak_mb``, if given, bounds the child's peak resident set."""
+    return pytest.param(argv, out, code, seconds, stdin, peak_mb, id=id)
 
 
 REWRITE_LIMIT_ERROR = (
@@ -444,9 +480,9 @@ REWRITE_LIMIT_ERROR = (
 # Long inputs with short answers, as (argv, stdout, exit code, seconds, stdin).
 # Each time bound is at least 10x the time measured on a 2-core VM (0.38 s,
 # 0.15 s, 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s,
-# 0.65 s, 1.8 s and 0.25 s), so a slow shared machine does not fail a row,
-# while an input whose cost grows with its letters rather than its runs still
-# does.
+# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s and 0.65 s), so a slow shared
+# machine does not fail a row, while an input whose cost grows with its
+# letters rather than its runs still does.
 LONG_INPUTS = [
     long_input(
         ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
@@ -535,22 +571,60 @@ LONG_INPUTS = [
     long_input(
         ["unembed", "--json", "--stdin"],
         '{"error": {"line": 1, "message": "word text takes at most 8388608 characters, '
-        'got 44999999", "type": "domain"}}\n',
+        'got 8388610", "type": "domain"}}\n',
         1,
         5,
         id="unembed-stdin-over-text-limit",
         stdin=lambda: " ".join(["s2 s1^-1"] * 5_000_000) + "\n",
+        # A line is read to at most the limit and two characters: 32 MB
+        # peak, where reading the whole line took 117 MB.
+        peak_mb=64,
+    ),
+    # The K_n index: a table of n basis words is built only up to its limit
+    # (at 3·10^6 these ran out of memory after about 8 s).
+    long_input(
+        ["kn-basis", "--json", "3000000"],
+        '{"error": {"message": "n must be at most 100000, got 3000000", "type": "domain"}}\n',
+        1,
+        5,
+        id="kn-basis-over-index-limit",
+    ),
+    long_input(
+        ["probe-convexity", "--json", "--ctx", "kn:3000000", "--gens", "g1", "--radius", "1"],
+        '{"error": {"message": "bad context \'kn:3000000\': n must be at most 100000, '
+        'got 3000000", "type": "usage"}}\n',
+        2,
+        5,
+        id="probe-over-index-limit",
+    ),
+    long_input(
+        ["kn-basis", "--json", "100000"],
+        json.dumps(
+            {
+                "basis": ["y", "x^99999", "x y x^99998"]
+                + [f"x^{i} y x^{99999 - i}" for i in range(2, 99998)]
+                + ["x^99998 y x"]
+            }
+        )
+        + "\n",
+        0,
+        10,
+        id="kn-basis-at-index-limit",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, out, code, seconds, stdin", LONG_INPUTS)
-def test_long_input(argv, out, code, seconds, stdin):
+@pytest.mark.parametrize("argv, out, code, seconds, stdin, peak_mb", LONG_INPUTS)
+def test_long_input(argv, out, code, seconds, stdin, peak_mb):
     """Each row answers in a fresh process with its address space capped
     and within its time bound; a hang fails by ``TimeoutExpired``."""
     text = stdin() if stdin else None
-    got_code, got_out, _ = fresh_process(argv, input=text, timeout=seconds, preexec_fn=cap_memory)
+    got_code, got_out, err = fresh_process(
+        argv, ("-c", METERED_CLI), input=text, timeout=seconds, preexec_fn=cap_memory
+    )
     assert (got_code, got_out) == (code, out)
+    if peak_mb is not None:
+        assert int(err.split()[-1]) / 1024 < peak_mb
 
 
 def test_long_automorphism_power():
@@ -568,11 +642,11 @@ class TestRunAsModule:
     """``python -m braidlab`` runs the command line from a plain checkout."""
 
     def test_help(self):
-        code, out, err = fresh_process(["--help"], module="braidlab")
+        code, out, err = fresh_process(["--help"], ("-m", "braidlab"))
         assert code == 0 and out.startswith("usage: braidlab") and err == ""
 
     def test_sign_json(self):
-        code, out, err = fresh_process(["sign", "--json", "s1 s2^-1"], module="braidlab")
+        code, out, err = fresh_process(["sign", "--json", "s1 s2^-1"], ("-m", "braidlab"))
         assert code == 0 and err == ""
         assert json.loads(out) == {"kind": "positive", "main_index": 1}
 

@@ -21,6 +21,7 @@ from braidlab import (
     ExoticContext,
     FreeWord,
     GroupAutomorphism,
+    braid_compare,
     braid_equal,
     commutator_rewrite,
     conj_by_sigma1,
@@ -401,7 +402,7 @@ class TestExoticCompareOnRuns:
     @example((CONTEXTS[-1], FreeWord(8), FreeWord(8)))
     def test_matches_word_level_path(self, case):
         ctx, u, v = case
-        expected = dehornoy_sign(embed(ctx.to_f2(u.inverse() * v))).comparison()
+        expected = braid_compare(BraidWord(3), embed(ctx.to_f2(u.inverse() * v)))
         assert exotic_compare(u, v, ctx) == expected
 
     @pytest.mark.parametrize(
@@ -444,6 +445,9 @@ DOMAIN_ERRORS = {
     f"context-n-{n}": (lambda n=n: ExoticContext(n), ValueError, f"n must be at least 2, got {n}")
     for n in (0, 1, -3)
 }
+DOMAIN_ERRORS["context-past-index-limit"] = (
+    lambda: ExoticContext(100_001), ValueError, "n must be at most 100000, got 100001"
+)
 # The shortest zero-sum braid over the limit, refused before the scan.
 DOMAIN_ERRORS["rewrite-letter-limit"] = (
     lambda: commutator_rewrite(BraidWord(3, ((2, 500_001), (1, -500_000), (2, -1)))),

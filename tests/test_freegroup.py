@@ -897,6 +897,15 @@ DOMAIN_ERRORS = {
         ValueError,
         "abelianization matrix is only provided for rank 2",
     ),
+    # One index past the limit, refused before any table is built.
+    "kn-index-limit": (
+        lambda: kn_basis(100_001), ValueError, "n must be at most 100000, got 100001"
+    ),
+    "stallings-letter-limit": (
+        lambda: stallings_graph([FreeWord(2, ((1, 1_000_000_000),))]),
+        ValueError,
+        "generators have more than 100000 letters in total",
+    ),
     "kn-member-rank": (
         lambda: kn_member(Z3, 3), ValueError, "K_n membership is defined for rank-2 words"
     ),

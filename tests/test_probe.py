@@ -333,7 +333,7 @@ class TestConvexityProbe:
 
 
     def test_generator_letters_are_bounded(self):
-        from braidlab.probe import MAX_GENERATOR_LETTERS
+        from braidlab.freegroup import MAX_GENERATOR_LETTERS
 
         half = MAX_GENERATOR_LETTERS // 2
         for gens in (["x^1000000000"], [f"x^{half}", f"y^-{half + 1}"]):
@@ -396,6 +396,15 @@ class TestConvexityProbe:
         assert convexity_probe(generators, F2, 9, max_element_length=4) == expected
         assert expected is None
         assert compares == [] and memberships == []
+
+    def test_member_scan_exhausts_the_radius(self):
+        # Rank 2 with members x^±2 and y^±2 within the bound, but the ball of
+        # radius 0 holds no candidate: the member scan runs out of the ball.
+        generators = [parse_free("x^2"), parse_free("y^2")]
+        expected = reference_convexity_scan(generators, F2, 0, 2)
+        assert stallings_graph(generators).cycle_rank() == 2
+        assert convexity_probe(generators, F2, 0, max_element_length=2) == expected
+        assert expected is None
 
     @pytest.mark.parametrize("gens", [["x", "y"], [""], ["x"]])
     def test_negative_radius(self, gens):
@@ -876,6 +885,20 @@ class TestLemmaSuite:
         report = lemma_suite(seed=1, trials=25, _sign_fn=SIGN_MUTANTS[mutant])
         assert not report.passed
         assert [len(check.failures) for check in report.checks] == expected
+
+    def test_text_report_lists_witnesses(self):
+        # Each failing check shows its failure count and its first three
+        # failures as witness lines; a passing check shows none.
+        report = lemma_suite(seed=1, trials=25, _sign_fn=SIGN_MUTANTS["negated"])
+        lines = report.to_text().splitlines()
+        assert lines[-1] == "result: fail"
+        heads = [i for i, line in enumerate(lines) if line.startswith("  ") and line[2] != " "]
+        assert len(heads) == len(report.checks)
+        for check, head, end in zip(report.checks, heads, heads[1:] + [len(lines) - 1]):
+            status = "pass" if check.passed else f"FAIL ({len(check.failures)} failures)"
+            assert lines[head].startswith(f"  {check.name}: {status} [")
+            assert lines[head + 1 : end] == [f"    witness: {f}" for f in check.failures[:3]]
+        assert {len(check.failures) for check in report.checks} >= {0, 4, 25}
 
     def test_same_seed_identical_reports(self):
         first = json.dumps(lemma_suite(3, 12).to_json_dict(), sort_keys=True)
