@@ -81,8 +81,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(
             f"handle reduction exceeded {steps} steps on a word of length {word.length}"
         )
-        self.word = word
-        self.steps = steps
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,9 +11,9 @@ a single conjugation in B_3 followed by a single rewrite.
 
 Comparison works on runs from start to finish, since it is the inner step
 of every probe search: the difference u^-1 v is one seam-only concatenation,
-a K_n difference is substituted down to F_2 with the cached basis table, the
-image in B_3 comes from the run loop behind :func:`embed`, and the sign core
-behind :func:`~braidlab.dehornoy.dehornoy_sign` gives the verdict.  No
+a K_n difference is substituted down to F_2 by the closed form of the basis,
+the image in B_3 comes from the run loop behind :func:`embed`, and the sign
+core behind :func:`~braidlab.dehornoy.dehornoy_sign` gives the verdict.  No
 intermediate word object is built and nothing is validated twice.
 
 The inverse rewriting is a Reidemeister-Schreier scan over the transversal
@@ -36,7 +36,7 @@ import dataclasses
 
 from . import _words, dehornoy
 from .braid import BraidWord, exponent_sum, half_twist
-from .freegroup import FreeWord, _check_n, _kn_table, kn_substitute, parse_free
+from .freegroup import FreeWord, _check_n, _kn_runs, parse_free
 
 __all__ = [
     "ExoticContext",
@@ -86,7 +86,12 @@ class ExoticContext:
 
     def to_f2(self, word: FreeWord) -> FreeWord:
         self._check_rank(word.rank)
-        return word if self.n is None else kn_substitute(word, self.n)
+        return word if self.n is None else FreeWord._reduced(2, self._f2_runs(word.letters))
+
+    def _f2_runs(self, runs: _words.Runs) -> _words.Runs:
+        """Reduced runs of this context's rank as reduced runs of F_2: the
+        runs themselves, or their image over the K_n basis."""
+        return runs if self.n is None else _kn_runs(runs, self.n)
 
     def __str__(self) -> str:
         return "f2" if self.n is None else f"kn:{self.n}"
@@ -204,19 +209,17 @@ def exotic_compare(u: FreeWord, v: FreeWord, ctx: ExoticContext | None = None) -
 
     u < v exactly when the embedding of u^-1 v is Dehornoy-positive.  The
     whole path works on runs, with no intermediate word object: the
-    difference u^-1 v is one seam-only :func:`_words.concat`, a K_n
-    difference is substituted down to F_2 with the cached basis table, the
-    image in B_3 is built by the loop of :func:`embed`, and its sign comes
-    from the sign core of :func:`~braidlab.dehornoy.dehornoy_sign`.  Words
-    of different ranks, or of a rank other than the context's, raise the
+    difference u^-1 v is one seam-only :func:`_words.concat`, the context
+    maps it down to F_2 (:meth:`ExoticContext._f2_runs`, the closed form of
+    the K_n basis in a K_n context), the image in B_3 is built by the loop
+    of :func:`embed`, and its sign comes from the sign core of
+    :func:`~braidlab.dehornoy.dehornoy_sign`.  Words of different ranks, or of a rank other than the context's, raise the
     ``ValueError`` of ``u.inverse() * v`` and :meth:`ExoticContext.to_f2`.
     """
     ctx = ctx or ExoticContext.f2()
     FreeWord._check_bounds(u.rank, v.rank)
     ctx._check_rank(u.rank)
-    difference = _words.concat(_words.invert(u.letters), v.letters)
-    if ctx.n is not None:
-        difference = _words.substitute(difference, _kn_table(ctx.n))
+    difference = ctx._f2_runs(_words.concat(_words.invert(u.letters), v.letters))
     return dehornoy._COMPARISON[dehornoy._sign(_embed_runs(difference), 3)[0]]
 
 

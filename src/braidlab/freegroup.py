@@ -26,7 +26,6 @@ whitespace separated; rank-2 words also admit the compact alphabet
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Sequence
 
 from . import _words
@@ -220,9 +219,10 @@ def conj_by_sigma1() -> GroupAutomorphism:
     )
 
 
-# The largest n of K_n.  Its basis table holds n words, about 0.84 KB per n:
-# `kn-basis --json 100000` took 0.58 s and 105 MB in a fresh process capped
-# at 1 GiB, and n = 3·10^6 ran out of memory there after about 8 s.
+# The largest n of K_n.  It bounds the n words kn_basis returns and the
+# rank-n rose a probe walks: `kn-basis --json 100000` took 0.48 s and 59 MB
+# in a fresh process capped at 1 GiB, and n = 3·10^6 ran out of memory there
+# after about 8.6 s (2-core VM).
 MAX_KN_INDEX = 100_000
 
 
@@ -245,23 +245,33 @@ def kn_basis(n: int) -> list[FreeWord]:
     """The rank-n basis [y, x^{n-1}, x y x^{n-2}, ..., x^{n-2} y x] of K_n.
 
     For 1 <= i <= n-2, x^i y x^{n-1-i} is the Schreier generator x^i y x^-i
-    right-multiplied by x^{n-1}.  Each call returns a fresh list, read off
-    the substitution table built once per n.
-    """
-    return [FreeWord._reduced(2, image) for _, image in _kn_table(n).values()]
-
-
-@functools.lru_cache(maxsize=64)
-def _kn_table(n: int) -> dict[int, tuple[_words.Runs, _words.Runs]]:
-    """The :func:`_words.substitute` table of the K_n basis.
-
-    The literal runs go through :func:`_words.normalize`, which also makes
-    every small run the shared run object.
+    right-multiplied by x^{n-1}.  Each call builds a fresh list, the images
+    of the letters g1 .. gn under :func:`_kn_runs`.
     """
     _check_n(n)
-    conjugates = (((1, i), (2, 1), (1, n - 1 - i)) for i in range(1, n - 1))
-    basis = (((2, 1),), ((1, n - 1),), *conjugates)
-    return _words.substitution_table(_words.normalize(runs) for runs in basis)
+    return [FreeWord._reduced(2, _kn_runs(((i, 1),), n)) for i in range(1, n + 1)]
+
+
+def _kn_runs(runs: _words.Runs, n: int) -> _words.Runs:
+    """The runs in F_2 of rank-n ``runs`` over the K_n basis, normalized once.
+
+    The one map from K_n to F_2, in closed form: g1^e is y^e, g2^e is
+    x^((n-1)e), and g_{i+2}^e is x^i y x^(n-1-i) written e times, or
+    x^-(n-1-i) y^-1 x^-i written -e times.  The caller has checked n.
+    """
+    out: list[_words.Run] = []
+    for index, exponent in runs:
+        if index == 1:
+            out.append((2, exponent))
+        elif index == 2:
+            out.append((1, (n - 1) * exponent))
+        else:
+            i = index - 2
+            if exponent > 0:
+                out.extend(((1, i), (2, 1), (1, n - 1 - i)) * exponent)
+            else:
+                out.extend(((1, i + 1 - n), (2, -1), (1, -i)) * -exponent)
+    return _words.normalize(out)
 
 
 # The most runs kn_rewrite emits for y-runs off the trivial coset, two per
@@ -311,7 +321,7 @@ def kn_substitute(word: FreeWord, n: int) -> FreeWord:
     _check_n(n)
     if word.rank != n:
         raise ValueError(f"expected a rank-{n} word, got rank {word.rank}")
-    return FreeWord._reduced(2, _words.substitute(word.letters, _kn_table(n)))
+    return FreeWord._reduced(2, _kn_runs(word.letters, n))
 
 
 class SubgroupGraph:

@@ -31,14 +31,7 @@ from .braid import BraidWord, half_twist
 from .dehornoy import _COMPARISON, EQUAL, GREATER, LESS, OrderVerdict, POSITIVE
 from .burau import braid_equal
 from .exotic import ExoticContext, _embed_runs, exotic_compare
-from .freegroup import (
-    FreeWord,
-    SubgroupGraph,
-    _kn_table,
-    parse_free,
-    stallings_graph,
-    subgroup_contains,
-)
+from .freegroup import FreeWord, SubgroupGraph, parse_free, stallings_graph, subgroup_contains
 
 __all__ = [
     "ball",
@@ -176,7 +169,9 @@ def convexity_probe(
     witness found, or None when the radius is exhausted; None is
     inconclusive and never proves convexity.  A negative radius or a
     negative ``max_element_length`` raises ValueError, as do generators that
-    :func:`~braidlab.freegroup.stallings_graph` refuses for their length.
+    :func:`~braidlab.freegroup.stallings_graph` refuses (none, of mixed
+    ranks, or too many letters) and those of a rank other than the
+    context's.
 
     The search depends on the rank E - V + 1 of the folded graph, which has
     V vertices and E edges (Kapovich-Myasnikov, *Stallings foldings and
@@ -209,19 +204,13 @@ def convexity_probe(
       the powers between; of p and p^-1, the one not enumerated first is
       also built only when a candidate needs it.
     """
-    if not generators:
-        raise ValueError("at least one generator word is required")
-    for gen in generators:
-        if gen.rank != ctx.rank:
-            raise ValueError(
-                f"generator rank {gen.rank} does not match context rank {ctx.rank}"
-            )
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     bound = 2 * radius if max_element_length is None else max_element_length
     if bound < 0:
         raise ValueError(f"max_element_length must be nonnegative, got {bound}")
     graph = stallings_graph(list(generators))
+    ctx._check_rank(graph.rank)
     if graph.num_vertices == 1 and len(graph.moves[0]) == 2 * ctx.rank:
         return None
     elements = subgroup_elements(graph, bound)
@@ -453,25 +442,23 @@ def _sample_positive_commutator_base(
     rng: random.Random,
     max_length: int,
     sign_of: _SignCore,
-    n: int | None = None,
+    ctx: ExoticContext,
 ) -> tuple[_words.Runs, _words.Runs] | None:
-    """Rejection-sample a 1-positive element of [B3, B3] (or K_n) that does
-    not commute with σ2, as the runs of its rank-2 word and of its image
-    under :func:`~braidlab.exotic.embed`; None after 1,000 draws (with the
-    Dehornoy sign, 100,000 sampled bases took at most 22 draws each).
+    """Rejection-sample a 1-positive element of [B3, B3] that does not
+    commute with σ2 and lies in the context's group, F_2 or K_n, as the runs
+    of its rank-2 word and of its image under :func:`~braidlab.exotic.embed`;
+    None after 1,000 draws (with the Dehornoy sign, 100,000 sampled bases
+    took at most 22 draws each).
 
-    A draw stays runs from start to finish: a K_n draw is substituted down
-    to F_2 with the cached basis table, the image comes from the run loop of
+    A draw stays runs from start to finish: a word of the context's rank is
+    mapped down to F_2 by the context, the image comes from the run loop of
     embed, and ``sign_of`` is the sign core or ``lemma_suite``'s
     ``_sign_fn`` hook, which has its type.  The words are those of
-    :func:`random_free_word`, :func:`~braidlab.freegroup.kn_substitute` and
-    embed on the same substream.
+    :func:`random_free_word`, :meth:`~braidlab.exotic.ExoticContext.to_f2`
+    and embed on the same substream.
     """
     for _ in range(1_000):
-        if n is None:
-            word = _random_runs(rng, max_length, 2)
-        else:
-            word = _words.substitute(_random_runs(rng, max_length, n), _kn_table(n))
+        word = ctx._f2_runs(_random_runs(rng, max_length, ctx.rank))
         braid = _embed_runs(word)
         if sign_of(braid, 3) != (POSITIVE, 1) or _centralizes_sigma2(word):
             continue
@@ -590,7 +577,7 @@ def lemma_suite(
     def sandwich_f2(trial: int, rng: random.Random) -> dict | None:
         """For 1-positive β in [B3, B3] not commuting with σ2 and k > 0:
         1 < β σ2^k β^-1 σ2^-k < β."""
-        sampled_base = _sample_positive_commutator_base(rng, 12, sign_of)
+        sampled_base = _sample_positive_commutator_base(rng, 12, sign_of, ExoticContext.f2())
         if sampled_base is None:
             return {"trial": trial, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
@@ -604,7 +591,7 @@ def lemma_suite(
         """The K_n version: σ2^6 = embed(x y^-1 x^-1 y)^-1 Δ^2 and Δ^2 is central, so the
         commutator stays in K_n (x-exponent sum 0); the sandwich inequalities persist."""
         n = (3, 4, 5)[trial % 3]
-        sampled_base = _sample_positive_commutator_base(rng, 6, sign_of, n=n)
+        sampled_base = _sample_positive_commutator_base(rng, 6, sign_of, ExoticContext.kn(n))
         if sampled_base is None:
             return {"trial": trial, "n": n, "error": "rejection sampling exhausted"}
         word, beta = sampled_base

@@ -480,7 +480,7 @@ REWRITE_LIMIT_ERROR = (
 # Long inputs with short answers, as (argv, stdout, exit code, seconds, stdin).
 # Each time bound is at least 10x the time measured on a 2-core VM (0.38 s,
 # 0.15 s, 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s,
-# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s and 0.65 s), so a slow shared
+# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s, 0.48 s and 0.09 s), so a slow shared
 # machine does not fail a row, while an input whose cost grows with its
 # letters rather than its runs still does.
 LONG_INPUTS = [
@@ -580,8 +580,8 @@ LONG_INPUTS = [
         # peak, where reading the whole line took 117 MB.
         peak_mb=64,
     ),
-    # The K_n index: a table of n basis words is built only up to its limit
-    # (at 3·10^6 these ran out of memory after about 8 s).
+    # The K_n index: a basis of n words, or a probe's rose of 2n loops, is
+    # built only up to its limit.
     long_input(
         ["kn-basis", "--json", "3000000"],
         '{"error": {"message": "n must be at most 100000, got 3000000", "type": "domain"}}\n',
@@ -610,6 +610,19 @@ LONG_INPUTS = [
         0,
         10,
         id="kn-basis-at-index-limit",
+        # The basis and its text: 59 MB peak, where a cached table of the
+        # basis took 105 MB.
+        peak_mb=80,
+    ),
+    # A comparison at the index limit maps two letters, not the basis: 17 MB
+    # peak, where building the basis table first took 99 MB.
+    long_input(
+        ["exotic-compare", "--json", "--ctx", "kn:100000", "g1", "g1^2"],
+        '{"ctx": "kn:100000", "result": "less"}\n',
+        0,
+        5,
+        id="exotic-compare-at-index-limit",
+        peak_mb=40,
     ),
 ]
 

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from braidlab import (
     NAMED_CONJUGATORS,
+    ExoticContext,
     FreeWord,
     GroupAutomorphism,
     IntMatrix2,
@@ -24,6 +25,7 @@ from braidlab import (
     conj_by_sigma1,
     conj_by_sigma2,
     embed,
+    exotic_compare,
     flip_generators,
     half_twist,
     kn_basis,
@@ -38,8 +40,8 @@ from braidlab import (
     subgroup_contains,
     substitute,
 )
-from braidlab import freegroup
-from braidlab.freegroup import SubgroupGraph
+from braidlab import _words, freegroup
+from braidlab.freegroup import MAX_KN_INDEX, SubgroupGraph
 from test_exotic import line_counts
 
 
@@ -456,6 +458,77 @@ class TestKnBasis:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_stallings_rank_is_n(self, n):
         assert stallings_graph(kn_basis(n)).cycle_rank() == n
+
+
+def reference_kn_table(n, letters=None):
+    """The reference that ``freegroup._kn_runs`` is checked against: the
+    ``_words.substitute`` table of the K_n basis that the library once
+    cached per n, each basis word written as literal runs and normalized,
+    next to its inverse.  Only ``letters`` when given, so that a large n
+    needs no table of n entries."""
+    table = {}
+    for i in range(1, n + 1) if letters is None else letters:
+        if i == 1:
+            runs = ((2, 1),)
+        elif i == 2:
+            runs = ((1, n - 1),)
+        else:
+            runs = ((1, i - 2), (2, 1), (1, n + 1 - i))
+        image = _words.normalize(runs)
+        table[i] = (_words.invert(image), image)
+    return table
+
+
+class TestKnRuns:
+    """The one closed-form map from K_n words to F_2 against the reference
+    table, and the memory it leaves behind."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_reference_table(self, n):
+        table = reference_kn_table(n)
+        rng = random.Random(f"kn-runs/{n}")
+        for _ in range(1_000):
+            runs = random_free_word(rng, 12, rank=n).letters
+            assert freegroup._kn_runs(runs, n) == _words.substitute(runs, table), runs
+
+    @pytest.mark.parametrize("n", [MAX_KN_INDEX - 1, MAX_KN_INDEX])
+    def test_matches_reference_table_near_the_index_limit(self, n):
+        rng = random.Random(f"kn-runs-large/{n}")
+        letters = [1, 2, 3, 4, n - 1, n, *(rng.randint(5, n - 2) for _ in range(4))]
+        table = reference_kn_table(n, letters)
+        for _ in range(300):
+            runs = FreeWord(
+                n,
+                tuple(
+                    (rng.choice(letters), rng.choice((1, -1)) * rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 6))
+                ),
+            ).letters
+            assert freegroup._kn_runs(runs, n) == _words.substitute(runs, table), runs
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_basis_is_the_reference_images(self, n):
+        images = [image for _, image in reference_kn_table(n).values()]
+        assert [word.letters for word in kn_basis(n)] == images
+
+    def test_nothing_is_held_per_n(self):
+        # Each call builds what it returns and nothing more: a table kept
+        # per n held about 63 MB at each n near the index limit.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in (MAX_KN_INDEX, MAX_KN_INDEX - 1):
+                basis = kn_basis(n)
+                image = kn_substitute(FreeWord(n, ((n, 2), (1, -1))), n)
+                verdict = exotic_compare(
+                    FreeWord(n, ((1, 1),)), FreeWord(n, ((1, 2),)), ExoticContext.kn(n)
+                )
+                assert (len(basis), image.rank, verdict) == (n, 2, "less")
+                del basis, image
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2**21
 
 
 def reference_kn_rewrite(word, n):

@@ -666,7 +666,9 @@ class TestSandwichKnCommutator:
 
         rng = random.Random(f"sandwich-kn/{n}")
         for _ in range(200):
-            word, runs = _sample_positive_commutator_base(rng, 6, dehornoy._sign, n)
+            word, runs = _sample_positive_commutator_base(
+                rng, 6, dehornoy._sign, ExoticContext.kn(n)
+            )
             beta = BraidWord(3, runs)
             for k in (1, 2):
                 sigma2 = BraidWord(3, ((2, 6 * k),))
@@ -706,10 +708,11 @@ class TestSamplerRuns:
     def test_matches_object_path(self, n, max_length):
         from braidlab.probe import _sample_positive_commutator_base
 
+        ctx = ExoticContext(n)
         for trial in range(2_000):
             rng = random.Random(f"sampler/{n}/{trial}")
             ref = random.Random(f"sampler/{n}/{trial}")
-            word, beta = _sample_positive_commutator_base(rng, max_length, dehornoy._sign, n)
+            word, beta = _sample_positive_commutator_base(rng, max_length, dehornoy._sign, ctx)
             ref_word, ref_beta = reference_positive_commutator_base(ref, max_length, n)
             assert (word, beta) == (ref_word.letters, ref_beta.letters), (n, trial)
             assert rng.getstate() == ref.getstate()
@@ -923,12 +926,12 @@ DOMAIN_ERRORS = {
     "probe-without-generators": (
         lambda: convexity_probe([], F2, 1),
         ValueError,
-        "at least one generator word is required",
+        "at least one generator word is required (it may be trivial)",
     ),
     "probe-context-rank": (
         lambda: convexity_probe([FreeWord(3, ((1, 1),))], F2, 1),
         ValueError,
-        "generator rank 3 does not match context rank 2",
+        "word rank 3 does not match context rank 2",
     ),
 }
 
