@@ -15,6 +15,10 @@ This is the independent n = 3 oracle: the tests and the ``verify`` checks
 of braid identities and trichotomy cross-check other methods against it,
 and the ``burau`` command prints it.  Signs, comparisons and commutation
 are decided by Dynnikov coordinates (:mod:`braidlab.dynnikov`) instead.
+The determinant of the image is (-t)^s, s the exponent sum, so
+:func:`braid_equal` answers a pair with different sums without packing
+either image.  Both callers of the packing refuse words of more than
+``MAX_BURAU_LETTERS`` letters, since the image's size grows with the letters.
 
 The packed integers below are the only Burau arithmetic.  :func:`burau_matrix`
 decodes them into records with no ring operations: a :class:`LaurentMatrix`
@@ -70,7 +74,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .braid import BraidWord
+from .braid import BraidWord, exponent_sum
 
 __all__ = ["LaurentPoly", "LaurentMatrix", "burau_matrix", "braid_equal"]
 
@@ -104,8 +108,23 @@ def _check(word: BraidWord) -> None:
         raise ValueError("the reduced Burau oracle is specific to 3 strands")
 
 
+# The most letters a word may have for :func:`_pack`, checked once by
+# :func:`_width` before every packing.  `burau --json s1^100000` took 0.24 s
+# with a 37 MB peak in a fresh process capped at 1 GiB (2-core VM);
+# s1^1000000 took 1.7 s and 220 MB, and four runs of 250,000 letters each
+# took 6.6 s and 870 MB.  At 10^7 letters the decode ran out of memory.
+MAX_BURAU_LETTERS = 100_000
+
+
 def _width(*words: BraidWord) -> int:
-    """B + 2 rounded up to whole bytes, for the largest B of the words."""
+    """B + 2 rounded up to whole bytes, for the largest B of the words.
+
+    A word of more than ``MAX_BURAU_LETTERS`` letters raises ValueError."""
+    longest = max(word.length for word in words)
+    if longest > MAX_BURAU_LETTERS:
+        raise ValueError(
+            f"the Burau image takes at most {MAX_BURAU_LETTERS} letters, got {longest}"
+        )
     bound = max(sum(abs(n).bit_length() for _, n in word.letters) for word in words)
     return (bound + 9) // 8 * 8
 
@@ -214,7 +233,8 @@ def burau_matrix(word: BraidWord) -> LaurentMatrix:
     """Reduced Burau image of a three-strand braid word.
 
     The empty word maps to the identity.  The image is packed at the width
-    of :func:`_width` (see the module docstring) and decoded once.
+    of :func:`_width` (see the module docstring) and decoded once.  A word
+    of more than ``MAX_BURAU_LETTERS`` letters raises ValueError.
     """
     _check(word)
     k = _width(word)
@@ -226,14 +246,22 @@ def burau_matrix(word: BraidWord) -> LaurentMatrix:
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     """Whether two three-strand words represent the same braid.
 
-    Both images are packed at one common width.  t^-e P = t^-f Q exactly when
-    t^(f-e) P = Q for e <= f, so the image with fewer inverse letters is
-    shifted left by k (f - e) and the four integers are compared without
-    decoding.  Correctness rests on the faithfulness of the representation
-    for three strands.
+    Words with different exponent sums are unequal braids, and are answered
+    with no packing: the image of a word of exponent sum s has determinant
+    (-t)^s, the product of the determinants -t and (-t)^-1 of its letters,
+    so equal images have equal sums.
+
+    Otherwise both images are packed at one common width.  t^-e P = t^-f Q
+    exactly when t^(f-e) P = Q for e <= f, so the image with fewer inverse
+    letters is shifted left by k (f - e) and the four integers are compared
+    without decoding.  Correctness rests on the faithfulness of the
+    representation for three strands.  A pair with equal sums and a word of
+    more than ``MAX_BURAU_LETTERS`` letters raises ValueError.
     """
     _check(u)
     _check(v)
+    if exponent_sum(u) != exponent_sum(v):
+        return False
     k = _width(u, v)
     e, *p = _pack(u, k)
     f, *q = _pack(v, k)

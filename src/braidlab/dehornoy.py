@@ -7,7 +7,10 @@ representative for some i.  Signs and commutation are decided here from
 Dynnikov coordinates (:mod:`braidlab.dynnikov`), for every strand count,
 with a number of coordinate updates linear in the runs of the word.  The
 cofinal bound of a three-strand word is read off the lifted SL(2, Z) action
-of :func:`_lift`, in one pass and with no comparison.
+of :func:`_lift`, in one pass and with no comparison, and so is the
+three-strand sign of :func:`_lifted_sign`: the sandwich samplers of
+``verify`` accept their 1-positive bases by it, so they do not depend on the
+sign function under test.
 
 A *handle* is a subword σ_i^e v σ_i^{-e} (e = +/-1) whose interior v uses
 only generator indices > i.  Handle reduction removes handles while
@@ -327,6 +330,23 @@ def _lift(runs: Sequence[_words.Run]) -> tuple[int, int, int]:
         else:
             b -= k * a
     return a, b, c
+
+
+def _lifted_sign(runs: Sequence[_words.Run]) -> tuple[str, int | None]:
+    """Kind and main index of the braid of reduced three-strand ``runs``,
+    read from the lifted angle Θ of :func:`_lift`, whose docstring proves
+    it: Θ > 0 is 1-positive, Θ < 0 is 1-negative, and Θ = 0 is the power of
+    σ2 whose exponent is the exponent sum of the word.  Independent of
+    Dynnikov coordinates and of handle reduction, so it checks both."""
+    a, b, c = _lift(runs)
+    if c > 0 or (c == 0 and (a > 0 or a == 0 > b)):
+        return POSITIVE, 1
+    if c < 0 or a < 0:  # c <= 0 here
+        return NEGATIVE, 1
+    total = sum(k for _, k in runs)
+    if total == 0:
+        return TRIVIAL, None
+    return (POSITIVE if total > 0 else NEGATIVE), 2
 
 
 def cofinal_bound(word: BraidWord) -> int:

@@ -21,14 +21,13 @@ order or concurrency cannot change a report.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import random
 from typing import Callable, Iterator, Sequence
 
 from . import _words, dehornoy
 from .braid import BraidWord, half_twist
-from .dehornoy import _COMPARISON, EQUAL, GREATER, LESS, OrderVerdict, POSITIVE
+from .dehornoy import _COMPARISON, EQUAL, GREATER, LESS, OrderVerdict, POSITIVE, _lifted_sign
 from .burau import braid_equal
 from .exotic import ExoticContext, _embed_runs, exotic_compare
 from .freegroup import FreeWord, SubgroupGraph, parse_free, stallings_graph, subgroup_contains
@@ -85,10 +84,11 @@ def ball(rank: int, radius: int) -> Iterator[FreeWord]:
     yield from subgroup_elements(rose, radius)
 
 
-@functools.lru_cache(maxsize=64)
 def _rose(rank: int) -> SubgroupGraph:
-    """The one-vertex graph of F_rank, a loop per letter, built once per rank;
-    its moves are in the order :func:`stallings_graph` gives a free basis."""
+    """The one-vertex graph of F_rank, a loop per letter; its moves are in
+    the order :func:`stallings_graph` gives a free basis.  It is built on
+    each call, in 2.0-4.1 µs at ranks 2 to 8 (best of 5, 2-core VM): kept
+    per rank, it would hold about 18 MB a rank near the K_n index limit."""
     top = FreeWord._top_index(rank)
     return SubgroupGraph(rank, ({key: 0 for i in range(1, top + 1) for key in (i, -i)},))
 
@@ -382,8 +382,9 @@ class CheckResult:
     ``sign`` reads the runs with the sign core of
     :func:`~braidlab.dehornoy.dehornoy_sign`, or with the ``_sign_fn`` test
     hook, which has the same type.  The rejection draws of the sandwich
-    samplers sign through the uncounted sign function and add nothing;
-    counting them changes every report (ROADMAP items 3 and 10)."""
+    samplers are signed by the lifted angle of
+    :func:`~braidlab.dehornoy._lifted_sign`, outside ``sign``, and add
+    nothing; counting them changes every report (ROADMAP items 3 and 10)."""
 
     name: str
     samples: int
@@ -439,28 +440,27 @@ class ExperimentReport:
 
 
 def _sample_positive_commutator_base(
-    rng: random.Random,
-    max_length: int,
-    sign_of: _SignCore,
-    ctx: ExoticContext,
+    rng: random.Random, max_length: int, ctx: ExoticContext
 ) -> tuple[_words.Runs, _words.Runs] | None:
     """Rejection-sample a 1-positive element of [B3, B3] that does not
     commute with σ2 and lies in the context's group, F_2 or K_n, as the runs
     of its rank-2 word and of its image under :func:`~braidlab.exotic.embed`;
-    None after 1,000 draws (with the Dehornoy sign, 100,000 sampled bases
-    took at most 22 draws each).
+    None after 1,000 draws (100,000 sampled bases took at most 22 draws
+    each).
 
     A draw stays runs from start to finish: a word of the context's rank is
-    mapped down to F_2 by the context, the image comes from the run loop of
-    embed, and ``sign_of`` is the sign core or ``lemma_suite``'s
-    ``_sign_fn`` hook, which has its type.  The words are those of
-    :func:`random_free_word`, :meth:`~braidlab.exotic.ExoticContext.to_f2`
-    and embed on the same substream.
+    mapped down to F_2 by the context, and the image comes from the run loop
+    of embed.  1-positivity is read off the lifted angle of
+    :func:`~braidlab.dehornoy._lifted_sign`, not from the sign function that
+    ``lemma_suite`` tests, so a broken sign meets truly 1-positive bases.
+    The words are those of :func:`random_free_word`,
+    :meth:`~braidlab.exotic.ExoticContext.to_f2` and embed on the same
+    substream.
     """
     for _ in range(1_000):
         word = ctx._f2_runs(_random_runs(rng, max_length, ctx.rank))
         braid = _embed_runs(word)
-        if sign_of(braid, 3) != (POSITIVE, 1) or _centralizes_sigma2(word):
+        if _lifted_sign(braid) != (POSITIVE, 1) or _centralizes_sigma2(word):
             continue
         return word, tuple(braid)
     return None
@@ -524,15 +524,17 @@ def lemma_suite(
     eight checks, in report order, this many times:
 
     - the negated sign: 25 25 25 0 4 25 0 0;
-    - the sign of the first run of the main index: 20 0 0 0 0 11 9 0;
-    - the sign of the last run of the main index: 0 18 15 0 0 11 9 0;
+    - the sign of the first run of the main index: 20 5 4 0 0 11 9 0;
+    - the sign of the last run of the main index: 0 20 21 0 0 11 9 0;
     - the sign of the exponent sum, main index 1: 2 25 25 0 4 0 3 0;
-    - σ1 and σ2 relabelled, then the Dehornoy sign: 0 18 20 0 0 0 0 0.
+    - σ1 and σ2 relabelled, then the Dehornoy sign: 0 17 21 0 0 0 0 0.
 
     ``braid-relation-identities`` tests Burau, not signs, and
     ``left-invariance`` signs the same word on both sides, so no sign mutant
-    fails them.  The exponent-sum mutant signs every commutator trivial, so
-    both sandwich samplers give up.
+    fails them.  The sandwich samplers accept their bases by the lifted
+    angle, not by the sign under test, so every mutant meets the same truly
+    1-positive bases.  The exponent-sum mutant signs every commutator
+    trivial, so it fails each sandwich trial at its first inequality.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -577,7 +579,7 @@ def lemma_suite(
     def sandwich_f2(trial: int, rng: random.Random) -> dict | None:
         """For 1-positive β in [B3, B3] not commuting with σ2 and k > 0:
         1 < β σ2^k β^-1 σ2^-k < β."""
-        sampled_base = _sample_positive_commutator_base(rng, 12, sign_of, ExoticContext.f2())
+        sampled_base = _sample_positive_commutator_base(rng, 12, ExoticContext.f2())
         if sampled_base is None:
             return {"trial": trial, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
@@ -591,7 +593,7 @@ def lemma_suite(
         """The K_n version: σ2^6 = embed(x y^-1 x^-1 y)^-1 Δ^2 and Δ^2 is central, so the
         commutator stays in K_n (x-exponent sum 0); the sandwich inequalities persist."""
         n = (3, 4, 5)[trial % 3]
-        sampled_base = _sample_positive_commutator_base(rng, 6, sign_of, ExoticContext.kn(n))
+        sampled_base = _sample_positive_commutator_base(rng, 6, ExoticContext.kn(n))
         if sampled_base is None:
             return {"trial": trial, "n": n, "error": "rejection sampling exhausted"}
         word, beta = sampled_base

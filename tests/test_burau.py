@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 
 import pytest
 
@@ -278,9 +279,10 @@ class TestRuns:
 
         times_sum = burau._times_sum
         monkeypatch.setattr(burau, "_times_sum", counted)
-        word = parse_braid("s1^100000 s2^-100000 s1 s2^-2")
+        word = parse_braid("s1^50000 s2^-49997 s1 s2^-2")
+        assert word.length == burau.MAX_BURAU_LETTERS
         _pack(word, _width(word))
-        assert calls == [100000, 100000, 2]
+        assert calls == [50000, 49997, 2]
 
     @pytest.mark.parametrize("index", [1, 2])
     @pytest.mark.parametrize("n", [10**5, -(10**5), 10**5 - 1, 1 - 10**5])
@@ -338,6 +340,62 @@ class TestBraidEqual:
         for word in PSEUDO_ANOSOV[:5]:
             assert not braid_equal(word, word * parse_braid("s1"))
             assert not braid_equal(word, word * word)
+            assert not braid_equal(word, word * parse_braid("s1 s2^-1"))
+
+    def test_unequal_exponent_sums_exit_before_packing(self, monkeypatch):
+        # The determinant of the image is (-t)^(exponent sum), so unequal
+        # sums answer False with no image packed, however long the runs.
+        def unreachable(*args):
+            raise AssertionError("packed a pair with unequal exponent sums")
+
+        monkeypatch.setattr(burau, "_width", unreachable)
+        monkeypatch.setattr(burau, "_pack", unreachable)
+        assert not braid_equal(parse_braid("s1^1000000000"), parse_braid("s1^1000000001"))
+        assert not braid_equal(parse_braid("s1^1000000000"), parse_braid("s2^-1000000000"))
+        rng = random.Random(43)
+        for _ in range(300):
+            u, v = random_braid_word(rng, 30), random_braid_word(rng, 30)
+            if sum(e for _, e in u.letters) != sum(e for _, e in v.letters):
+                assert not braid_equal(u, v)
+                assert reference_burau(u) != reference_burau(v)
+
+    def test_equal_exponent_sums_are_packed(self, monkeypatch):
+        # Pairs with equal sums reach the packed comparison, which still
+        # tells unequal braids apart: β against β σ1 σ2^-1, and random pairs.
+        calls = []
+        pack = burau._pack
+
+        def counted(word, k):
+            calls.append(word)
+            return pack(word, k)
+
+        monkeypatch.setattr(burau, "_pack", counted)
+        pairs = [(word, word * parse_braid("s1 s2^-1")) for word in PSEUDO_ANOSOV[:5]]
+        rng = random.Random(47)
+        while len(pairs) < 200:
+            u, v = random_braid_word(rng, 30), random_braid_word(rng, 30)
+            if sum(e for _, e in u.letters) == sum(e for _, e in v.letters):
+                pairs.append((u, v))
+        unequal = 0
+        for u, v in pairs:
+            expected = reference_burau(u) == reference_burau(v)
+            assert braid_equal(u, v) == expected
+            unequal += not expected
+        assert len(calls) == 2 * len(pairs)
+        assert unequal > 150
+
+    def test_letter_limit(self):
+        # One limit for both callers of the packing, checked before it and
+        # after the exponent-sum exit.
+        limit = burau.MAX_BURAU_LETTERS
+        over, at = BraidWord(3, ((1, limit + 1),)), BraidWord(3, ((1, limit),))
+        message = f"the Burau image takes at most {limit} letters, got {limit + 1}"
+        for call in (lambda: burau_matrix(over), lambda: braid_equal(at * parse_braid("s2"), over)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert not braid_equal(over, at)
+        assert burau_matrix(at).entries[0][0] == LaurentPoly(((limit, 1),))
+        assert not braid_equal(at, BraidWord(3, ((2, limit),)))
 
     def test_families_against_reference(self):
         words = [w for family in FAMILIES.values() for w in family() if w.length <= 300]

@@ -512,21 +512,6 @@ class TestHugeIndices:
         assert peak < 1 << 20
 
 
-def lift_sign(runs) -> tuple[str, int | None]:
-    """Dehornoy sign of reduced three-strand ``runs``, read from the lifted
-    SL(2, Z) action of ``dehornoy._lift``, whose docstring proves it: a third
-    oracle, independent of handle reduction and of Dynnikov coordinates."""
-    a, b, c = dehornoy._lift(runs)
-    if c > 0 or (c == 0 and (a > 0 or a == 0 > b)):
-        return POSITIVE, 1
-    if c < 0 or (c == 0 and a < 0):
-        return NEGATIVE, 1
-    total = sum(k for _, k in runs)
-    if total == 0:
-        return TRIVIAL, None
-    return (POSITIVE if total > 0 else NEGATIVE), 2
-
-
 def _huge_exponent_word(rng: random.Random) -> BraidWord:
     """Up to 12 runs with exponents log-uniform in 1..10^9."""
     runs = [
@@ -537,11 +522,14 @@ def _huge_exponent_word(rng: random.Random) -> BraidWord:
 
 
 class TestLiftSign:
-    """The lifted SL(2, Z) sign against dehornoy_sign, kind and main index."""
+    """``dehornoy._lifted_sign``, the sign read from the lifted SL(2, Z)
+    action of ``dehornoy._lift``, against dehornoy_sign, kind and main
+    index: a third oracle, independent of handle reduction and of Dynnikov
+    coordinates."""
 
     def assert_agrees(self, word: BraidWord) -> None:
         verdict = dehornoy_sign(word)
-        assert lift_sign(word.letters) == (verdict.kind, verdict.main_index), word
+        assert dehornoy._lifted_sign(word.letters) == (verdict.kind, verdict.main_index), word
 
     def test_random_words_with_huge_exponents(self):
         rng = random.Random(130)
@@ -588,7 +576,7 @@ class TestLiftSign:
                 word = word * beta * relator * beta.inverse()
             if word.is_identity():
                 continue
-            assert lift_sign(word.letters) == (TRIVIAL, None)
+            assert dehornoy._lifted_sign(word.letters) == (TRIVIAL, None)
             self.assert_agrees(word)
 
 

@@ -34,12 +34,7 @@ FORBIDDEN_ATTRIBUTES = {
 FORBIDDEN_BUILTINS = {"print", "input", "open"}
 CACHES = {"cache", "lru_cache", "cached_property"}
 # Each allowed cache, as module.function, with the bound on what it holds.
-ALLOWED_CACHES = {
-    "probe._rose": (
-        "lru_cache(maxsize=64): a one-vertex graph of 2r moves per rank r, "
-        "at most 64 ranks; about 18 MB a rank near freegroup.MAX_KN_INDEX"
-    ),
-}
+ALLOWED_CACHES: dict[str, str] = {}
 
 
 def impurities(source: str) -> list[str]:
