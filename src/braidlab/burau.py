@@ -18,7 +18,9 @@ are decided by Dynnikov coordinates (:mod:`braidlab.dynnikov`) instead.
 The determinant of the image is (-t)^s, s the exponent sum, so
 :func:`braid_equal` answers a pair with different sums without packing
 either image.  Both callers of the packing refuse words of more than
-``MAX_BURAU_LETTERS`` letters, since the image's size grows with the letters.
+``MAX_BURAU_LETTERS`` letters, since the image's size grows with the letters,
+and words whose packed entries could pass ``MAX_BURAU_BITS`` bits, since
+the packing's work grows with their size.
 
 The packed integers below are the only Burau arithmetic.  :func:`burau_matrix`
 decodes them into records with no ring operations: a :class:`LaurentMatrix`
@@ -114,19 +116,37 @@ def _check(word: BraidWord) -> None:
 # s1^1000000 took 1.7 s and 220 MB, and four runs of 250,000 letters each
 # took 6.6 s and 870 MB.  At 10^7 letters the decode ran out of memory.
 MAX_BURAU_LETTERS = 100_000
+# The most bits k L, the width k of :func:`_width` times the letters L of
+# the longest word, checked once after the letter limit.  A packed entry has
+# at most k (L + 1) bits, and each of the r < k runs shifts and adds entries
+# of that size, so the work grows as k^2 L: 50 copies of s1^1000 s2^-1000, 10^5 letters at
+# k = 1,008, took 15 s with a 432 MB peak.  At the limit, `burau --json` of
+# (s1 s2^-1)^1023, 2,046 single-letter runs at k = 2,048, the costliest
+# shape per bit, took 0.9-1.1 s with a 27 MB peak, and (s1 s2)^1023 took
+# 0.38-0.45 s with 18 MB (fresh processes capped at 1 GiB, 2-core VM).  The tests pack
+# at most 4,000,000 bits, and random 3,200-letter words, the longest the
+# benchmark's sweep packs, about 2.9 million.
+MAX_BURAU_BITS = 2**22
 
 
 def _width(*words: BraidWord) -> int:
     """B + 2 rounded up to whole bytes, for the largest B of the words.
 
-    A word of more than ``MAX_BURAU_LETTERS`` letters raises ValueError."""
+    A word of more than ``MAX_BURAU_LETTERS`` letters, or whose letters
+    times the width exceed ``MAX_BURAU_BITS``, raises ValueError."""
     longest = max(word.length for word in words)
     if longest > MAX_BURAU_LETTERS:
         raise ValueError(
             f"the Burau image takes at most {MAX_BURAU_LETTERS} letters, got {longest}"
         )
     bound = max(sum(abs(n).bit_length() for _, n in word.letters) for word in words)
-    return (bound + 9) // 8 * 8
+    k = (bound + 9) // 8 * 8
+    if k * longest > MAX_BURAU_BITS:
+        raise ValueError(
+            f"the Burau image packs at most {MAX_BURAU_BITS} bits (width times letters), "
+            f"got {k * longest}"
+        )
+    return k
 
 
 def _pack(word: BraidWord, k: int) -> tuple[int, int, int, int, int]:
@@ -234,7 +254,7 @@ def burau_matrix(word: BraidWord) -> LaurentMatrix:
 
     The empty word maps to the identity.  The image is packed at the width
     of :func:`_width` (see the module docstring) and decoded once.  A word
-    of more than ``MAX_BURAU_LETTERS`` letters raises ValueError.
+    past ``MAX_BURAU_LETTERS`` or ``MAX_BURAU_BITS`` raises ValueError.
     """
     _check(word)
     k = _width(word)
@@ -255,8 +275,9 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     exactly when t^(f-e) P = Q for e <= f, so the image with fewer inverse
     letters is shifted left by k (f - e) and the four integers are compared
     without decoding.  Correctness rests on the faithfulness of the
-    representation for three strands.  A pair with equal sums and a word of
-    more than ``MAX_BURAU_LETTERS`` letters raises ValueError.
+    representation for three strands.  A pair with equal sums and a word
+    past ``MAX_BURAU_LETTERS`` or ``MAX_BURAU_BITS`` (at the common width)
+    raises ValueError.
     """
     _check(u)
     _check(v)

@@ -11,23 +11,25 @@ Contents:
 * a search for pairs violating the Conradian condition g < h g^2,
 * a seeded verification suite exercising the order-theoretic facts the
   library is built on (shape positivity, conjugate sandwiches, braid
-  identities, cofinality, subword property, trichotomy, left invariance).
+  identities, cofinality, subword property, trichotomy, independence of
+  the word).
 
-Everything here is a pure function of its parameters and seed: randomness
-comes from per-trial substreams derived from (seed, check, trial), so trial
-order or concurrency cannot change a report.
+Everything here is a pure function of its parameters and seed: each
+sampled check draws its trials in order from one stream keyed by (seed,
+check), so a report with more trials extends one with fewer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 from typing import Callable, Iterator, Sequence
 
 from . import _words, dehornoy
 from .braid import BraidWord, half_twist
-from .dehornoy import _COMPARISON, EQUAL, GREATER, LESS, OrderVerdict, POSITIVE, _lifted_sign
+from .dehornoy import _COMPARISON, EQUAL, GREATER, LESS, POSITIVE, OrderVerdict, _lift, _lifted_sign
 from .burau import braid_equal
 from .exotic import ExoticContext, _embed_runs, exotic_compare
 from .freegroup import FreeWord, SubgroupGraph, parse_free, stallings_graph, subgroup_contains
@@ -53,6 +55,10 @@ _CENTRALIZER_INVERSE_RUNS = _words.invert(_CENTRALIZER_RUNS)
 # runs and a strand count to the kind and main index of the braid.
 _SignCore = Callable[[Sequence[_words.Run], int], tuple[str, int | None]]
 _DELTA_SQUARED = half_twist(2).letters
+# r = σ1 σ2 σ1 σ2^-1 σ1^-1 σ2^-1 and r^-1, reduced words of the trivial
+# braid, for _relator_variant.
+_RELATOR = ((1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1))
+_RELATORS = (_RELATOR, _words.invert(_RELATOR))
 _OPPOSITE = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
 # The cases of verify's braid-relation-identities check:
 # σ1^k σ2 σ1 = σ2 σ1 σ2^k and σ1^-1 σ2^k σ1 = σ2 σ1^k σ2^-1 for k in [-5, 5].
@@ -377,14 +383,14 @@ def _random_runs(rng: random.Random, max_length: int, top: int) -> _words.Runs:
 @dataclasses.dataclass
 class CheckResult:
     """Outcome of one named check: sample count, failures, and ``steps``, a
-    deterministic effort counter.  Each run sequence the check signs through
-    the counting ``sign`` of :func:`lemma_suite` adds 1 + its letter count;
-    ``sign`` reads the runs with the sign core of
-    :func:`~braidlab.dehornoy.dehornoy_sign`, or with the ``_sign_fn`` test
-    hook, which has the same type.  The rejection draws of the sandwich
-    samplers are signed by the lifted angle of
-    :func:`~braidlab.dehornoy._lifted_sign`, outside ``sign``, and add
-    nothing; counting them changes every report (ROADMAP items 3 and 10)."""
+    deterministic effort counter.  Every run sequence the check signs adds
+    1 + its letter count: those signed through the counting ``sign`` of
+    :func:`lemma_suite`, which reads them with the sign core of
+    :func:`~braidlab.dehornoy.dehornoy_sign` or with the ``_sign_fn`` test
+    hook of the same type, and every draw of the sandwich samplers, which
+    :func:`~braidlab.dehornoy._lifted_sign` signs.  The lifted cross-checks
+    of ``trichotomy`` and ``word-independence`` re-read words already
+    counted and add nothing."""
 
     name: str
     samples: int
@@ -441,12 +447,13 @@ class ExperimentReport:
 
 def _sample_positive_commutator_base(
     rng: random.Random, max_length: int, ctx: ExoticContext
-) -> tuple[_words.Runs, _words.Runs] | None:
+) -> tuple[tuple[_words.Runs, _words.Runs] | None, int]:
     """Rejection-sample a 1-positive element of [B3, B3] that does not
     commute with σ2 and lies in the context's group, F_2 or K_n, as the runs
     of its rank-2 word and of its image under :func:`~braidlab.exotic.embed`;
     None after 1,000 draws (100,000 sampled bases took at most 22 draws
-    each).
+    each).  Returned with the work of the draws: each draw adds 1 + the
+    letter count of its image, as a signed word does in :class:`CheckResult`.
 
     A draw stays runs from start to finish: a word of the context's rank is
     mapped down to F_2 by the context, and the image comes from the run loop
@@ -455,15 +462,17 @@ def _sample_positive_commutator_base(
     ``lemma_suite`` tests, so a broken sign meets truly 1-positive bases.
     The words are those of :func:`random_free_word`,
     :meth:`~braidlab.exotic.ExoticContext.to_f2` and embed on the same
-    substream.
+    stream.
     """
+    steps = 0
     for _ in range(1_000):
         word = ctx._f2_runs(_random_runs(rng, max_length, ctx.rank))
         braid = _embed_runs(word)
+        steps += 1 + _words.length(braid)
         if _lifted_sign(braid) != (POSITIVE, 1) or _centralizes_sigma2(word):
             continue
-        return word, tuple(braid)
-    return None
+        return (word, tuple(braid)), steps
+    return None, steps
 
 
 def _centralizes_sigma2(runs: _words.Runs) -> bool:
@@ -490,6 +499,23 @@ def _centralizes_sigma2(runs: _words.Runs) -> bool:
     return not runs
 
 
+def _relator_variant(rng: random.Random, runs: _words.Runs) -> _words.Runs:
+    """Reduced three-strand ``runs`` with r = σ1 σ2 σ1 σ2^-1 σ1^-1 σ2^-1, or
+    r^-1, inserted at two random run boundaries, the second drawn in the
+    word after the first insertion.
+
+    r is a word of the trivial braid, so the variant is the braid of
+    ``runs``.  It is another reduced word: the same relator twice adds
+    (2, -2), or (-2, 2), to the exponent sums of σ1 and of σ2, which free
+    reduction keeps.
+    """
+    relator = rng.choice(_RELATORS)
+    for _ in range(2):
+        cut = rng.randint(0, len(runs))
+        runs = _words.concat(_words.concat(runs[:cut], relator), runs[cut:])
+    return runs
+
+
 def _braid_text(runs: _words.Runs) -> str:
     return BraidWord._reduced(3, runs).to_text()
 
@@ -501,12 +527,14 @@ def lemma_suite(
 ) -> ExperimentReport:
     """Run the seeded verification suite and report every failure.
 
-    The suite is one table of (report name, cases, test) rows run by one
-    loop: a test takes one case and returns a failure dict or None, and a
-    row's ``steps`` adds 1 + length for each word its tests signed, not
-    counting the sandwich samplers' rejection draws (see
-    :class:`CheckResult`).  A sampled check runs its test on ``trials``
-    cases, each with its own substream ``(seed, key, trial)``.
+    The suite is one table of (report name, stream key, cases, test) rows
+    run by one loop: a test takes one case and returns a failure dict or
+    None, and a row's ``steps`` adds 1 + length for each word its tests
+    signed, the sandwich samplers' draws included (see :class:`CheckResult`).
+    A sampled check, a row with a key, makes one ``random.Random`` keyed by
+    ``(seed, key)`` when it starts, and its ``trials`` cases draw from it in
+    order; so the first t trials of a report are those of a report of t
+    trials, and a report seeds six generators, not one per trial.
 
     Every check works on run tuples from the draw to the verdict, as
     :func:`~braidlab.exotic.exotic_compare` does: words are drawn by
@@ -516,6 +544,13 @@ def lemma_suite(
     :func:`~braidlab.dehornoy.dehornoy_sign`.  A word object is built only
     for a failure's text and for the Burau oracle of ``trichotomy``.
 
+    Two checks read the braid by a second, independent method, the lifted
+    angle of :func:`~braidlab.dehornoy._lift`: ``trichotomy`` compares its
+    verdict with that of :func:`~braidlab.dehornoy._lifted_sign`, and
+    ``word-independence`` confirms that a variant from
+    :func:`_relator_variant` has the lift of its braid before it asks the
+    sign core whether both words sign alike.
+
     ``_sign_fn`` is a test-only hook replacing the sign core, so
     deliberately broken comparators can be shown to be caught; leave it None
     for real runs.  It has the type of the sign core: reduced runs and a
@@ -523,18 +558,20 @@ def lemma_suite(
     report, never raised.  At seed 1 and 25 trials these mutants fail the
     eight checks, in report order, this many times:
 
-    - the negated sign: 25 25 25 0 4 25 0 0;
-    - the sign of the first run of the main index: 20 5 4 0 0 11 9 0;
-    - the sign of the last run of the main index: 0 20 21 0 0 11 9 0;
-    - the sign of the exponent sum, main index 1: 2 25 25 0 4 0 3 0;
-    - σ1 and σ2 relabelled, then the Dehornoy sign: 0 17 21 0 0 0 0 0.
+    - the negated sign: 25 25 25 0 4 25 25 0;
+    - the sign of the first run of the main index: 22 2 3 0 0 11 15 5;
+    - the sign of the last run of the main index: 0 23 22 0 0 11 15 4;
+    - the sign of the exponent sum, main index 1: 5 25 25 0 4 0 5 0;
+    - σ1 and σ2 relabelled, then the Dehornoy sign: 0 20 21 0 0 0 4 0.
 
-    ``braid-relation-identities`` tests Burau, not signs, and
-    ``left-invariance`` signs the same word on both sides, so no sign mutant
-    fails them.  The sandwich samplers accept their bases by the lifted
-    angle, not by the sign under test, so every mutant meets the same truly
-    1-positive bases.  The exponent-sum mutant signs every commutator
-    trivial, so it fails each sandwich trial at its first inequality.
+    ``braid-relation-identities`` tests Burau, not signs, so no sign mutant
+    fails it.  The other three mutants are functions of the braid, not of
+    the word (σ1 and σ2 relabelled is an automorphism of B3), so only the
+    first-run and last-run mutants fail ``word-independence``.  The sandwich
+    samplers accept their bases by the lifted angle, not by the sign under
+    test, so every mutant meets the same truly 1-positive bases.  The
+    exponent-sum mutant signs every commutator trivial, so it fails each
+    sandwich trial at its first inequality.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -550,17 +587,20 @@ def lemma_suite(
         # u^-1 v as one seam-only concatenation, as in exotic_compare.
         return _COMPARISON[sign(_words.concat(_words.invert(u), v))[0]]
 
-    def sampled(key: str, test: Callable[[int, random.Random], dict | None]):
-        # The substream of each trial is made when its case runs, so a
-        # report holds one generator at a time, not one per trial.
-        return lambda trial: test(trial, random.Random(f"{seed}/{key}/{trial}"))
+    def positive_base(
+        rng: random.Random, max_length: int, ctx: ExoticContext
+    ) -> tuple[_words.Runs, _words.Runs] | None:
+        nonlocal steps
+        base, work = _sample_positive_commutator_base(rng, max_length, ctx)
+        steps += work
+        return base
 
     def commutator(beta: _words.Runs, k: int) -> _words.Runs:
         """β σ2^k β^-1 σ2^-k."""
         inner = _words.concat(_words.concat(beta, ((2, k),)), _words.invert(beta))
         return _words.concat(inner, ((2, -k),))
 
-    def shape(trial: int, rng: random.Random) -> dict | None:
+    def shape(rng: random.Random, trial: int) -> dict | None:
         """σ2^{k_1} σ1^{l_1} ... σ2^{k_m} σ1^{l_m} σ2^{n} σ1 with k_i > 0,
         l_i < 0 and n > 1 is 1-positive."""
         runs: list[tuple[int, int]] = []
@@ -576,10 +616,10 @@ def lemma_suite(
             return {"trial": trial, "word": text, "verdict": str(OrderVerdict(*verdict))}
         return None
 
-    def sandwich_f2(trial: int, rng: random.Random) -> dict | None:
+    def sandwich_f2(rng: random.Random, trial: int) -> dict | None:
         """For 1-positive β in [B3, B3] not commuting with σ2 and k > 0:
         1 < β σ2^k β^-1 σ2^-k < β."""
-        sampled_base = _sample_positive_commutator_base(rng, 12, ExoticContext.f2())
+        sampled_base = positive_base(rng, 12, ExoticContext.f2())
         if sampled_base is None:
             return {"trial": trial, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
@@ -589,11 +629,11 @@ def lemma_suite(
             return {"trial": trial, "beta": FreeWord._reduced(2, word).to_text(), "k": k}
         return None
 
-    def sandwich_kn(trial: int, rng: random.Random) -> dict | None:
+    def sandwich_kn(rng: random.Random, trial: int) -> dict | None:
         """The K_n version: σ2^6 = embed(x y^-1 x^-1 y)^-1 Δ^2 and Δ^2 is central, so the
         commutator stays in K_n (x-exponent sum 0); the sandwich inequalities persist."""
         n = (3, 4, 5)[trial % 3]
-        sampled_base = _sample_positive_commutator_base(rng, 6, ExoticContext.kn(n))
+        sampled_base = positive_base(rng, 6, ExoticContext.kn(n))
         if sampled_base is None:
             return {"trial": trial, "n": n, "error": "rejection sampling exhausted"}
         word, beta = sampled_base
@@ -613,7 +653,7 @@ def lemma_suite(
         square = _words.concat(_words.power(_DELTA_SQUARED, 2 * p), ((2, -12 * p),))
         return None if compare(_DELTA_SQUARED, square) == LESS else {"p": p}
 
-    def subword(trial: int, rng: random.Random) -> dict | None:
+    def subword(rng: random.Random, trial: int) -> dict | None:
         """β σ_k β^-1 is positive."""
         beta = _random_runs(rng, 40, 2)
         k = rng.choice((1, 2))
@@ -622,45 +662,57 @@ def lemma_suite(
             return {"trial": trial, "beta": _braid_text(beta), "k": k}
         return None
 
-    def trichotomy(trial: int, rng: random.Random) -> dict | None:
+    def trichotomy(rng: random.Random, trial: int) -> dict | None:
+        """u < v, u = v or u > v, as the sign of u^-1 v says; v against u
+        says the opposite, the lifted angle of u^-1 v says the same, and
+        Burau says whether u = v."""
         u = _random_runs(rng, 40, 2)
         v = _random_runs(rng, 40, 2)
-        forward, backward = compare(u, v), compare(v, u)
-        if backward != _OPPOSITE[forward]:
+        difference = _words.concat(_words.invert(u), v)
+        forward = _COMPARISON[sign(difference)[0]]
+        if compare(v, u) != _OPPOSITE[forward]:
             error = "asymmetric comparison"
+        elif forward != _COMPARISON[_lifted_sign(difference)[0]]:
+            error = "comparison disagrees with the lifted angle"
         elif (forward == EQUAL) != braid_equal(BraidWord._reduced(3, u), BraidWord._reduced(3, v)):
             error = "equality disagrees with Burau"
         else:
             return None
         return {"trial": trial, "u": _braid_text(u), "v": _braid_text(v), "error": error}
 
-    def left_invariance(trial: int, rng: random.Random) -> dict | None:
-        """(f u)^-1 (f v) freely reduces to u^-1 v, so both sides sign the
-        same word: an order defined by a positive cone is left-invariant by
-        definition, and this check only tests that comparison is
-        deterministic."""
-        f = _random_runs(rng, 40, 2)
-        u = _random_runs(rng, 40, 2)
-        v = _random_runs(rng, 40, 2)
-        if compare(u, v) != compare(_words.concat(f, u), _words.concat(f, v)):
-            texts = {"f": _braid_text(f), "u": _braid_text(u), "v": _braid_text(v)}
-            return {"trial": trial, **texts}
-        return None
+    def word_independence(rng: random.Random, trial: int) -> dict | None:
+        """β and a braid-equal variant of another word sign alike."""
+        beta = _random_runs(rng, 40, 2)
+        variant = _relator_variant(rng, beta)
+        # Equal lifts, an invariant of the braid, confirm the variant.
+        if _lift(variant) != _lift(beta):
+            error = "variant is another braid"
+        elif sign(beta) != sign(variant):
+            error = "sign depends on the word"
+        else:
+            return None
+        texts = {"beta": _braid_text(beta), "variant": _braid_text(variant)}
+        return {"trial": trial, **texts, "error": error}
 
     trial_cases = range(trials)
-    table: list[tuple[str, Sequence, Callable[..., dict | None]]] = [
-        ("alternating-shape-positivity", trial_cases, sampled("shape", shape)),
-        ("conjugate-sandwich-f2", trial_cases, sampled("sandwich-f2", sandwich_f2)),
-        ("conjugate-sandwich-kn", trial_cases, sampled("sandwich-kn", sandwich_kn)),
-        ("braid-relation-identities", _IDENTITIES, identity),
-        ("half-twist-cofinality", range(1, 5), cofinality),
-        ("subword-property", trial_cases, sampled("subword", subword)),
-        ("trichotomy", trial_cases, sampled("trichotomy", trichotomy)),
-        ("left-invariance", trial_cases, sampled("left-invariance", left_invariance)),
+    # (report name, stream key, cases, test): a sampled check has a key.
+    table: list[tuple[str, str | None, Sequence, Callable[..., dict | None]]] = [
+        ("alternating-shape-positivity", "shape", trial_cases, shape),
+        ("conjugate-sandwich-f2", "sandwich-f2", trial_cases, sandwich_f2),
+        ("conjugate-sandwich-kn", "sandwich-kn", trial_cases, sandwich_kn),
+        ("braid-relation-identities", None, _IDENTITIES, identity),
+        ("half-twist-cofinality", None, range(1, 5), cofinality),
+        ("subword-property", "subword", trial_cases, subword),
+        ("trichotomy", "trichotomy", trial_cases, trichotomy),
+        ("word-independence", "word-independence", trial_cases, word_independence),
     ]
     checks = []
-    for name, cases, test in table:
+    for name, key, cases, test in table:
         steps = 0
+        if key is not None:
+            # The check's one stream, made as the check starts; its trials
+            # draw from it in order.
+            test = functools.partial(test, random.Random(f"{seed}/{key}"))
         failures = [failure for failure in map(test, cases) if failure is not None]
         checks.append(CheckResult(name, len(cases), failures, steps))
     return ExperimentReport(seed, trials, checks)

@@ -397,6 +397,22 @@ class TestBraidEqual:
         assert burau_matrix(at).entries[0][0] == LaurentPoly(((limit, 1),))
         assert not braid_equal(at, BraidWord(3, ((2, limit),)))
 
+    def test_bit_limit(self):
+        # Width times letters, checked after the letter limit and before
+        # packing; (s1 s2^-1)^1023 has 2,046 letters at width 2,048, and one
+        # more letter widens it to 2,056.
+        at = parse_braid(" ".join(["s1 s2^-1"] * 1023))
+        over = at * parse_braid("s1")
+        assert _width(at) * at.length == 4_190_208 <= burau.MAX_BURAU_BITS
+        message = (
+            f"the Burau image packs at most {burau.MAX_BURAU_BITS} bits "
+            f"(width times letters), got {2056 * 2047}"
+        )
+        for call in (lambda: burau_matrix(over), lambda: braid_equal(over, over)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert not braid_equal(over, at)
+
     def test_families_against_reference(self):
         words = [w for family in FAMILIES.values() for w in family() if w.length <= 300]
         matrices = [reference_burau(w) for w in words]

@@ -480,8 +480,8 @@ REWRITE_LIMIT_ERROR = (
 # Long inputs with short answers, as (argv, stdout, exit code, seconds, stdin).
 # Each time bound is at least 10x the time measured on a 2-core VM (0.38 s,
 # 0.15 s, 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s,
-# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s, 0.48 s, 0.09 s, 0.09 s and
-# 0.22 s), so a slow shared machine does not fail a row, while an input
+# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s, 0.48 s, 0.09 s, 0.09 s, 0.22 s,
+# 0.07 s and 0.38-0.45 s), so a slow shared machine does not fail a row, while an input
 # whose cost grows with its letters rather than its runs still does.
 LONG_INPUTS = [
     long_input(
@@ -646,6 +646,27 @@ LONG_INPUTS = [
         5,
         id="burau-at-letter-limit",
         peak_mb=80,
+    ),
+    # Many long runs: 10^5 letters at width 1,008 took 15 s with a 432 MB
+    # peak; refused before packing, 15 MB peak.
+    long_input(
+        ["burau", "--json", " ".join(["s1^1000 s2^-1000"] * 50)],
+        '{"error": {"message": "the Burau image packs at most 4194304 bits '
+        '(width times letters), got 100800000", "type": "domain"}}\n',
+        1,
+        5,
+        id="burau-over-bit-limit",
+        peak_mb=40,
+    ),
+    # (s1 s2)^3 = Δ^2 maps to t^3, so (s1 s2)^1023 maps to t^1023 at the
+    # limit, 2,046 letters at width 2,048: 18 MB peak.
+    long_input(
+        ["burau", "--json", " ".join(["s1 s2"] * 1023)],
+        '{"entries": [[[[1023, 1]], []], [[], [[1023, 1]]]]}\n',
+        0,
+        5,
+        id="burau-at-bit-limit",
+        peak_mb=40,
     ),
 ]
 

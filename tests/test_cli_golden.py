@@ -107,14 +107,14 @@ GOLDEN = [
         ["verify", "--seed", "1", "--trials", "10"],
         0,
         "verification report (seed=1, trials=10)\n"
-        "  alternating-shape-positivity: pass [samples=10, steps=157]\n"
-        "  conjugate-sandwich-f2: pass [samples=10, steps=382]\n"
-        "  conjugate-sandwich-kn: pass [samples=10, steps=778]\n"
+        "  alternating-shape-positivity: pass [samples=10, steps=245]\n"
+        "  conjugate-sandwich-f2: pass [samples=10, steps=992]\n"
+        "  conjugate-sandwich-kn: pass [samples=10, steps=901]\n"
         "  braid-relation-identities: pass [samples=22, steps=0]\n"
         "  half-twist-cofinality: pass [samples=4, steps=220]\n"
-        "  subword-property: pass [samples=10, steps=208]\n"
-        "  trichotomy: pass [samples=10, steps=546]\n"
-        "  left-invariance: pass [samples=10, steps=426]\n"
+        "  subword-property: pass [samples=10, steps=284]\n"
+        "  trichotomy: pass [samples=10, steps=448]\n"
+        "  word-independence: pass [samples=10, steps=324]\n"
         "result: pass\n",
     ),
     (
@@ -122,21 +122,21 @@ GOLDEN = [
         0,
         '{"checks": ['
         '{"failures": [], "name": "alternating-shape-positivity", "passed": true, '
-        '"samples": 10, "steps": 204}, '
+        '"samples": 10, "steps": 150}, '
         '{"failures": [], "name": "conjugate-sandwich-f2", "passed": true, '
-        '"samples": 10, "steps": 390}, '
+        '"samples": 10, "steps": 592}, '
         '{"failures": [], "name": "conjugate-sandwich-kn", "passed": true, '
-        '"samples": 10, "steps": 860}, '
+        '"samples": 10, "steps": 1555}, '
         '{"failures": [], "name": "braid-relation-identities", "passed": true, '
         '"samples": 22, "steps": 0}, '
         '{"failures": [], "name": "half-twist-cofinality", "passed": true, '
         '"samples": 4, "steps": 220}, '
         '{"failures": [], "name": "subword-property", "passed": true, '
-        '"samples": 10, "steps": 266}, '
+        '"samples": 10, "steps": 232}, '
         '{"failures": [], "name": "trichotomy", "passed": true, '
-        '"samples": 10, "steps": 418}, '
-        '{"failures": [], "name": "left-invariance", "passed": true, '
-        '"samples": 10, "steps": 546}'
+        '"samples": 10, "steps": 444}, '
+        '{"failures": [], "name": "word-independence", "passed": true, '
+        '"samples": 10, "steps": 326}'
         '], "passed": true, "seed": 2, "trials": 10}\n',
     ),
 ]
@@ -265,48 +265,48 @@ def test_stdin_output_is_byte_identical(capsys, monkeypatch, argv, stdin, code, 
 # trial count, so a change meant to leave behaviour alone keeps every digest.
 VERIFY_SHA256 = {
     False: [
-        "6d8d5d41c77c1d451322ee0e1652accb2faeae8bd0db5f18273afe2016fd5d59",
-        "61b95b35196e4bfddff1658664e7a4323231e0abe7e0a33554596735eabc67fa",
-        "4890f0879656d2e96d779557c6986e0c465f3ba9b53a81ba319b3a17cce73295",
-        "cb838369c00cb4d76bca51ec7205cabc19cbc68787d32d3f1629dbc4da9c2495",
-        "9b220f206d3ce1eb335c9f534ff6ed0a234feefd839e5752db56001dbdeab31b",
-        "2c8211ef90112c1f6e3ea3c8a360f8b35607639d060d20f450f906890f1b9c30",
-        "1723ebfce721519df576f2ae13f42a607680162cef41e23e7eccb64250e10212",
-        "81725d8c623d6fc700c76ae801ca285e43f465041e45e4202282a9516ec3197c",
-        "292851508802c86d0b9322a49d7df6f4e16c031db6de1a74f8113c7c90cbe325",
-        "fb739bcb278fa6661f08132fa16bfe97de75520cb0c36fdc15ae8c37fe45f101",
-        "bfe331016cbb712af9aee2e9cc8ddaae30ec5ff0171b72b6fba95d7eba0b0810",
-        "28534776895d658bc1c925b8f11da85f7cfc6d22b5b2876164870e32546509f7",
-        "66bcae5504870e1460de291371e6582a89d562db0e9d36127e3df19a31060ca2",
-        "d4e2977c9f369838aa054722643d27f9a05a3ed20e5d8913289466309a4a25b0",
-        "cecf6e365bfe376dcfd9f39b107d42c90dce6582f23d1ebe707c17bd38bce3ea",
-        "e6b36ac56aeff94f20cd65521915daea9795f780c7fe8b8de567d20dff43526d",
-        "089989283ed62eb3d2f090308ce6ae3557ef274d7db406c836d144160c9df5e2",
-        "836e0271aa47b6c39c9090aad859d3311a8c068b9bd19806848a5d6f83f1a0df",
-        "d911a9861af5829eae54d735961847c03a466f5872fbcbd123861d8a01571bc4",
-        "5d1d128d53be0a52f914eb30d873c3d68b19ed1addcfc2803235c3b9aa487377",
+        "daccf99258141c5fa050274c9c6483e7462a3e293a27236d2a3f52b706296827",
+        "dc613e646c6ca2de6ca1b0e490a5098cdf7476558bdbf039ba12478550e06ec1",
+        "981569bf25f07c752672f21c996e1dd6b861911809e8ead89c71ad3893482197",
+        "c0a16df01b412cbd480d19e37a3a0645b414d84bd7621257a583e9b45b1f0491",
+        "67109380f88d5977fbaa9645f62b8dc7b42407da09a6c4cd1a54a3567dcaf976",
+        "90bc6d5ad24355c6280e7da89f7bd461afb41b0c8cc09aa706f18af33f17cd90",
+        "be941eb0d7e94c15ed1da5e9206a482cc9e97367d2d34536bb62e6f8ed92386d",
+        "3ca64eff8946ad5f99c933b2403be9431403ae32cf539a518d2e7959f3198bd1",
+        "8133a2ad90ff7555cafd6492039ada9d2502aba00b36c42645eda15bfdc5201b",
+        "c4942895272036c6763fbe6ed122514e29b836b8db684c390817153b91fe2612",
+        "03e4c5d8b88b14a80329b9700c0bef2159625871f1c6d002cc613806f27549db",
+        "679615aac9b47c9ae28b4d731e7a86cbe6f78ad13d40d14805657aeceeabca00",
+        "48dac6c8d91dcd29cb180c5ed5bc087f350fa5d30b1b22ab0717250461b408e2",
+        "999bf51430b26c7f7bdc944696b28da7f9e73958220cae76621bf75d98793001",
+        "8d2c098f0698695f950f21146edb59619133782d1dd4b7332b925bc17c18b47a",
+        "9b5d4095fab7f91bfafca53de744bb54a88bd835741dbc92c2c7444b733f8d47",
+        "d8774af251cb6c769a5bf2fdf1c8410ab2ac783f33a086acd0f32e1db178fcd2",
+        "973e33c95c5b327490a3050d715bb2de53c16d490218f5a469cbe34e3f98c3ff",
+        "f8017d1aa317e90fcc891135ed1483cc2949d2eeed9b615dcb7eb2e1b3627f8d",
+        "0f9f190d82676e92f313521962e4a97ce926456dbee6b5e8cae635237f763df4",
     ],
     True: [
-        "08b31e546174ddd619fe58ab59c14d0b28a5750c0071efd2822723d64984e16f",
-        "805cd956296a21d798bd483509b5b83845e9ca42684cfadaac82291203b54051",
-        "a744bd0189453e03c4cb527cc5dd1e0e08702a1d2987bd1abcd7bb9227f3510e",
-        "f791c834c6dcd38a29181847e8243be73d85c07a35459e0d7777fd269a756c76",
-        "fdb3ecc4b21aecadf8bd418401d219904de30d3168ec578f8196d1cb487aad23",
-        "32144f81d8da9b7ab388e8ea0292fa56beae6f3e19a31d0258283b8306b5004e",
-        "6985f454a52ef342dd52730b54718f18ce1537305dff086cb5b6fe083a1fb09d",
-        "a69e953801904088b64fbe68bbbaf24e33ade6766ba4360808f5fda657a50c14",
-        "add8a4365aad1d69b40df8679f1b7f7b3425be75fc06795ee154f596e514c7de",
-        "24d28cca797029552ecbd97b2840feab931605b01b7f13abd96da8bfe86d5f24",
-        "fe843b0647c598b72e59536c19f4b51e333da63fb39b5ba2df222b4d7bd0aa7b",
-        "44c7936e90dc791b84a372fe60dbb557faab5d8aab209b06aad62499aceb5105",
-        "f8eabe2aa63bf774b75ad5fd656d5ae4bd565d832333c463ef3a075c0b1494ed",
-        "b536c1f1b25e44e2c56f913ffb9d728188487ea011981dd7a6458c3c9abe7346",
-        "2280d566d896fa645d575511507d49acb2088879ef866f036b23d9210407d411",
-        "4e21fcd298d717ad4d42ce9c6a9c31a47c2283a4c81ec5071cc944e107b5d6c1",
-        "935d4324b58366c38fdde838bac80004cc79a892ac6a36af078848b24d41e6cd",
-        "cea8b6187dc0484edd3ac8ae7e6af894a8278387d803d30397defa5188edaa28",
-        "a1aae67eb939baad065bb991e4ed658aee1888a42cda78d0ba27a49779a80046",
-        "2cf0779f7fd19cc4c623753486f3bcbad1fa9e0e8e3c88b8afcfdcbf916e7a33",
+        "fb83b73542a90c1398aef25393cb963e30464f01a7a9ee5f5184f75e7b8b1c2a",
+        "ec87495ae29bbeb29270a9bee54bb8b5a596a77090e1710d8566b718745a68f2",
+        "6069dc33d483045d930b242968ae167a3806b9fec18fcf121c480f949cffc8ad",
+        "5c205254e1d8378f61989ec297fe22afeeee71bfd39078d76856c618b907420d",
+        "e52c79852595655c896964d1986f6dfa5498aa5602450c3f32bb45cd5577fc91",
+        "cf443b9404d3c1ad77a2af6668dd444225e05b08dfcffa79fa125dd7db5775a9",
+        "c43bf84e4755aec25d189bd860d3335056459d8a819d11080fa7e7a639de84f6",
+        "38f0c8730ac54a661e5c18a0fb25e8c293eec5e86446b4b9997c7a0fec98818f",
+        "9fcb39c21a1d0dcadc53ac788314a77d385f76aabce950d65894109385f0125b",
+        "173f1232bfa375adb786b9b21bfc736477320b6ec3142c1213dae763b214965d",
+        "21c60994f86e2cd031e43cab60aee222d2b16db776c633a9bdc6181db7ae56b7",
+        "ad4c193d8323d284e13d1f0f143af1b453c8523fb748180b54b5c2a3eb19f346",
+        "bb96f7c57639095890af22dd1ae0c1a2d6a5d8efbb42832d1ad534778eaec414",
+        "1bb19ed4f8835caf367b0082e7cb95a41625bfc6790bfadc284e9a3cc115013b",
+        "435f5b07ef4200bdcb8085c30c71412d3cc5ead4eb512533975296fea011b810",
+        "66ee234a25c8fcf4fd0d8a6aff0aa593309c2ce9d021635f13559812b5b0e077",
+        "736c455bfb5d9d6be4ad7d2e88d2ad54d44ec3207e2f28f3b205fc86caf31e41",
+        "cc5e79a04a4ce4090e13eadc40008119d36fdf5d192cf097c35f52c6ad4cc2c2",
+        "8fb17a82b92b12e707cb9f1ee465bc7dcc99b2e81f6659d36f3ebe6733c58147",
+        "18b4aeee4f3f69b2b0514b5929caea633598519cce15c255ad23eb9e5c2ff821",
     ],
 }
 

@@ -676,7 +676,7 @@ class TestSandwichKnCommutator:
 
         rng = random.Random(f"sandwich-kn/{n}")
         for _ in range(200):
-            word, runs = _sample_positive_commutator_base(rng, 6, ExoticContext.kn(n))
+            (word, runs), _ = _sample_positive_commutator_base(rng, 6, ExoticContext.kn(n))
             beta = BraidWord(3, runs)
             for k in (1, 2):
                 sigma2 = BraidWord(3, ((2, 6 * k),))
@@ -688,14 +688,17 @@ class TestSandwichKnCommutator:
 def reference_positive_commutator_base(rng, max_length, n=None):
     """The object path that ``_sample_positive_commutator_base`` replaced:
     word objects drawn, substituted, embedded and signed, with the
-    centralizer test done on the braids by ``commutes``."""
+    centralizer test done on the braids by ``commutes``, and the work of the
+    draws, 1 + the letters of each image."""
     sigma2 = BraidWord(3, ((2, 1),))
+    steps = 0
     for _ in range(1_000):
         if n is None:
             word = random_free_word(rng, max_length)
         else:
             word = kn_substitute(random_free_word(rng, max_length, rank=n), n)
         braid = embed(word)
+        steps += 1 + braid.length
         if braid.is_identity():
             continue
         verdict = dehornoy_sign(braid)
@@ -703,16 +706,16 @@ def reference_positive_commutator_base(rng, max_length, n=None):
             continue
         if commutes(braid, sigma2):
             continue
-        return word, braid
-    return None
+        return (word, braid), steps
+    return None, steps
 
 
 class TestSamplerRuns:
     """The run-level sandwich sampler, which accepts a base by the lifted
     angle of ``dehornoy._lifted_sign``, against the object path it replaced,
     which signs each draw with the Dynnikov sign of ``dehornoy_sign``: the
-    same free word, the same braid runs and the same stream state on every
-    substream."""
+    same free word, the same braid runs, the same work and the same stream
+    state on every substream."""
 
     @pytest.mark.parametrize("n, max_length", [(None, 12), (3, 6), (4, 6), (5, 6)])
     def test_matches_object_path(self, n, max_length):
@@ -722,10 +725,35 @@ class TestSamplerRuns:
         for trial in range(2_000):
             rng = random.Random(f"sampler/{n}/{trial}")
             ref = random.Random(f"sampler/{n}/{trial}")
-            word, beta = _sample_positive_commutator_base(rng, max_length, ctx)
-            ref_word, ref_beta = reference_positive_commutator_base(ref, max_length, n)
+            (word, beta), steps = _sample_positive_commutator_base(rng, max_length, ctx)
+            (ref_word, ref_beta), ref_steps = reference_positive_commutator_base(
+                ref, max_length, n
+            )
             assert (word, beta) == (ref_word.letters, ref_beta.letters), (n, trial)
+            assert steps == ref_steps, (n, trial)
             assert rng.getstate() == ref.getstate()
+
+
+class TestRelatorVariant:
+    """The variants of ``verify``'s word-independence check: by Burau, the
+    braid they vary, written as another reduced word whose exponent sums of
+    σ1 and of σ2 move by (2, -2) or (-2, 2)."""
+
+    def test_braid_equal_and_another_word(self):
+        from braidlab.burau import braid_equal
+        from braidlab.probe import _random_runs, _relator_variant
+
+        def sums(runs):
+            return [sum(e for i, e in runs if i == index) for index in (1, 2)]
+
+        rng = random.Random("relator-variant")
+        for trial in range(2_000):
+            beta = _random_runs(rng, 40, 2)
+            variant = _relator_variant(rng, beta)
+            assert variant == _words.normalize(variant), trial
+            moved = tuple(b - a for a, b in zip(sums(beta), sums(variant)))
+            assert moved in {(2, -2), (-2, 2)}, trial
+            assert braid_equal(BraidWord(3, beta), BraidWord(3, variant)), trial
 
 
 def reference_braid_word(rng, max_length, strands=3):
@@ -881,17 +909,17 @@ class TestLemmaSuite:
             "half-twist-cofinality",
             "subword-property",
             "trichotomy",
-            "left-invariance",
+            "word-independence",
         ]
 
     @pytest.mark.parametrize(
         "mutant, expected",
         [
-            pytest.param("negated", [25, 25, 25, 0, 4, 25, 0, 0], id="negated"),
-            pytest.param("first-run", [20, 5, 4, 0, 0, 11, 9, 0], id="first-run"),
-            pytest.param("last-run", [0, 20, 21, 0, 0, 11, 9, 0], id="last-run"),
-            pytest.param("exponent-sum", [2, 25, 25, 0, 4, 0, 3, 0], id="exponent-sum"),
-            pytest.param("relabelled", [0, 17, 21, 0, 0, 0, 0, 0], id="relabelled"),
+            pytest.param("negated", [25, 25, 25, 0, 4, 25, 25, 0], id="negated"),
+            pytest.param("first-run", [22, 2, 3, 0, 0, 11, 15, 5], id="first-run"),
+            pytest.param("last-run", [0, 23, 22, 0, 0, 11, 15, 4], id="last-run"),
+            pytest.param("exponent-sum", [5, 25, 25, 0, 4, 0, 5, 0], id="exponent-sum"),
+            pytest.param("relabelled", [0, 20, 21, 0, 0, 0, 4, 0], id="relabelled"),
         ],
     )
     def test_mutated_comparator_is_caught(self, mutant, expected):
@@ -901,6 +929,28 @@ class TestLemmaSuite:
         # The samplers accept by the lifted angle, so no mutant exhausts them.
         errors = {failure.get("error") for check in report.checks for failure in check.failures}
         assert "rejection sampling exhausted" not in errors
+
+    @pytest.mark.parametrize("mutant", ["first-run", "last-run"])
+    def test_word_dependent_signs_fail_word_independence(self, mutant):
+        report = lemma_suite(seed=1, trials=25, _sign_fn=SIGN_MUTANTS[mutant])
+        (check,) = [check for check in report.checks if check.name == "word-independence"]
+        assert check.failures
+        assert {failure["error"] for failure in check.failures} == {"sign depends on the word"}
+
+    @pytest.mark.parametrize("mutant", [None, *SIGN_MUTANTS])
+    def test_fewer_trials_give_a_prefix(self, mutant):
+        # Each sampled check draws its trials in order from one stream, so
+        # the failures of 10 trials are those of 25 with trial < 10.
+        sign_fn = SIGN_MUTANTS.get(mutant)
+        short = lemma_suite(seed=1, trials=10, _sign_fn=sign_fn)
+        long = lemma_suite(seed=1, trials=25, _sign_fn=sign_fn)
+        sampled = 0
+        for few, many in zip(short.checks, long.checks):
+            if few.samples != 10:
+                continue
+            sampled += 1
+            assert few.failures == [f for f in many.failures if f["trial"] < 10], few.name
+        assert sampled == 6
 
     def test_text_report_lists_witnesses(self):
         # Each failing check shows its failure count and its first three
