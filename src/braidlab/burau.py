@@ -11,16 +11,15 @@ arithmetic is exact: coefficients are unbounded Python integers and no
 rounding occurs anywhere.  Entries of long words grow without bound, which
 is why fixed-width coefficients would silently corrupt the oracle.
 
-This is the independent n = 3 oracle: the tests and the ``verify`` checks
-of braid identities and trichotomy cross-check other methods against it,
-and the ``burau`` command prints it.  Signs, comparisons and commutation
+This is the independent n = 3 oracle: the tests and the ``verify`` check
+of braid identities cross-check other methods against it, and the
+``burau`` command prints it.  Signs, comparisons and commutation
 are decided by Dynnikov coordinates (:mod:`braidlab.dynnikov`) instead.
 The determinant of the image is (-t)^s, s the exponent sum, so
 :func:`braid_equal` answers a pair with different sums without packing
-either image.  Both callers of the packing refuse words of more than
-``MAX_BURAU_LETTERS`` letters, since the image's size grows with the letters,
-and words whose packed entries could pass ``MAX_BURAU_BITS`` bits, since
-the packing's work grows with their size.
+either image.  Both callers of the packing refuse a word whose width times
+letters pass ``MAX_BURAU_BITS``, since the packing's work and the image's
+size grow with them.
 
 The packed integers below are the only Burau arithmetic.  :func:`burau_matrix`
 decodes them into records with no ring operations: a :class:`LaurentMatrix`
@@ -110,35 +109,30 @@ def _check(word: BraidWord) -> None:
         raise ValueError("the reduced Burau oracle is specific to 3 strands")
 
 
-# The most letters a word may have for :func:`_pack`, checked once by
-# :func:`_width` before every packing.  `burau --json s1^100000` took 0.24 s
-# with a 37 MB peak in a fresh process capped at 1 GiB (2-core VM);
-# s1^1000000 took 1.7 s and 220 MB, and four runs of 250,000 letters each
-# took 6.6 s and 870 MB.  At 10^7 letters the decode ran out of memory.
-MAX_BURAU_LETTERS = 100_000
 # The most bits k L, the width k of :func:`_width` times the letters L of
-# the longest word, checked once after the letter limit.  A packed entry has
+# the longest word, checked once before every packing.  A packed entry has
 # at most k (L + 1) bits, and each of the r < k runs shifts and adds entries
-# of that size, so the work grows as k^2 L: 50 copies of s1^1000 s2^-1000, 10^5 letters at
-# k = 1,008, took 15 s with a 432 MB peak.  At the limit, `burau --json` of
-# (s1 s2^-1)^1023, 2,046 single-letter runs at k = 2,048, the costliest
-# shape per bit, took 0.9-1.1 s with a 27 MB peak, and (s1 s2)^1023 took
-# 0.38-0.45 s with 18 MB (fresh processes capped at 1 GiB, 2-core VM).  The tests pack
-# at most 4,000,000 bits, and random 3,200-letter words, the longest the
-# benchmark's sweep packs, about 2.9 million.
+# of that size, so the work grows as k^2 L: 50 copies of s1^1000 s2^-1000,
+# 10^5 letters at k = 1,008, took 15 s with a 432 MB peak.  The limit also
+# caps the letters: k >= bit_length(L) + 2 rounded up to bytes, so past
+# 65,535 letters k >= 24 and L <= 174,762.  Measured at the limit in fresh
+# processes capped at 1 GiB (2-core VM), `burau --json` of s1^174762, the
+# most letters, took 0.37-0.49 s with a 51 MB peak (s1^100000: 0.25 s,
+# 37 MB); (s1 s2^-1)^1023, 2,046 single-letter runs at k = 2,048, the
+# costliest shape per bit, took 0.9-1.1 s with a 27 MB peak, and
+# (s1 s2)^1023 0.38-0.45 s with 18 MB.  s1^1000000 took 1.7 s and 220 MB
+# and s1^10000000 ran out of memory in its decode before this limit.  The
+# tests pack at most 4,194,288 bits, and random 3,200-letter words, the
+# longest the benchmark's sweep packs, about 2.9 million.
 MAX_BURAU_BITS = 2**22
 
 
 def _width(*words: BraidWord) -> int:
     """B + 2 rounded up to whole bytes, for the largest B of the words.
 
-    A word of more than ``MAX_BURAU_LETTERS`` letters, or whose letters
-    times the width exceed ``MAX_BURAU_BITS``, raises ValueError."""
+    A word whose letters times the width exceed ``MAX_BURAU_BITS`` raises
+    ValueError."""
     longest = max(word.length for word in words)
-    if longest > MAX_BURAU_LETTERS:
-        raise ValueError(
-            f"the Burau image takes at most {MAX_BURAU_LETTERS} letters, got {longest}"
-        )
     bound = max(sum(abs(n).bit_length() for _, n in word.letters) for word in words)
     k = (bound + 9) // 8 * 8
     if k * longest > MAX_BURAU_BITS:
@@ -254,7 +248,7 @@ def burau_matrix(word: BraidWord) -> LaurentMatrix:
 
     The empty word maps to the identity.  The image is packed at the width
     of :func:`_width` (see the module docstring) and decoded once.  A word
-    past ``MAX_BURAU_LETTERS`` or ``MAX_BURAU_BITS`` raises ValueError.
+    past ``MAX_BURAU_BITS`` raises ValueError.
     """
     _check(word)
     k = _width(word)
@@ -276,7 +270,7 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
     letters is shifted left by k (f - e) and the four integers are compared
     without decoding.  Correctness rests on the faithfulness of the
     representation for three strands.  A pair with equal sums and a word
-    past ``MAX_BURAU_LETTERS`` or ``MAX_BURAU_BITS`` (at the common width)
+    past ``MAX_BURAU_BITS`` (at the common width)
     raises ValueError.
     """
     _check(u)

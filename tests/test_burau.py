@@ -280,7 +280,7 @@ class TestRuns:
         times_sum = burau._times_sum
         monkeypatch.setattr(burau, "_times_sum", counted)
         word = parse_braid("s1^50000 s2^-49997 s1 s2^-2")
-        assert word.length == burau.MAX_BURAU_LETTERS
+        assert word.length == 100_000 and _width(word) * word.length <= burau.MAX_BURAU_BITS
         _pack(word, _width(word))
         assert calls == [50000, 49997, 2]
 
@@ -385,22 +385,27 @@ class TestBraidEqual:
         assert unequal > 150
 
     def test_letter_limit(self):
-        # One limit for both callers of the packing, checked before it and
-        # after the exponent-sum exit.
-        limit = burau.MAX_BURAU_LETTERS
-        over, at = BraidWord(3, ((1, limit + 1),)), BraidWord(3, ((1, limit),))
-        message = f"the Burau image takes at most {limit} letters, got {limit + 1}"
+        # The bit limit caps the letters: past 65,535 letters the width is at
+        # least 24, so s1^174762 is the longest word, at 4,194,288 bits.  One
+        # limit for both callers of the packing, checked before it and after
+        # the exponent-sum exit.
+        longest = 174_762
+        over, at = BraidWord(3, ((1, longest + 1),)), BraidWord(3, ((1, longest),))
+        assert _width(at) * longest <= burau.MAX_BURAU_BITS < 24 * (longest + 1)
+        message = (
+            f"the Burau image packs at most {burau.MAX_BURAU_BITS} bits "
+            f"(width times letters), got {24 * (longest + 1)}"
+        )
         for call in (lambda: burau_matrix(over), lambda: braid_equal(at * parse_braid("s2"), over)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
         assert not braid_equal(over, at)
-        assert burau_matrix(at).entries[0][0] == LaurentPoly(((limit, 1),))
-        assert not braid_equal(at, BraidWord(3, ((2, limit),)))
+        assert burau_matrix(at).entries[0][0] == LaurentPoly(((longest, 1),))
+        assert not braid_equal(at, BraidWord(3, ((2, longest),)))
 
     def test_bit_limit(self):
-        # Width times letters, checked after the letter limit and before
-        # packing; (s1 s2^-1)^1023 has 2,046 letters at width 2,048, and one
-        # more letter widens it to 2,056.
+        # Width times letters, checked before packing; (s1 s2^-1)^1023 has
+        # 2,046 letters at width 2,048, and one more letter widens it to 2,056.
         at = parse_braid(" ".join(["s1 s2^-1"] * 1023))
         over = at * parse_braid("s1")
         assert _width(at) * at.length == 4_190_208 <= burau.MAX_BURAU_BITS

@@ -480,9 +480,10 @@ REWRITE_LIMIT_ERROR = (
 # Long inputs with short answers, as (argv, stdout, exit code, seconds, stdin).
 # Each time bound is at least 10x the time measured on a 2-core VM (0.38 s,
 # 0.15 s, 0.23 s, 0.14 s, 0.13 s, 0.10 s, 0.09 s, 0.09 s, 0.09 s, 0.54 s,
-# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s, 0.48 s, 0.09 s, 0.09 s, 0.22 s,
-# 0.07 s and 0.38-0.45 s), so a slow shared machine does not fail a row, while an input
-# whose cost grows with its letters rather than its runs still does.
+# 0.65 s, 1.8 s, 0.10 s, 0.12 s, 0.09 s, 0.48 s, 0.09 s, 0.09 s,
+# 0.37-0.49 s, 0.07 s and 0.38-0.45 s), so a slow shared machine does not
+# fail a row, while an input whose cost grows with its letters rather than
+# its runs still does.
 LONG_INPUTS = [
     long_input(
         ["probe-convexity", "--json", "--gens", "x^49998 y", "x^49999 y", "--radius", "1"],
@@ -625,21 +626,23 @@ LONG_INPUTS = [
         peak_mb=40,
     ),
     # The Burau image of 10^7 letters ran out of memory in its decode, with
-    # no answer printed; it is refused before packing: 17 MB peak.
+    # no answer printed; the bit limit, which caps a word at 174,762
+    # letters, refuses it before packing: 16 MB peak.
     long_input(
         ["burau", "--json", "s1^10000000"],
-        '{"error": {"message": "the Burau image takes at most 100000 letters, '
-        'got 10000000", "type": "domain"}}\n',
+        '{"error": {"message": "the Burau image packs at most 4194304 bits '
+        '(width times letters), got 320000000", "type": "domain"}}\n',
         1,
         5,
         id="burau-over-letter-limit",
         peak_mb=40,
     ),
-    # σ1^n = [[(-t)^n, Σ_{j<n} (-t)^j], [0, 1]] at the limit: 38 MB peak.
+    # σ1^n = [[(-t)^n, Σ_{j<n} (-t)^j], [0, 1]] for the most letters the
+    # bit limit admits, 174,762 at width 24: 51 MB peak.
     long_input(
-        ["burau", "--json", "s1^100000"],
+        ["burau", "--json", "s1^174762"],
         json.dumps(
-            {"entries": [[[[100000, 1]], [[j, (-1) ** j] for j in range(100000)]], [[], [[0, 1]]]]}
+            {"entries": [[[[174762, 1]], [[j, (-1) ** j] for j in range(174762)]], [[], [[0, 1]]]]}
         )
         + "\n",
         0,

@@ -755,6 +755,21 @@ class TestRelatorVariant:
             assert moved in {(2, -2), (-2, 2)}, trial
             assert braid_equal(BraidWord(3, beta), BraidWord(3, variant)), trial
 
+    @pytest.mark.parametrize("tail", [((2, 1),), ((2, -3),)])
+    def test_another_braid_is_caught(self, monkeypatch, tail):
+        # σ2 fixes the lifted ray, so a variant off by a σ2 power at its
+        # right end has the lift of β; its exponent sum tells it apart.
+        from braidlab import probe
+
+        relator_variant = probe._relator_variant
+
+        def off_by_sigma2(rng, runs):
+            return _words.concat(relator_variant(rng, runs), tail)
+
+        monkeypatch.setattr(probe, "_relator_variant", off_by_sigma2)
+        check = {c.name: c for c in probe.lemma_suite(1, 25).checks}["word-independence"]
+        assert [f["error"] for f in check.failures] == ["variant is another braid"] * 25
+
 
 def reference_braid_word(rng, max_length, strands=3):
     length = rng.randint(0, max_length)
